@@ -22,7 +22,6 @@ import (
 	"powerchoice/internal/core"
 	"powerchoice/internal/graph"
 	"powerchoice/internal/pqadapt"
-	"powerchoice/internal/pqueue"
 	"powerchoice/internal/seqproc"
 	"powerchoice/internal/xrand"
 )
@@ -241,24 +240,6 @@ func BenchmarkAblationChoices(b *testing.B) {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			mq, err := core.New[int32](
 				core.WithQueues(8), core.WithChoices(d), core.WithSeed(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := xrand.NewSource(1)
-			for i := 0; i < 1<<16; i++ {
-				mq.Insert(rng.Uint64()>>1, 0)
-			}
-			benchHandlePairs(b, mq, threads)
-		})
-	}
-}
-
-// BenchmarkAblationHeapKind sweeps the sequential heap backing each queue.
-func BenchmarkAblationHeapKind(b *testing.B) {
-	threads := runtime.GOMAXPROCS(0)
-	for _, kind := range pqueue.Kinds() {
-		b.Run(string(kind), func(b *testing.B) {
-			mq, err := core.New[int32](core.WithHeap(kind), core.WithSeed(7))
 			if err != nil {
 				b.Fatal(err)
 			}

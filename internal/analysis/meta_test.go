@@ -65,21 +65,16 @@ var hotPathAllocCoverage = map[string]string{
 
 	"powerchoice/internal/sched.PopBuffer.Pop": "powerchoice/internal/sched.TestPopBufferPopAllocationFree",
 
-	"powerchoice/internal/xrand.Source.Bernoulli":        "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.Coin":             "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.ExpFloat64":       "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.Float64":          "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.Intn":             "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.KDistinct":        "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.TwoBounded32":     "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.TwoDistinct":      "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.TwoDistinct32":    "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.Uint64":           "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Bounded.Draw":            "powerchoice/internal/xrand.TestBoundedOpsAllocationFree",
-	"powerchoice/internal/xrand.Bounded.drawSlow":        "powerchoice/internal/xrand.TestBoundedOpsAllocationFree",
-	"powerchoice/internal/xrand.Bounded.KDistinct":       "powerchoice/internal/xrand.TestBoundedOpsAllocationFree",
-	"powerchoice/internal/xrand.Bounded.TwoDistinct":     "powerchoice/internal/xrand.TestBoundedOpsAllocationFree",
-	"powerchoice/internal/xrand.Bounded.twoDistinctSlow": "powerchoice/internal/xrand.TestBoundedOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.Bernoulli":     "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.Coin":          "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.ExpFloat64":    "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.Float64":       "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.Intn":          "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.KDistinct":     "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.TwoBounded32":  "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.TwoDistinct":   "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.TwoDistinct32": "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
+	"powerchoice/internal/xrand.Source.Uint64":        "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
 }
 
 // TestHotPathAllocCoverage is the meta-test: the annotation scan drives the

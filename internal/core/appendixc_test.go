@@ -19,9 +19,8 @@ func TestAppendixCStalledLockHolderDegradesRank(t *testing.T) {
 		}
 		if stallTwoQueues {
 			// Simulate Appendix C's hung process holding two queue locks.
-			var n0, n1 qnode
-			mq.snapshot().queues[0].lock.Lock(&n0)
-			mq.snapshot().queues[1].lock.Lock(&n1)
+			mq.snapshot().queues[0].lock.Lock()
+			mq.snapshot().queues[1].lock.Lock()
 			defer mq.snapshot().queues[0].lock.Unlock()
 			defer mq.snapshot().queues[1].lock.Unlock()
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestInsertBatchMultisetPreservation: batch inserts must land every element
-// exactly once, across heap kinds' devirtualized and interface paths.
+// exactly once.
 func TestInsertBatchMultisetPreservation(t *testing.T) {
 	mq := mustNew[int](t, WithQueues(8), WithSeed(51))
 	h := mq.Handle()

@@ -53,7 +53,6 @@ type MultiQueue[V any] struct {
 	localBias  float64
 	atomic     bool
 	combining  bool
-	heapKind   pqueue.Kind
 	resolved   Config
 
 	globalMu sync.Mutex // used only in atomic mode
@@ -121,21 +120,19 @@ func (t *topology[V]) anyNonEmpty() bool {
 // ~20 cycles — on every push and pop for the benefit of Len alone, so Len
 // takes each queue's lock briefly instead (it is a cold path).
 //
-// The default heap kind is devirtualized: dary stores the flat 4-ary heap
-// inline (heap stays nil), so the hot path's Push/PopMin are direct calls on
-// a concrete type — inlinable, no dynamic dispatch, no pointer chase to a
-// separately allocated heap header. Non-default kinds keep the interface
-// path via heap; every access site dispatches on heap == nil.
+// The heap is the flat 4-ary DAryHeap stored inline, so the hot path's
+// Push/PopMin are direct calls on a concrete type — inlinable, no dynamic
+// dispatch, no pointer chase to a separately allocated heap header.
 //
-// The payload is 113 bytes (lock 16: word 4 + align 4 + MCS tail 8, top 8,
-// count 8, dary split-slice headers 48, heap interface 16, comb pointer 8,
-// mq back-pointer 8, closed 1); the pad brings the size to 128 — a multiple
-// of two 64-byte cache lines, so adjacent queues in a topology's backing
-// array never share a line and the adjacent-line prefetcher cannot couple
-// them either. The hot words every operation touches (lock word, top, count)
-// sit in the first 64 bytes. A 72-byte version of this struct once left
-// every element straddling lines with its neighbours despite this comment
-// claiming otherwise; TestLockedQueuePaddedToCacheLinePair pins the layout.
+// The payload is 89 bytes (lock word 4 + align 4, top 8, count 8, dary
+// split-slice headers 48, comb pointer 8, mq back-pointer 8, closed 1); the
+// pad brings the size to 128 — a multiple of two 64-byte cache lines, so
+// adjacent queues in a topology's backing array never share a line and the
+// adjacent-line prefetcher cannot couple them either. The hot words every
+// operation touches (lock word, top, count) sit in the first 64 bytes. A
+// 72-byte version of this struct once left every element straddling lines
+// with its neighbours despite this comment claiming otherwise;
+// TestLockedQueuePaddedToCacheLinePair pins the layout.
 //
 //powervet:cacheline=128
 type lockedQueue[V any] struct {
@@ -143,7 +140,6 @@ type lockedQueue[V any] struct {
 	top   atomicUint64 // cached minimum key, emptyTop when empty
 	count int64        // cached heap length, guarded by lock
 	dary  pqueue.DAryHeap[V]
-	heap  pqueue.Queue[V] // nil when devirtualized onto dary
 	// comb is the flat-combining publication ring, nil unless WithCombining.
 	// Set at construction, read-only afterwards.
 	comb *combineRing[V]
@@ -156,7 +152,7 @@ type lockedQueue[V any] struct {
 	// carries into live queues before releasing (see unlock/drainRetired).
 	// Guarded by lock (globalMu in atomic mode).
 	closed bool
-	_      [15]byte // pad the 113-byte payload to 128 bytes
+	_      [39]byte // pad the 89-byte payload to 128 bytes
 }
 
 // Config reports the topology and parameters a MultiQueue actually resolved
@@ -185,8 +181,6 @@ type Config struct {
 	LocalBias float64
 	// Seed is the root seed of the per-handle random streams.
 	Seed uint64
-	// Heap names the sequential heap backing each queue.
-	Heap pqueue.Kind
 	// Atomic reports the distributionally linearizable validation mode.
 	Atomic bool
 	// Combining reports whether flat combining is armed on the queue locks
@@ -213,7 +207,6 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 		localBias:  cfg.localBias,
 		atomic:     cfg.atomicMode,
 		combining:  cfg.combining,
-		heapKind:   cfg.heapKind,
 		resolved: Config{
 			Queues:        cfg.queues,
 			Choices:       cfg.choices,
@@ -222,7 +215,6 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 			Shards:        cfg.shards,
 			LocalBias:     cfg.localBias,
 			Seed:          cfg.seed,
-			Heap:          cfg.heapKind,
 			Atomic:        cfg.atomicMode,
 			Combining:     cfg.combining,
 			QueuesPinned:  cfg.queuesPinned,
@@ -250,11 +242,6 @@ func (mq *MultiQueue[V]) makeQueues(n int) []*lockedQueue[V] {
 	qs := make([]*lockedQueue[V], n)
 	for i := range arr {
 		q := &arr[i]
-		if mq.heapKind != pqueue.KindDAry {
-			// Non-default kinds go through the interface; the default 4-ary
-			// heap lives inline in lockedQueue.dary (see lockedQueue).
-			q.heap = pqueue.New[V](mq.heapKind)
-		}
 		q.top.Store(emptyTop)
 		if rings != nil {
 			q.comb = &rings[i]
@@ -318,9 +305,8 @@ func (mq *MultiQueue[V]) Len() int {
 		mq.globalMu.Unlock()
 		return int(total)
 	}
-	var n qnode
 	for _, q := range t.queues {
-		q.lock.Lock(&n)
+		q.lock.Lock()
 		total += q.count
 		q.lock.Unlock()
 	}
@@ -418,8 +404,7 @@ func (mq *MultiQueue[V]) resizeLocked(queues, shards int) error {
 	// insert-side check.
 	mq.topo.Store(nt)
 	for _, q := range retired {
-		var n qnode
-		q.lock.Lock(&n)
+		q.lock.Lock()
 		q.closed = true
 		q.unlock()
 	}
@@ -456,12 +441,11 @@ func (q *lockedQueue[V]) drainRetired() {
 // strictly after the next snapshot publishes). The caller holds a retired
 // queue's lock, so the acquisition order is retired → live only — acyclic.
 func (mq *MultiQueue[V]) drainInto(keys []uint64, vals []V) {
-	var n qnode
 	for {
 		t := mq.topo.Load()
 		d := t.queues[int(uint64(mq.drainSeq.Add(1))%uint64(len(t.queues)))]
 		//powervet:allow lockscope retired-to-live drain edge: the caller holds only a closed queue's lock and live queues never wait on closed ones, so the order is acyclic
-		d.lock.Lock(&n)
+		d.lock.Lock()
 		if d.closed {
 			d.lock.Unlock()
 			continue
@@ -489,23 +473,8 @@ func (mq *MultiQueue[V]) DeleteMin() (uint64, V, bool) {
 	return k, v, ok
 }
 
-// refreshTop recomputes q's cached top and count from its heap. Callers
-// must hold q.lock.
-func (q *lockedQueue[V]) refreshTop() {
-	if q.heap == nil {
-		q.syncDary()
-		return
-	}
-	if it, ok := q.heap.PeekMin(); ok {
-		q.top.Store(it.Key)
-	} else {
-		q.top.Store(emptyTop)
-	}
-	q.count = int64(q.heap.Len())
-}
-
-// syncDary is refreshTop for the devirtualized heap: it reads the new top
-// key without copying the value and without any interface call.
+// syncDary recomputes q's cached top and count from its heap after pops: it
+// reads the new top key without copying the value. Callers must hold q.lock.
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) syncDary() {
@@ -526,12 +495,7 @@ func (q *lockedQueue[V]) syncDary() {
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) push(key uint64, value V) {
-	if q.heap == nil {
-		q.dary.Push(key, value)
-	} else {
-		//powervet:allow hotpath non-default heap kinds dispatch through the Queue interface by design; the default dary path above is the devirtualized hot path
-		q.heap.Push(key, value)
-	}
+	q.dary.Push(key, value)
 	if key < q.top.Load() {
 		q.top.Store(key)
 	}
@@ -545,26 +509,13 @@ func (q *lockedQueue[V]) push(key uint64, value V) {
 //powervet:hotpath
 func (q *lockedQueue[V]) pushBatch(keys []uint64, vals []V) {
 	minKey := uint64(emptyTop)
-	if q.heap == nil {
-		for i, k := range keys {
-			if k == emptyTop {
-				k = emptyTop - 1
-			}
-			q.dary.Push(k, vals[i])
-			if k < minKey {
-				minKey = k
-			}
+	for i, k := range keys {
+		if k == emptyTop {
+			k = emptyTop - 1
 		}
-	} else {
-		for i, k := range keys {
-			if k == emptyTop {
-				k = emptyTop - 1
-			}
-			//powervet:allow hotpath non-default heap kinds dispatch through the Queue interface by design
-			q.heap.Push(k, vals[i])
-			if k < minKey {
-				minKey = k
-			}
+		q.dary.Push(k, vals[i])
+		if k < minKey {
+			minKey = k
 		}
 	}
 	if minKey < q.top.Load() {
@@ -593,14 +544,8 @@ func (q *lockedQueue[V]) emptyUnderLock() {
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) popMin() (pqueue.Item[V], bool) {
-	if q.heap == nil {
-		it, ok := q.dary.PopMin()
-		q.syncDary()
-		return it, ok
-	}
-	//powervet:allow hotpath non-default heap kinds dispatch through the Queue interface by design
-	it, ok := q.heap.PopMin()
-	q.refreshTop()
+	it, ok := q.dary.PopMin()
+	q.syncDary()
 	return it, ok
 }
 
@@ -611,27 +556,14 @@ func (q *lockedQueue[V]) popMin() (pqueue.Item[V], bool) {
 //powervet:hotpath
 func (q *lockedQueue[V]) popBatch(keys []uint64, vals []V, k int) int {
 	n := 0
-	if q.heap == nil {
-		for n < k {
-			it, ok := q.dary.PopMin()
-			if !ok {
-				break
-			}
-			keys[n], vals[n] = it.Key, it.Value
-			n++
-		}
-		q.syncDary()
-		return n
-	}
 	for n < k {
-		//powervet:allow hotpath non-default heap kinds dispatch through the Queue interface by design
-		it, ok := q.heap.PopMin()
+		it, ok := q.dary.PopMin()
 		if !ok {
 			break
 		}
 		keys[n], vals[n] = it.Key, it.Value
 		n++
 	}
-	q.refreshTop()
+	q.syncDary()
 	return n
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"powerchoice/internal/pqueue"
 	"powerchoice/internal/xrand"
 )
 
@@ -31,9 +30,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := New[int](WithBeta(1.5)); err == nil {
 		t.Error("beta > 1 accepted")
-	}
-	if _, err := New[int](WithHeap(pqueue.Kind("bogus"))); err == nil {
-		t.Error("bogus heap kind accepted")
 	}
 }
 
@@ -116,29 +112,6 @@ func TestSequentialMultisetPreservation(t *testing.T) {
 				t.Fatalf("β=%v: key %d count %d, want %d", beta, k, got[k], c)
 			}
 		}
-	}
-}
-
-func TestAllHeapKinds(t *testing.T) {
-	for _, kind := range pqueue.Kinds() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			mq := mustNew[int](t, WithQueues(4), WithHeap(kind), WithSeed(5))
-			for i := 1000; i > 0; i-- {
-				mq.Insert(uint64(i), i)
-			}
-			count := 0
-			for {
-				_, _, ok := mq.DeleteMin()
-				if !ok {
-					break
-				}
-				count++
-			}
-			if count != 1000 {
-				t.Fatalf("recovered %d elements", count)
-			}
-		})
 	}
 }
 

@@ -26,15 +26,15 @@ const (
 // advance — the lane-split pair draw — with no float ops, no division, and
 // no coin draws at all.
 //
-// An earlier iteration also carried a per-snapshot xrand.Bounded (hoisted
-// Lemire threshold + power-of-two mask) and fused its mask/lane fast paths
-// into the selector. End-to-end A/B runs of BenchmarkHandleMixed measured
-// that variant consistently slower than the hoisted-threshold Intn draws:
-// Intn's fast-accept path is already one multiply and one compare, and the
-// extra plan branches plus the 40-byte by-value plan traffic cost more than
-// the multiply they saved. The selector therefore draws via Source.Intn and
-// Source.TwoDistinct32; xrand.Bounded remains a standalone primitive for
-// callers that reuse one fixed bound (see its microbenchmarks).
+// An earlier iteration also carried a per-snapshot bounded-draw plan
+// (hoisted Lemire threshold + power-of-two mask) and fused its mask/lane
+// fast paths into the selector. End-to-end A/B runs of BenchmarkHandleMixed
+// measured that variant consistently slower than the hoisted-threshold Intn
+// draws: Intn's fast-accept path is already one multiply and one compare,
+// and the extra plan branches plus the 40-byte by-value plan traffic cost
+// more than the multiply they saved. The selector therefore draws via
+// Source.Intn and Source.TwoDistinct32, and the plan type, left with no
+// caller, was deleted (EXPERIMENTS.md, "Draw-fused sampling").
 type drawPlan struct {
 	beta     coinKind
 	betaThr  uint64

@@ -3,8 +3,8 @@ package core
 // Hot-path microbenchmarks for the MultiQueue's per-operation cost. They are
 // single-threaded on purpose: contention effects are what powerbench
 // measures; these isolate the instruction-path cost of one operation
-// (devirtualized vs interface heap access, single-op vs batched locking) and
-// pin the allocation behaviour via -benchmem / b.ReportAllocs.
+// (single-op vs batched locking) and pin the allocation behaviour via
+// -benchmem / b.ReportAllocs.
 //
 // Workflow (see EXPERIMENTS.md, "Microbenchmark methodology"):
 //
@@ -15,18 +15,12 @@ import (
 	"fmt"
 	"testing"
 
-	"powerchoice/internal/pqueue"
 	"powerchoice/internal/xrand"
 )
 
-// benchKinds are the heap kinds the microbenchmarks sweep: the default
-// 4-ary heap (the devirtualized fast path) against a binary heap and a
-// pointer-based pairing heap (both behind the pqueue.Queue interface).
-var benchKinds = []pqueue.Kind{pqueue.KindDAry, pqueue.KindBinary, pqueue.KindPairing}
-
-func newBenchMQ(b *testing.B, kind pqueue.Kind) *MultiQueue[int32] {
+func newBenchMQ(b *testing.B) *MultiQueue[int32] {
 	b.Helper()
-	mq, err := New[int32](WithQueues(8), WithHeap(kind), WithSeed(7))
+	mq, err := New[int32](WithQueues(8), WithSeed(7))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,37 +29,29 @@ func newBenchMQ(b *testing.B, kind pqueue.Kind) *MultiQueue[int32] {
 
 // BenchmarkHandleInsert measures a single uncontended Handle.Insert.
 func BenchmarkHandleInsert(b *testing.B) {
-	for _, kind := range benchKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			mq := newBenchMQ(b, kind)
-			h := mq.Handle()
-			rng := xrand.NewSource(3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Insert(rng.Uint64()>>1, 0)
-			}
-		})
+	mq := newBenchMQ(b)
+	h := mq.Handle()
+	rng := xrand.NewSource(3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Insert(rng.Uint64()>>1, 0)
 	}
 }
 
 // BenchmarkHandleDeleteMin measures a single uncontended Handle.DeleteMin
 // from a prefilled structure that never runs empty inside the timed region.
 func BenchmarkHandleDeleteMin(b *testing.B) {
-	for _, kind := range benchKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			mq := newBenchMQ(b, kind)
-			h := mq.Handle()
-			rng := xrand.NewSource(5)
-			for i := 0; i < b.N+64; i++ {
-				h.Insert(rng.Uint64()>>1, 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.DeleteMin()
-			}
-		})
+	mq := newBenchMQ(b)
+	h := mq.Handle()
+	rng := xrand.NewSource(5)
+	for i := 0; i < b.N+64; i++ {
+		h.Insert(rng.Uint64()>>1, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.DeleteMin()
 	}
 }
 
@@ -74,21 +60,17 @@ func BenchmarkHandleDeleteMin(b *testing.B) {
 // Steady state means heap slices have reached their working capacity, so
 // allocs/op must be zero (pinned by TestHandleOpsAllocationFree).
 func BenchmarkHandleMixed(b *testing.B) {
-	for _, kind := range benchKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			mq := newBenchMQ(b, kind)
-			h := mq.Handle()
-			rng := xrand.NewSource(9)
-			for i := 0; i < 4096; i++ {
-				h.Insert(rng.Uint64()>>1, 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Insert(rng.Uint64()>>1, 0)
-				h.DeleteMin()
-			}
-		})
+	mq := newBenchMQ(b)
+	h := mq.Handle()
+	rng := xrand.NewSource(9)
+	for i := 0; i < 4096; i++ {
+		h.Insert(rng.Uint64()>>1, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Insert(rng.Uint64()>>1, 0)
+		h.DeleteMin()
 	}
 }
 
@@ -103,7 +85,7 @@ var batchSizes = []int{4, 8, 16}
 func BenchmarkHandleInsertBatch(b *testing.B) {
 	for _, k := range batchSizes {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			mq := newBenchMQ(b, pqueue.KindDAry)
+			mq := newBenchMQ(b)
 			h := mq.Handle()
 			rng := xrand.NewSource(3)
 			keys := make([]uint64, k)
@@ -125,7 +107,7 @@ func BenchmarkHandleInsertBatch(b *testing.B) {
 func BenchmarkHandleDeleteMinBatch(b *testing.B) {
 	for _, k := range batchSizes {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			mq := newBenchMQ(b, pqueue.KindDAry)
+			mq := newBenchMQ(b)
 			h := mq.Handle()
 			rng := xrand.NewSource(5)
 			for i := 0; i < b.N+64; i++ {
@@ -146,11 +128,11 @@ func BenchmarkHandleDeleteMinBatch(b *testing.B) {
 
 // BenchmarkHandleMixedBatch is BenchmarkHandleMixed through the batch
 // operations: k inserts then k deletes per round. Comparing its ns/op (per
-// element) against BenchmarkHandleMixed/dary is the batching win.
+// element) against BenchmarkHandleMixed is the batching win.
 func BenchmarkHandleMixedBatch(b *testing.B) {
 	for _, k := range batchSizes {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			mq := newBenchMQ(b, pqueue.KindDAry)
+			mq := newBenchMQ(b)
 			h := mq.Handle()
 			rng := xrand.NewSource(9)
 			for i := 0; i < 4096; i++ {
@@ -213,21 +195,7 @@ func BenchmarkTryLockContended(b *testing.B) {
 	})
 }
 
-// BenchmarkQueuedLockHandoff measures the blocking path: every goroutine
-// queues with its own qnode, so ns/op is the full enqueue → local spin →
-// hand-off cycle under maximal contention on one lock.
-func BenchmarkQueuedLockHandoff(b *testing.B) {
-	var l queuedLock
-	b.RunParallel(func(pb *testing.PB) {
-		var n qnode
-		for pb.Next() {
-			l.Lock(&n)
-			l.Unlock()
-		}
-	})
-}
-
-// BenchmarkHandleMixedCombining is BenchmarkHandleMixed/dary with combining
+// BenchmarkHandleMixedCombining is BenchmarkHandleMixed with combining
 // armed: single-threaded the publication path never triggers, so the delta
 // against the plain run is the pure bookkeeping cost of the feature (two
 // staging stores and a comb-pointer check per unlock).
@@ -253,7 +221,7 @@ func BenchmarkHandleMixedCombining(b *testing.B) {
 // deletion: one DeleteMinBatch refill per k pops.
 func BenchmarkHandleDeleteMinBuffered(b *testing.B) {
 	const k = 8
-	mq := newBenchMQ(b, pqueue.KindDAry)
+	mq := newBenchMQ(b)
 	h := mq.Handle()
 	rng := xrand.NewSource(11)
 	for i := 0; i < 4096; i++ {

@@ -13,42 +13,25 @@ type (
 	atomicUint32 = atomic.Uint32
 )
 
-// queuedLock is the per-queue lock: a test-and-set word for the relaxed
-// paths plus an MCS-style FIFO waiter queue for the blocking path.
+// queuedLock is the per-queue lock: one test-and-set word.
 //
 // The MultiQueue algorithm prefers moving to a different random queue over
-// waiting, so TryLock remains the primary operation — a single CAS on the
-// lock word, nothing else (the earlier test-and-set lock issued a separate
-// Load before the CAS, paying two accesses on the uncontended fast path;
+// waiting, so TryLock is the primary operation — a single CAS on the lock
+// word, nothing else (the earlier test-and-set lock issued a separate Load
+// before the CAS, paying two accesses on the uncontended fast path;
 // BenchmarkTryLockContended pins the single-CAS choice, and Contended is the
 // load-only backoff hint for callers that re-try the same lock). Unlock is
 // one plain store.
 //
-// Lock(n) is the queued path for callers that must wait (rare full sweeps,
-// forced-contention harnesses, fairness tests): waiters link per-handle
-// qnodes into an MCS queue via one atomic swap on tail and spin on their own
-// node — local spinning, no shared-word cache storms — and are handed the
-// head role FIFO. Only the queue head competes on the lock word, against
-// TryLock callers, which may barge; that barging is the design (the relaxed
-// paths must never queue behind a sweep). The qnode lives inside the Handle
-// (via its selector), so the queued path allocates nothing.
+// Lock is the blocking path for the few callers that must wait on one
+// particular queue — Len, Resize's close loop and the retired-queue drain,
+// all cold. It spins on the word with the shared backoff, which yields to
+// the scheduler after a few failures, so a waiter cannot starve the holder
+// even at GOMAXPROCS=1. Waiters are not ordered; none of those callers needs
+// FIFO hand-off.
 type queuedLock struct {
-	// v is the lock word: 0 free, 1 held. TryLock and Unlock touch only v.
+	// v is the lock word: 0 free, 1 held.
 	v atomic.Uint32
-	// tail is the MCS waiter queue: nil when no Lock caller waits.
-	tail atomic.Pointer[qnode]
-}
-
-// qnode is one waiter's slot in a queuedLock's MCS queue. Each Handle embeds
-// exactly one (selector.qn); a node may wait on at most one lock at a time,
-// which holds because a handle runs one operation at a time and the lock
-// discipline (enforced by powervet's lockscope) forbids nested acquisition.
-// Padded to a cache line so a waiter spinning on its own spin word cannot
-// false-share with neighbouring handle state.
-type qnode struct {
-	next atomic.Pointer[qnode]
-	spin atomic.Uint32 // 1 while waiting for the predecessor's hand-off
-	_    [48]byte
 }
 
 // TryLock attempts to acquire the lock without blocking: one CAS on the
@@ -69,47 +52,22 @@ func (l *queuedLock) Contended() bool {
 	return l.v.Load() != 0
 }
 
-// Lock acquires the lock through the MCS waiter queue: enqueue n with one
-// swap, spin on n's own word until handed the head role, then take the lock
-// word. Spins use the shared exponential backoff, which yields to the
-// scheduler after a few failures so waiters cannot starve the holder on
-// small GOMAXPROCS. n must not be enqueued anywhere else; it is free for
-// reuse when Lock returns.
+// Lock acquires the lock, waiting as long as it takes: a CAS, and while
+// that fails a load-only wait for the word to clear, backing off between
+// loads so the holder gets the processor.
 //
 //powervet:hotpath
-func (l *queuedLock) Lock(n *qnode) {
-	n.next.Store(nil)
-	n.spin.Store(1)
-	if prev := l.tail.Swap(n); prev != nil {
-		prev.next.Store(n)
-		var bo backoff.Spinner
-		for n.spin.Load() != 0 {
-			bo.Spin()
-		}
-	}
-	// Head of the queue: compete for the lock word against TryLock barging.
+func (l *queuedLock) Lock() {
 	var bo backoff.Spinner
 	for !l.v.CompareAndSwap(0, 1) {
 		for l.v.Load() != 0 {
 			bo.Spin()
 		}
 	}
-	// Acquired. Retire n, handing the head role to a successor if one has
-	// enqueued; the brief wait below only covers a successor caught between
-	// its tail swap and its next-pointer store.
-	if !l.tail.CompareAndSwap(n, nil) {
-		var wait backoff.Spinner
-		next := n.next.Load()
-		for next == nil {
-			wait.Spin()
-			next = n.next.Load()
-		}
-		next.spin.Store(0)
-	}
 }
 
-// Unlock releases the lock: one plain store. Queued waiters notice through
-// the head waiter's spin on the lock word.
+// Unlock releases the lock: one plain store. Waiters in Lock notice on
+// their next load of the word.
 //
 //powervet:hotpath
 func (l *queuedLock) Unlock() {

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestQueuedLockMutualExclusion drives the hybrid lock from both of its
-// acquisition paths at once — queued Lock callers and TryLock bargers that
-// fall back to the queue — and checks a plain (unsynchronised) counter under
-// it. The race detector pins mutual exclusion directly; the final count pins
-// that no acquisition was lost or doubled.
+// TestQueuedLockMutualExclusion drives the lock from both of its acquisition
+// paths at once — blocking Lock callers and TryLock callers that fall back
+// to Lock — and checks a plain (unsynchronised) counter under it. The race
+// detector pins mutual exclusion directly; the final count pins that no
+// acquisition was lost or doubled.
 func TestQueuedLockMutualExclusion(t *testing.T) {
 	const workers = 8
 	const perWorker = 5000
@@ -20,14 +20,12 @@ func TestQueuedLockMutualExclusion(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var n qnode
 			for i := 0; i < perWorker; i++ {
 				if w%2 == 0 {
-					l.Lock(&n)
+					l.Lock()
 				} else if !l.TryLock() {
-					// Barger: one relaxed attempt, then the queued path —
-					// the selector's shape when combining publication fails.
-					l.Lock(&n)
+					// One relaxed attempt, then the blocking path.
+					l.Lock()
 				}
 				counter++
 				l.Unlock()
@@ -41,9 +39,10 @@ func TestQueuedLockMutualExclusion(t *testing.T) {
 }
 
 // TestQueuedLockQueuedHandoff serialises several Lock waiters behind one
-// holder: every waiter must eventually acquire (liveness of the MCS hand-off
-// chain, including the head's competition with the test-and-set word), and
-// each release must wake at most one waiter into the critical section.
+// holder: every waiter must eventually acquire (liveness of the
+// spin-and-yield wait, which at GOMAXPROCS=1 depends on the backoff yielding
+// to the holder), and each release must admit at most one waiter into the
+// critical section.
 func TestQueuedLockQueuedHandoff(t *testing.T) {
 	const waiters = 6
 	var l queuedLock
@@ -56,8 +55,7 @@ func TestQueuedLockQueuedHandoff(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var n qnode
-			l.Lock(&n)
+			l.Lock()
 			inside++
 			l.Unlock()
 		}()
@@ -92,13 +90,12 @@ func TestQueuedLockContendedHint(t *testing.T) {
 }
 
 // TestQueuedLockAllocationFree: both acquisition paths are allocation-free —
-// the queued path because the qnode is caller-supplied (the selector embeds
-// it in the Handle), the relaxed path because it is a single CAS.
+// the blocking path keeps its backoff state on the stack, the relaxed path is
+// a single CAS.
 func TestQueuedLockAllocationFree(t *testing.T) {
 	var l queuedLock
-	var n qnode
 	assertZeroAllocs(t, "Lock/Unlock", func() {
-		l.Lock(&n)
+		l.Lock()
 		l.Unlock()
 	})
 	assertZeroAllocs(t, "TryLock/Contended/Unlock", func() {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-
-	"powerchoice/internal/pqueue"
 )
 
 // Option configures a MultiQueue.
@@ -28,7 +26,6 @@ type config struct {
 	shards     int
 	localBias  float64
 	seed       uint64
-	heapKind   pqueue.Kind
 	atomicMode bool
 	combining  bool
 
@@ -111,12 +108,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithHeap selects the sequential heap implementation backing each queue.
-// The default is the 4-ary heap.
-func WithHeap(kind pqueue.Kind) Option {
-	return func(c *config) { c.heapKind = kind }
-}
-
 // WithAtomic makes the compare-and-remove pair execute under a single
 // global lock, realising distributional linearizability (Appendix C): the
 // removal distribution then provably matches the paper's sequential
@@ -149,10 +140,9 @@ func WithCombining(enabled bool) Option {
 
 func buildOptions(opts []Option) (config, error) {
 	c := config{
-		factor:   2,
-		beta:     1,
-		seed:     0x9e3779b97f4a7c15,
-		heapKind: pqueue.KindDAry,
+		factor: 2,
+		beta:   1,
+		seed:   0x9e3779b97f4a7c15,
 	}
 	for _, o := range opts {
 		o(&c)
@@ -220,16 +210,6 @@ func buildOptions(opts []Option) (config, error) {
 	// lose, so the request resolves to disabled (and is reported as such).
 	if c.atomicMode {
 		c.combining = false
-	}
-	known := false
-	for _, k := range pqueue.Kinds() {
-		if c.heapKind == k {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return c, fmt.Errorf("core: unknown heap kind %q", c.heapKind)
 	}
 	return c, nil
 }

@@ -14,7 +14,7 @@ import (
 // size is read from the //powervet:cacheline annotation on lockedQueue (the
 // same number the static cacheline analyzer enforces), so the runtime check
 // and the annotation cannot drift apart. The size cannot depend on the
-// value type: V only appears behind the heap interface.
+// value type: V only appears behind the heap's slice headers.
 func TestLockedQueuePaddedToCacheLinePair(t *testing.T) {
 	ann, err := analysis.ScanAnnotations("../..")
 	if err != nil {

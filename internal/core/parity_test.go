@@ -297,8 +297,7 @@ func popViaRing(t *testing.T, h *Handle[int]) (uint64, bool) {
 		t.Fatal("publication ring full with no publishers")
 	}
 	sl.state.Store(slotDelete)
-	var n qnode
-	q.lock.Lock(&n)
+	q.lock.Lock()
 	q.unlock()
 	if sl.state.Load() != slotDone {
 		t.Fatal("drain left a published delete unresolved")

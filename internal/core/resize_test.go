@@ -105,8 +105,7 @@ func resizePreservesMultiset(t *testing.T, from, to int, opts ...Option) {
 	}
 	if to < from {
 		for i, q := range old[to:] {
-			var qn qnode
-			q.lock.Lock(&qn)
+			q.lock.Lock()
 			closed, count := q.closed, q.count
 			q.lock.Unlock()
 			if !closed {

@@ -73,10 +73,6 @@ type selector[V any] struct {
 	resKey   uint64
 	resVal   V
 	combined bool
-	// qn is this handle's MCS waiter node for queuedLock.Lock: embedding it
-	// here keeps the queued path allocation-free per handle. Last field so
-	// its trailing cache-line pad borders no hot selector state.
-	qn qnode
 }
 
 // init prepares the selector for the handle with the given 1-based id.

@@ -5,8 +5,6 @@ type BinaryHeap[V any] struct {
 	items []Item[V]
 }
 
-var _ Queue[int] = (*BinaryHeap[int])(nil)
-
 // NewBinaryHeap returns an empty binary heap.
 func NewBinaryHeap[V any]() *BinaryHeap[V] {
 	return &BinaryHeap[V]{}

@@ -5,7 +5,7 @@ package pqueue
 // trade-off as the boost d-ary heaps used by the paper's implementation.
 const daryDegree = 4
 
-// DAryHeap is a flat 4-ary min-heap. It is the default queue of the
+// DAryHeap is a flat 4-ary min-heap. It backs every queue of the
 // MultiQueue because pops touch fewer levels than a binary heap at the cost
 // of a slightly wider comparison per level.
 //
@@ -18,8 +18,6 @@ type DAryHeap[V any] struct {
 	keys []uint64
 	vals []V
 }
-
-var _ Queue[int] = (*DAryHeap[int])(nil)
 
 // NewDAryHeap returns an empty 4-ary heap.
 func NewDAryHeap[V any]() *DAryHeap[V] {

@@ -6,79 +6,6 @@ import (
 	"powerchoice/internal/xrand"
 )
 
-// checkLeftist verifies the leftist invariant (npl(left) >= npl(right),
-// npl correct) and the heap order on every node.
-func checkLeftist[V any](t *testing.T, n *leftistNode[V]) int32 {
-	t.Helper()
-	if n == nil {
-		return -1
-	}
-	ln := checkLeftist(t, n.left)
-	rn := checkLeftist(t, n.right)
-	if ln < rn {
-		t.Fatalf("leftist invariant violated at key %d: npl(left)=%d < npl(right)=%d", n.item.Key, ln, rn)
-	}
-	if n.npl != rn+1 {
-		t.Fatalf("npl cache wrong at key %d: %d, want %d", n.item.Key, n.npl, rn+1)
-	}
-	if n.left != nil && n.left.item.Key < n.item.Key {
-		t.Fatalf("heap order violated: child %d < parent %d", n.left.item.Key, n.item.Key)
-	}
-	if n.right != nil && n.right.item.Key < n.item.Key {
-		t.Fatalf("heap order violated: child %d < parent %d", n.right.item.Key, n.item.Key)
-	}
-	return n.npl
-}
-
-func TestLeftistInvariantUnderChurn(t *testing.T) {
-	h := NewLeftistHeap[int]()
-	rng := xrand.NewSource(3)
-	for op := 0; op < 5000; op++ {
-		if h.Len() == 0 || rng.Float64() < 0.6 {
-			h.Push(rng.Uint64()%1000, op)
-		} else {
-			h.PopMin()
-		}
-		if op%250 == 0 {
-			checkLeftist(t, h.root)
-		}
-	}
-	checkLeftist(t, h.root)
-}
-
-// checkSkewHeapOrder verifies heap order on a skew heap (it has no
-// structural invariant beyond that).
-func checkSkewHeapOrder[V any](t *testing.T, n *skewNode[V]) {
-	t.Helper()
-	if n == nil {
-		return
-	}
-	for _, c := range []*skewNode[V]{n.left, n.right} {
-		if c != nil {
-			if c.item.Key < n.item.Key {
-				t.Fatalf("heap order violated: child %d < parent %d", c.item.Key, n.item.Key)
-			}
-			checkSkewHeapOrder(t, c)
-		}
-	}
-}
-
-func TestSkewHeapOrderUnderChurn(t *testing.T) {
-	h := NewSkewHeap[int]()
-	rng := xrand.NewSource(5)
-	for op := 0; op < 5000; op++ {
-		if h.Len() == 0 || rng.Float64() < 0.6 {
-			h.Push(rng.Uint64()%1000, op)
-		} else {
-			h.PopMin()
-		}
-		if op%500 == 0 {
-			checkSkewHeapOrder(t, h.root)
-		}
-	}
-	checkSkewHeapOrder(t, h.root)
-}
-
 // checkBinaryHeapShape verifies the array heap property for both slice
 // heaps.
 func TestSliceHeapProperty(t *testing.T) {

@@ -1,68 +1,14 @@
 // Package pqueue provides the sequential priority queues that back every
 // concurrent structure in this repository. The paper's MultiQueue composes n
-// of these behind try-locks (§5 uses boost d-ary heaps; our default is the
-// equivalent flat 4-ary heap).
+// of these behind try-locks (§5 uses boost d-ary heaps; ours is the
+// equivalent flat 4-ary DAryHeap).
 //
 // All queues are min-queues on uint64 keys: smaller key = higher priority.
 // None are safe for concurrent use; callers provide their own locking.
 package pqueue
 
-import "fmt"
-
 // Item is a keyed element stored in a queue.
 type Item[V any] struct {
 	Key   uint64
 	Value V
-}
-
-// Queue is the common interface of all sequential priority queues.
-type Queue[V any] interface {
-	// Push inserts an element.
-	Push(key uint64, value V)
-	// PopMin removes and returns the minimum-key element, reporting whether
-	// the queue was non-empty.
-	PopMin() (Item[V], bool)
-	// PeekMin returns the minimum-key element without removing it.
-	PeekMin() (Item[V], bool)
-	// Len returns the number of stored elements.
-	Len() int
-}
-
-// Kind names a queue implementation for registries and benchmarks.
-type Kind string
-
-// The available implementations.
-const (
-	KindBinary  Kind = "binary"   // classic slice binary heap
-	KindDAry    Kind = "dary"     // flat 4-ary heap (default; boost-equivalent)
-	KindPairing Kind = "pairing"  // pointer-based pairing heap
-	KindSkip    Kind = "skiplist" // sequential skiplist
-	KindSkew    Kind = "skew"     // self-adjusting skew heap
-	KindLeftist Kind = "leftist"  // leftist heap
-)
-
-// Kinds lists every implementation, for table-driven tests and benches.
-func Kinds() []Kind {
-	return []Kind{KindBinary, KindDAry, KindPairing, KindSkip, KindSkew, KindLeftist}
-}
-
-// New constructs a queue of the given kind. It panics on an unknown kind
-// (a programming error, not an input error).
-func New[V any](kind Kind) Queue[V] {
-	switch kind {
-	case KindBinary:
-		return NewBinaryHeap[V]()
-	case KindDAry:
-		return NewDAryHeap[V]()
-	case KindPairing:
-		return NewPairingHeap[V]()
-	case KindSkip:
-		return NewSkipQueue[V](1)
-	case KindSkew:
-		return NewSkewHeap[V]()
-	case KindLeftist:
-		return NewLeftistHeap[V]()
-	default:
-		panic(fmt.Sprintf("pqueue: unknown kind %q", kind))
-	}
 }

@@ -24,17 +24,32 @@ func (h *refHeap) Pop() interface{} {
 	return x
 }
 
-func forEachKind(t *testing.T, f func(t *testing.T, kind Kind)) {
+// seqHeap is the surface the table tests drive on both slice heaps.
+type seqHeap[V any] interface {
+	Push(key uint64, value V)
+	PopMin() (Item[V], bool)
+	PeekMin() (Item[V], bool)
+	Len() int
+}
+
+// newHeap builds the heap a forEachHeap subtest name stands for.
+func newHeap[V any](name string) seqHeap[V] {
+	if name == "binary" {
+		return NewBinaryHeap[V]()
+	}
+	return NewDAryHeap[V]()
+}
+
+func forEachHeap(t *testing.T, f func(t *testing.T, name string)) {
 	t.Helper()
-	for _, kind := range Kinds() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) { f(t, kind) })
+	for _, name := range []string{"binary", "dary"} {
+		t.Run(name, func(t *testing.T) { f(t, name) })
 	}
 }
 
 func TestEmptyQueue(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[string](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[string](name)
 		if q.Len() != 0 {
 			t.Errorf("empty Len = %d", q.Len())
 		}
@@ -48,8 +63,8 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestSingleElement(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[string](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[string](name)
 		q.Push(42, "answer")
 		if q.Len() != 1 {
 			t.Fatalf("Len = %d", q.Len())
@@ -72,8 +87,8 @@ func TestSingleElement(t *testing.T) {
 }
 
 func TestPopsAreSorted(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[int](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[int](name)
 		rng := xrand.NewSource(7)
 		const n = 2000
 		for i := 0; i < n; i++ {
@@ -97,8 +112,8 @@ func TestPopsAreSorted(t *testing.T) {
 }
 
 func TestDuplicateKeysPreserved(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[int](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[int](name)
 		for i := 0; i < 10; i++ {
 			q.Push(5, i)
 		}
@@ -117,8 +132,8 @@ func TestDuplicateKeysPreserved(t *testing.T) {
 }
 
 func TestInterleavedAgainstReference(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[struct{}](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[struct{}](name)
 		ref := &refHeap{}
 		rng := xrand.NewSource(99)
 		for op := 0; op < 20000; op++ {
@@ -147,9 +162,9 @@ func TestInterleavedAgainstReference(t *testing.T) {
 }
 
 func TestAscendingAndDescendingInserts(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
+	forEachHeap(t, func(t *testing.T, name string) {
 		for name, order := range map[string]bool{"ascending": true, "descending": false} {
-			q := New[int](kind)
+			q := newHeap[int](name)
 			const n = 500
 			for i := 0; i < n; i++ {
 				k := uint64(i)
@@ -171,8 +186,8 @@ func TestAscendingAndDescendingInserts(t *testing.T) {
 }
 
 func TestExtremeKeys(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[string](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[string](name)
 		q.Push(^uint64(0), "max")
 		q.Push(0, "zero")
 		q.Push(^uint64(0)-1, "almost")
@@ -192,9 +207,9 @@ func TestExtremeKeys(t *testing.T) {
 }
 
 func TestQuickMultisetPreservation(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
+	forEachHeap(t, func(t *testing.T, name string) {
 		check := func(keys []uint16) bool {
-			q := New[struct{}](kind)
+			q := newHeap[struct{}](name)
 			want := make([]uint64, len(keys))
 			for i, k := range keys {
 				want[i] = uint64(k)
@@ -225,18 +240,9 @@ func TestQuickMultisetPreservation(t *testing.T) {
 	})
 }
 
-func TestNewPanicsOnUnknownKind(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with bogus kind did not panic")
-		}
-	}()
-	New[int](Kind("bogus"))
-}
-
 func TestRefillAfterDrain(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := New[int](kind)
+	forEachHeap(t, func(t *testing.T, name string) {
+		q := newHeap[int](name)
 		for round := 0; round < 3; round++ {
 			for i := 100; i > 0; i-- {
 				q.Push(uint64(i), i)
@@ -251,8 +257,7 @@ func TestRefillAfterDrain(t *testing.T) {
 	})
 }
 
-func benchPushPop(b *testing.B, kind Kind) {
-	q := New[struct{}](kind)
+func benchPushPop(b *testing.B, q seqHeap[struct{}]) {
 	rng := xrand.NewSource(1)
 	// Steady state: prefill, then alternate push/pop.
 	for i := 0; i < 1024; i++ {
@@ -265,9 +270,5 @@ func benchPushPop(b *testing.B, kind Kind) {
 	}
 }
 
-func BenchmarkBinaryHeap(b *testing.B)  { benchPushPop(b, KindBinary) }
-func BenchmarkDAryHeap(b *testing.B)    { benchPushPop(b, KindDAry) }
-func BenchmarkPairingHeap(b *testing.B) { benchPushPop(b, KindPairing) }
-func BenchmarkSkipQueue(b *testing.B)   { benchPushPop(b, KindSkip) }
-func BenchmarkSkewHeap(b *testing.B)    { benchPushPop(b, KindSkew) }
-func BenchmarkLeftistHeap(b *testing.B) { benchPushPop(b, KindLeftist) }
+func BenchmarkBinaryHeap(b *testing.B) { benchPushPop(b, NewBinaryHeap[struct{}]()) }
+func BenchmarkDAryHeap(b *testing.B)   { benchPushPop(b, NewDAryHeap[struct{}]()) }

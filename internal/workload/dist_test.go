@@ -19,11 +19,21 @@ import (
 // distN returns the full or -short sample size.
 func distN(t *testing.T, full int) int {
 	t.Helper()
+	n := wholeN(t, full)
+	if testing.Short() {
+		return n / 10
+	}
+	return n
+}
+
+// wholeN returns the full sample size even under -short, for tests whose
+// trace must span whole cycles of its arrival process: a tenfold cut leaves
+// the on/off trace ~50 ms long, short of one 80 ms cycle, and the diurnal
+// trace ~0.1 s, short of one 0.5 s period. Like distN it skips under race.
+func wholeN(t *testing.T, full int) int {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("statistical sweep skipped under race (see race_on_test.go)")
-	}
-	if testing.Short() {
-		return full / 10
 	}
 	return full
 }
@@ -151,7 +161,7 @@ func TestMMPPPerPhaseExponential(t *testing.T) {
 // phase — gaps are never shorter than an on-phase draw allows and the long
 // off dwells show up as a heavy upper tail relative to pure Poisson.
 func TestOnOffSilentPhase(t *testing.T) {
-	n := distN(t, 50000)
+	n := wholeN(t, 50000)
 	spec, err := Preset("onoff")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +201,7 @@ func TestOnOffSilentPhase(t *testing.T) {
 // proportion: the first half of each period carries 1/2 + amp/π of the
 // arrivals.
 func TestDiurnalModulation(t *testing.T) {
-	n := distN(t, 200000)
+	n := wholeN(t, 200000)
 	spec, err := Preset("diurnal")
 	if err != nil {
 		t.Fatal(err)

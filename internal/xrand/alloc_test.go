@@ -34,24 +34,3 @@ func TestSourceOpsAllocationFree(t *testing.T) {
 	}
 	_ = sink
 }
-
-// TestBoundedOpsAllocationFree: the precomputed draw plan is the selector's
-// per-snapshot hot path; every Bounded method must be allocation-free (the
-// plan is a value, constructed cold and copied into the selector).
-func TestBoundedOpsAllocationFree(t *testing.T) {
-	s := NewSource(97)
-	dst := make([]int, 4)
-	plans := []Bounded{NewBounded(8), NewBounded(7), NewBounded(maxLaneBound + 1)}
-	sink := 0
-	if avg := testing.AllocsPerRun(200, func() {
-		for _, p := range plans {
-			sink += p.Draw(s)
-			a, b := p.TwoDistinct(s)
-			sink += a + b
-			p.KDistinct(s, dst)
-		}
-	}); avg != 0 {
-		t.Errorf("Bounded hot-path methods allocate %.2f objects per op, want 0", avg)
-	}
-	_ = sink
-}

@@ -195,136 +195,6 @@ func TestCoinBias(t *testing.T) {
 	}
 }
 
-func TestNewBoundedPanics(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewBounded(%d) did not panic", n)
-				}
-			}()
-			NewBounded(n)
-		}()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Bounded.TwoDistinct with n=1 did not panic")
-		}
-	}()
-	NewBounded(1).TwoDistinct(NewSource(1))
-}
-
-// TestBoundedDrawMatchesIntn: for non-power-of-two bounds the plan's Draw is
-// the same Lemire acceptance rule as Intn with the threshold precomputed, so
-// the two must consume the stream identically — bit-for-bit, not just in
-// distribution.
-func TestBoundedDrawMatchesIntn(t *testing.T) {
-	for _, n := range []int{3, 5, 7, 100, maxLaneBound + 3} {
-		b := NewBounded(n)
-		a, c := NewSource(131), NewSource(131)
-		for trial := 0; trial < 20000; trial++ {
-			if got, want := b.Draw(a), c.Intn(n); got != want {
-				t.Fatalf("n=%d trial %d: Bounded.Draw=%d, Intn=%d", n, trial, got, want)
-			}
-		}
-	}
-}
-
-// TestBoundedDrawPow2Uniform: the mask fast path changes which bits become
-// the index (low bits instead of the Lemire high product), so it is NOT
-// stream-compatible with Intn — but it must stay uniform.
-func TestBoundedDrawPow2Uniform(t *testing.T) {
-	s := NewSource(137)
-	const n, trials = 16, 160000
-	b := NewBounded(n)
-	if !b.pow2 || b.mask != n-1 {
-		t.Fatalf("NewBounded(%d) did not take the pow2 plan: %+v", n, b)
-	}
-	counts := make([]int, n)
-	for trial := 0; trial < trials; trial++ {
-		counts[b.Draw(s)]++
-	}
-	chiSquareUniform(t, "pow2 mask draw", counts, trials, 0.001)
-}
-
-func TestBoundedTwoDistinctPaths(t *testing.T) {
-	// All three plan paths: pow2 lanes, fixed-point lanes, and the exact
-	// rejection fallback past maxLaneBound.
-	for _, n := range []int{2, 4, 3, 6, 100, maxLaneBound + 1} {
-		b := NewBounded(n)
-		s := NewSource(uint64(139 + n))
-		trials := 5000
-		if n > maxLaneBound {
-			trials = 1000
-		}
-		for trial := 0; trial < trials; trial++ {
-			i, j := b.TwoDistinct(s)
-			if i == j {
-				t.Fatalf("Bounded(%d).TwoDistinct returned equal indices %d", n, i)
-			}
-			if i < 0 || i >= n || j < 0 || j >= n {
-				t.Fatalf("Bounded(%d).TwoDistinct out of range: (%d, %d)", n, i, j)
-			}
-		}
-	}
-}
-
-// TestBoundedTwoDistinctUniformPairs: pair-law uniformity on both lane
-// variants (mask lanes for pow2, fixed-point lanes otherwise).
-func TestBoundedTwoDistinctUniformPairs(t *testing.T) {
-	for _, n := range []int{4, 5} {
-		b := NewBounded(n)
-		s := NewSource(uint64(149 + n))
-		const trials = 120000
-		counts := make([]int, 0)
-		pairIdx := map[[2]int]int{}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pairIdx[[2]int{i, j}] = len(counts)
-				counts = append(counts, 0)
-			}
-		}
-		for trial := 0; trial < trials; trial++ {
-			i, j := b.TwoDistinct(s)
-			if i > j {
-				i, j = j, i
-			}
-			counts[pairIdx[[2]int{i, j}]]++
-		}
-		chiSquareUniform(t, "bounded pairs", counts, trials, 0.001)
-	}
-}
-
-// TestBoundedKDistinctMatchesSource: the plan's KDistinct routes every index
-// through Draw, which for non-pow2 bounds is stream-identical to Intn, and
-// the collision-retry structure mirrors Source.KDistinct — so the filled
-// buffers must match bit-for-bit.
-func TestBoundedKDistinctMatchesSource(t *testing.T) {
-	const n, k = 7, 3
-	b := NewBounded(n)
-	a, c := NewSource(151), NewSource(151)
-	got := make([]int, k)
-	want := make([]int, k)
-	for trial := 0; trial < 20000; trial++ {
-		b.KDistinct(a, got)
-		c.KDistinct(want, n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: Bounded.KDistinct=%v, Source.KDistinct=%v", trial, got, want)
-			}
-		}
-	}
-}
-
-func TestBoundedKDistinctPanicsWhenKExceedsN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Bounded.KDistinct with k > n did not panic")
-		}
-	}()
-	NewBounded(2).KDistinct(NewSource(1), make([]int, 3))
-}
-
 func TestClone(t *testing.T) {
 	s := NewSource(157)
 	for i := 0; i < 100; i++ {
@@ -387,50 +257,6 @@ func BenchmarkBernoulli(b *testing.B) {
 		}
 	}
 	sinkInt = sink
-}
-
-func BenchmarkBoundedDraw(b *testing.B) {
-	b.Run("pow2", func(b *testing.B) {
-		s := NewSource(1)
-		plan := NewBounded(8)
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			sink += plan.Draw(s)
-		}
-		sinkInt = sink
-	})
-	b.Run("lemire", func(b *testing.B) {
-		s := NewSource(1)
-		plan := NewBounded(7)
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			sink += plan.Draw(s)
-		}
-		sinkInt = sink
-	})
-}
-
-func BenchmarkBoundedTwoDistinct(b *testing.B) {
-	b.Run("pow2", func(b *testing.B) {
-		s := NewSource(1)
-		plan := NewBounded(8)
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			x, y := plan.TwoDistinct(s)
-			sink += x + y
-		}
-		sinkInt = sink
-	})
-	b.Run("lemire", func(b *testing.B) {
-		s := NewSource(1)
-		plan := NewBounded(7)
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			x, y := plan.TwoDistinct(s)
-			sink += x + y
-		}
-		sinkInt = sink
-	})
 }
 
 var sinkInt int

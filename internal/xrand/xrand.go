@@ -195,8 +195,8 @@ func (s *Source) KDistinct(dst []int, n int) {
 // rejection, so each index carries a relative bias of at most n/2³² — at the
 // cap that is 2⁻¹², far below what any realistic chi-square test resolves,
 // and queue counts (the intended bounds) are orders of magnitude smaller
-// still. Larger bounds must use the exact rejection draws (Intn, or
-// Bounded's non-lane fallback).
+// still. Larger bounds must use the exact rejection draws (Intn,
+// TwoDistinct).
 const maxLaneBound = 1 << 20
 
 // MaxLaneBound is the largest bound the lane-split draws (TwoBounded32,
@@ -275,166 +275,6 @@ func CoinThreshold(p float64) uint64 {
 //powervet:hotpath
 func (s *Source) Coin(threshold uint64) bool {
 	return s.Uint64() < threshold
-}
-
-// Bounded is a precomputed draw plan for a fixed bound n: the Lemire
-// rejection threshold is hoisted to construction, power-of-two bounds
-// degrade every draw to a single mask, and in-range bounds get the
-// lane-split pair draws. Construct once per topology (cold), draw many
-// (hot). The zero value is invalid; use NewBounded.
-type Bounded struct {
-	bound uint64
-	// threshold is the hoisted Lemire rejection bound -n % n.
-	threshold uint64
-	// mask is n-1 when pow2, making a draw a single AND.
-	mask uint64
-	pow2 bool
-	// lane reports bound <= maxLaneBound: pair draws may lane-split one
-	// generator advance (see TwoBounded32's bias bound).
-	lane bool
-}
-
-// NewBounded returns the draw plan for bound n. It panics if n <= 0.
-func NewBounded(n int) Bounded {
-	if n <= 0 {
-		panic("xrand: NewBounded with non-positive bound")
-	}
-	bound := uint64(n)
-	return Bounded{
-		bound:     bound,
-		threshold: -bound % bound,
-		mask:      bound - 1,
-		pow2:      bound&(bound-1) == 0,
-		lane:      bound <= maxLaneBound,
-	}
-}
-
-// N returns the bound the plan draws from.
-func (b Bounded) N() int { return int(b.bound) }
-
-// Draw returns a uniform index in [0, n): one generator advance plus either
-// a mask (power-of-two n) or the Lemire reduction with the precomputed
-// rejection threshold (exact for every n; rejection probability n/2⁶⁴).
-// Structured as an inlinable fast path — the rejection loop, taken with
-// probability n/2⁶⁴, lives in drawSlow so Draw itself inlines into the
-// selector's sampling functions.
-//
-//powervet:hotpath
-func (b Bounded) Draw(s *Source) int {
-	x := s.Uint64()
-	if b.pow2 {
-		return int(x & b.mask)
-	}
-	hi, lo := mul64(x, b.bound)
-	if lo >= b.threshold {
-		return int(hi)
-	}
-	return b.drawSlow(s)
-}
-
-// drawSlow is Draw's rejection loop, reached only when the first reduction
-// landed in the biased low range (probability n/2⁶⁴ — essentially never for
-// queue-count bounds).
-//
-//powervet:hotpath
-func (b Bounded) drawSlow(s *Source) int {
-	for {
-		hi, lo := mul64(s.Uint64(), b.bound)
-		if lo >= b.threshold {
-			return int(hi)
-		}
-	}
-}
-
-// TwoDistinct returns two distinct uniform indices in [0, n) — the
-// two-choice deletion draw. In-range bounds (lane) split one generator
-// advance into two 32-bit lanes — two masks for power-of-two n, two
-// fixed-point reductions otherwise — and re-draw the pair on collision;
-// bounds beyond maxLaneBound fall back to exact per-index rejection draws.
-// It panics if n < 2.
-//
-// Structured like Draw: the dominant case — a lane-eligible bound whose
-// single-advance pair came up distinct — inlines into the caller, and
-// everything else (collisions, non-lane bounds, the n < 2 panic) takes the
-// twoDistinctSlow call.
-//
-//powervet:hotpath
-func (b Bounded) TwoDistinct(s *Source) (int, int) {
-	if b.lane && b.bound >= 2 {
-		x := s.Uint64()
-		var i, j int
-		if b.pow2 {
-			i = int(x & b.mask)
-			j = int(x >> 32 & b.mask)
-		} else {
-			i = int(uint64(uint32(x)) * b.bound >> 32)
-			j = int((x >> 32) * b.bound >> 32)
-		}
-		if i != j {
-			return i, j
-		}
-	}
-	return b.twoDistinctSlow(s)
-}
-
-// twoDistinctSlow resolves the cases TwoDistinct's fast path cannot: pair
-// collisions (re-drawing the whole pair keeps the conditioned-on-distinct
-// law exact), bounds past maxLaneBound (per-index rejection draws), and the
-// n < 2 panic.
-//
-//powervet:hotpath
-func (b Bounded) twoDistinctSlow(s *Source) (int, int) {
-	if b.bound < 2 {
-		panic("xrand: Bounded.TwoDistinct needs n >= 2")
-	}
-	if b.lane {
-		if b.pow2 {
-			for {
-				x := s.Uint64()
-				i := int(x & b.mask)
-				j := int(x >> 32 & b.mask)
-				if i != j {
-					return i, j
-				}
-			}
-		}
-		for {
-			x := s.Uint64()
-			i := int(uint64(uint32(x)) * b.bound >> 32)
-			j := int((x >> 32) * b.bound >> 32)
-			if i != j {
-				return i, j
-			}
-		}
-	}
-	i := b.Draw(s)
-	for {
-		if j := b.Draw(s); j != i {
-			return i, j
-		}
-	}
-}
-
-// KDistinct fills dst with len(dst) distinct uniform indices in [0, n), the
-// d-choice generalisation, through the plan's precomputed single-index draw
-// (mask or hoisted-threshold reduction). It panics if len(dst) > n.
-//
-//powervet:hotpath
-func (b Bounded) KDistinct(s *Source, dst []int) {
-	k := len(dst)
-	if uint64(k) > b.bound {
-		panic("xrand: Bounded.KDistinct with k > n")
-	}
-	for i := 0; i < k; i++ {
-	draw:
-		v := b.Draw(s)
-		for j := 0; j < i; j++ {
-			if dst[j] == v {
-				goto draw
-			}
-		}
-		dst[i] = v
-	}
 }
 
 // Bernoulli returns true with probability p.

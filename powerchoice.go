@@ -17,10 +17,7 @@
 // the reproduction of the paper's figures.
 package powerchoice
 
-import (
-	"powerchoice/internal/core"
-	"powerchoice/internal/pqueue"
-)
+import "powerchoice/internal/core"
 
 // MultiQueue is a relaxed concurrent priority queue over uint64 keys
 // (smaller key = higher priority) carrying values of type V. All methods
@@ -64,20 +61,6 @@ var (
 	// WithAtomic enables the distributionally linearizable mode.
 	WithAtomic = core.WithAtomic
 )
-
-// HeapKind selects the sequential heap backing each internal queue.
-type HeapKind = pqueue.Kind
-
-// Available heap kinds.
-const (
-	HeapBinary  HeapKind = pqueue.KindBinary
-	HeapDAry    HeapKind = pqueue.KindDAry
-	HeapPairing HeapKind = pqueue.KindPairing
-	HeapSkip    HeapKind = pqueue.KindSkip
-)
-
-// WithHeap selects the per-queue heap implementation (default 4-ary).
-func WithHeap(kind HeapKind) Option { return core.WithHeap(kind) }
 
 // New constructs a MultiQueue.
 func New[V any](opts ...Option) (*MultiQueue[V], error) {

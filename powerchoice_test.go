@@ -37,7 +37,7 @@ func TestFacadeBasic(t *testing.T) {
 }
 
 func TestFacadeSingleQueueIsExact(t *testing.T) {
-	q, err := New[int](WithQueues(1), WithHeap(HeapPairing))
+	q, err := New[int](WithQueues(1))
 	if err != nil {
 		t.Fatal(err)
 	}
