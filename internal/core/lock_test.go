@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -42,7 +44,8 @@ func TestQueuedLockMutualExclusion(t *testing.T) {
 // holder: every waiter must eventually acquire (liveness of the
 // spin-and-yield wait, which at GOMAXPROCS=1 depends on the backoff yielding
 // to the holder), and each release must admit at most one waiter into the
-// critical section.
+// critical section. The holder yields until every waiter has started, so
+// each one reaches Lock while the word is held, on one P as on several.
 func TestQueuedLockQueuedHandoff(t *testing.T) {
 	const waiters = 6
 	var l queuedLock
@@ -50,15 +53,20 @@ func TestQueuedLockQueuedHandoff(t *testing.T) {
 		t.Fatal("TryLock failed on a fresh lock")
 	}
 	inside := 0
+	var started atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < waiters; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			started.Add(1)
 			l.Lock()
 			inside++
 			l.Unlock()
 		}()
+	}
+	for started.Load() < waiters {
+		runtime.Gosched()
 	}
 	l.Unlock()
 	wg.Wait()

@@ -32,24 +32,17 @@ type seqHeap[V any] interface {
 	Len() int
 }
 
-// newHeap builds the heap a forEachHeap subtest name stands for.
-func newHeap[V any](name string) seqHeap[V] {
-	if name == "binary" {
-		return NewBinaryHeap[V]()
-	}
-	return NewDAryHeap[V]()
-}
-
-func forEachHeap(t *testing.T, f func(t *testing.T, name string)) {
+// forEachHeap runs f once per slice heap, in a subtest named after the heap,
+// with that heap's constructor.
+func forEachHeap[V any](t *testing.T, f func(t *testing.T, newQ func() seqHeap[V])) {
 	t.Helper()
-	for _, name := range []string{"binary", "dary"} {
-		t.Run(name, func(t *testing.T) { f(t, name) })
-	}
+	t.Run("binary", func(t *testing.T) { f(t, func() seqHeap[V] { return NewBinaryHeap[V]() }) })
+	t.Run("dary", func(t *testing.T) { f(t, func() seqHeap[V] { return NewDAryHeap[V]() }) })
 }
 
 func TestEmptyQueue(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[string](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[string]) {
+		q := newQ()
 		if q.Len() != 0 {
 			t.Errorf("empty Len = %d", q.Len())
 		}
@@ -63,8 +56,8 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestSingleElement(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[string](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[string]) {
+		q := newQ()
 		q.Push(42, "answer")
 		if q.Len() != 1 {
 			t.Fatalf("Len = %d", q.Len())
@@ -87,8 +80,8 @@ func TestSingleElement(t *testing.T) {
 }
 
 func TestPopsAreSorted(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[int](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+		q := newQ()
 		rng := xrand.NewSource(7)
 		const n = 2000
 		for i := 0; i < n; i++ {
@@ -112,8 +105,8 @@ func TestPopsAreSorted(t *testing.T) {
 }
 
 func TestDuplicateKeysPreserved(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[int](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+		q := newQ()
 		for i := 0; i < 10; i++ {
 			q.Push(5, i)
 		}
@@ -132,8 +125,8 @@ func TestDuplicateKeysPreserved(t *testing.T) {
 }
 
 func TestInterleavedAgainstReference(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[struct{}](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[struct{}]) {
+		q := newQ()
 		ref := &refHeap{}
 		rng := xrand.NewSource(99)
 		for op := 0; op < 20000; op++ {
@@ -162,13 +155,13 @@ func TestInterleavedAgainstReference(t *testing.T) {
 }
 
 func TestAscendingAndDescendingInserts(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		for name, order := range map[string]bool{"ascending": true, "descending": false} {
-			q := newHeap[int](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+		for dir, asc := range map[string]bool{"ascending": true, "descending": false} {
+			q := newQ()
 			const n = 500
 			for i := 0; i < n; i++ {
 				k := uint64(i)
-				if !order {
+				if !asc {
 					k = uint64(n - i)
 				}
 				q.Push(k, 0)
@@ -177,7 +170,7 @@ func TestAscendingAndDescendingInserts(t *testing.T) {
 			for i := 0; i < n; i++ {
 				it, ok := q.PopMin()
 				if !ok || it.Key < prev {
-					t.Fatalf("%s: pop %d = (%d, %v) prev %d", name, i, it.Key, ok, prev)
+					t.Fatalf("%s: pop %d = (%d, %v) prev %d", dir, i, it.Key, ok, prev)
 				}
 				prev = it.Key
 			}
@@ -186,8 +179,8 @@ func TestAscendingAndDescendingInserts(t *testing.T) {
 }
 
 func TestExtremeKeys(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[string](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[string]) {
+		q := newQ()
 		q.Push(^uint64(0), "max")
 		q.Push(0, "zero")
 		q.Push(^uint64(0)-1, "almost")
@@ -207,9 +200,9 @@ func TestExtremeKeys(t *testing.T) {
 }
 
 func TestQuickMultisetPreservation(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[struct{}]) {
 		check := func(keys []uint16) bool {
-			q := newHeap[struct{}](name)
+			q := newQ()
 			want := make([]uint64, len(keys))
 			for i, k := range keys {
 				want[i] = uint64(k)
@@ -241,8 +234,8 @@ func TestQuickMultisetPreservation(t *testing.T) {
 }
 
 func TestRefillAfterDrain(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, name string) {
-		q := newHeap[int](name)
+	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+		q := newQ()
 		for round := 0; round < 3; round++ {
 			for i := 100; i > 0; i-- {
 				q.Push(uint64(i), i)
