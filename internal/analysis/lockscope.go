@@ -31,7 +31,7 @@ import (
 // it on every remaining path.
 //
 // The dual contract is //powervet:unlocks recv.<field> on a release helper
-// (lockedQueue.unlock, which drains the combining ring before releasing):
+// (lockedQueue.unlock, which drains a retired queue before releasing):
 // the annotated method is interpreted with its receiver's <field> lock held
 // on entry — and must release it on every path — and a call to it releases
 // the callee receiver's lock in the caller, exactly like a direct

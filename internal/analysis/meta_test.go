@@ -35,9 +35,7 @@ var hotPathAllocCoverage = map[string]string{
 	"powerchoice/internal/core.lockedQueue.popBatch":        "powerchoice/internal/core.TestBatchOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.syncDary":        "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.emptyUnderLock":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.lockedQueue.drainCombined":   "powerchoice/internal/core.TestCombiningOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.unlock":          "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.combineRing.grab":            "powerchoice/internal/core.TestCombiningOpsAllocationFree",
 	"powerchoice/internal/core.selector.flipLocal":          "powerchoice/internal/core.TestHandleOpsAllocationFreeSharded",
 	"powerchoice/internal/core.selector.flipBeta":           "powerchoice/internal/core.TestHandleOpsAllocationFreeDChoice",
 	"powerchoice/internal/core.selector.sampleInsertQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
@@ -46,15 +44,9 @@ var hotPathAllocCoverage = map[string]string{
 	"powerchoice/internal/core.selector.lockForInsert":      "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.lockNonEmptyQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFreeDChoice",
 	"powerchoice/internal/core.selector.lockNonEmptyAtomic": "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.selector.stageInsert":        "powerchoice/internal/core.TestCombiningOpsAllocationFree",
-	"powerchoice/internal/core.selector.stageDelete":        "powerchoice/internal/core.TestCombiningOpsAllocationFree",
-	"powerchoice/internal/core.selector.takeCombined":       "powerchoice/internal/core.TestCombiningOpsAllocationFree",
-	"powerchoice/internal/core.selector.tryCombineInsert":   "powerchoice/internal/core.TestCombiningOpsAllocationFree",
-	"powerchoice/internal/core.selector.tryCombineDelete":   "powerchoice/internal/core.TestCombiningOpsAllocationFree",
 	"powerchoice/internal/core.queuedLock.TryLock":          "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.queuedLock.Lock":             "powerchoice/internal/core.TestQueuedLockAllocationFree",
 	"powerchoice/internal/core.queuedLock.Unlock":           "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.queuedLock.Contended":        "powerchoice/internal/core.TestCombiningOpsAllocationFree",
 
 	"powerchoice/internal/pqueue.DAryHeap.Len":      "powerchoice/internal/pqueue.TestDAryHeapOpsAllocationFree",
 	"powerchoice/internal/pqueue.DAryHeap.MinKey":   "powerchoice/internal/pqueue.TestDAryHeapOpsAllocationFree",

@@ -47,51 +47,6 @@ func TestThroughputAllImpls(t *testing.T) {
 	}
 }
 
-// TestThroughputCombiningAccounting: the combining line-up entry resolves
-// combining on and the worker handles' contention counters surface in the
-// result. Two queues under eight workers make TryLock races — the only
-// trigger of the publication path — frequent; a publication only ever
-// follows a lost TryLock and a combined op only ever follows a publication,
-// so CombinedOps ≤ CombineWaits ≤ LockFails holds regardless of how the
-// scheduler interleaved the run. A plain leg must report no combining and
-// no ring counters, keeping its rows byte-comparable with earlier reports.
-func TestThroughputCombiningAccounting(t *testing.T) {
-	res, err := Throughput(ThroughputSpec{
-		Impl:     pqadapt.ImplCombining,
-		Queues:   2,
-		Threads:  8,
-		Duration: 50 * time.Millisecond,
-		Prefill:  4096,
-		Seed:     5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Topology.Combining {
-		t.Errorf("combining entry resolved off: %+v", res.Topology)
-	}
-	if res.CombineWaits > res.LockFails {
-		t.Errorf("CombineWaits %d > LockFails %d", res.CombineWaits, res.LockFails)
-	}
-	if res.CombinedOps > res.CombineWaits {
-		t.Errorf("CombinedOps %d > CombineWaits %d", res.CombinedOps, res.CombineWaits)
-	}
-	plain, err := Throughput(ThroughputSpec{
-		Impl:     pqadapt.ImplMultiQueue,
-		Queues:   2,
-		Threads:  8,
-		Duration: 50 * time.Millisecond,
-		Prefill:  4096,
-		Seed:     5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Topology.Combining || plain.CombinedOps != 0 || plain.CombineWaits != 0 {
-		t.Errorf("plain leg reports combining state: %+v", plain)
-	}
-}
-
 // TestThroughputCountsOnlySuccessfulOps: the runner attempts exactly one
 // DeleteMin per Insert, so completed ops plus failed pops must come out
 // even (Ops = inserts + successful deletes, EmptyPops = the rest) — and in

@@ -5,17 +5,12 @@ import (
 	"testing"
 
 	"powerchoice/internal/core"
-	"powerchoice/internal/seqproc"
 )
 
 // Budget measures the ns/op budget of one steady-state Mixed pair: each
 // component probe from core.BudgetProbes runs through the median-of-N
-// microbenchmark runner, the residual (call glue, cache interaction between
-// components) is derived as total − Σ components, and the single-core
-// numbers parameterise the seqproc contention twins to predict the
-// multicore effect of combining. One invocation therefore answers both
-// budget questions: where does a nanosecond go, and what does combining buy
-// when cores are added.
+// microbenchmark runner, and the residual (call glue, cache interaction
+// between components) is derived as total − Σ components.
 
 // BudgetSpec configures a budget run.
 type BudgetSpec struct {
@@ -27,9 +22,6 @@ type BudgetSpec struct {
 	Runs int
 	// Seed drives the probes' deterministic workloads.
 	Seed uint64
-	// Threads lists the thread counts the contention model extrapolates to;
-	// empty means no prediction rows.
-	Threads []int
 }
 
 // BudgetComponent is one measured row of the budget table.
@@ -46,17 +38,6 @@ type BudgetComponent struct {
 	SubOf string
 }
 
-// BudgetPrediction is one contention-model row: predicted ns/op at K
-// threads with and without combining, and the resulting win factor.
-type BudgetPrediction struct {
-	Threads        int
-	PlainNsPerOp   float64
-	CombineNsPerOp float64
-	Win            float64
-	FailProb       float64
-	CombineRate    float64
-}
-
 // BudgetResult is the full outcome of one Budget invocation.
 type BudgetResult struct {
 	// Components holds the top-level rows (sample, lock, heap, stats),
@@ -66,14 +47,7 @@ type BudgetResult struct {
 	Components []BudgetComponent
 	// TotalNsPerOp is the measured full-pair cost the shares divide by.
 	TotalNsPerOp float64
-	// Predictions extrapolates the single-core numbers across Threads.
-	Predictions []BudgetPrediction
 }
-
-// budgetCombineSlots mirrors core's publication-ring capacity for the
-// prediction rows (the ring size is not exported; four slots is the
-// documented drain bound in internal/core/combine.go).
-const budgetCombineSlots = 4
 
 // Budget runs the decomposition. See BudgetSpec for knobs.
 func Budget(spec BudgetSpec) (BudgetResult, error) {
@@ -130,43 +104,5 @@ func Budget(spec BudgetSpec) (BudgetResult, error) {
 	})
 	total.Share = 1
 	res.Components = append(res.Components, total)
-
-	// Contention predictions from the single-core decomposition: the
-	// critical section is the locked heap op plus the lock handshake; the
-	// sampling (and the residual glue, which a thread also pays outside any
-	// lock) is the outside-section cost; a drained combined op costs one
-	// heap op.
-	sampleNs := measured["sample"].NsPerOp + measured["stats"].NsPerOp + residual
-	critNs := measured["heap"].NsPerOp + measured["lock"].NsPerOp
-	applyNs := measured["heap"].NsPerOp / 2 // one ring op is half a push+pop pair
-	if critNs <= 0 {
-		return res, nil // degenerate measurement; skip predictions
-	}
-	if sampleNs < 0 {
-		sampleNs = 0
-	}
-	for _, k := range spec.Threads {
-		cfg := seqproc.ContentionConfig{
-			K: k, N: spec.Queues,
-			SampleNs: sampleNs, CritNs: critNs, ApplyNs: applyNs,
-		}
-		plain, err := seqproc.PredictContention(cfg)
-		if err != nil {
-			return BudgetResult{}, err
-		}
-		cfg.Slots = budgetCombineSlots
-		comb, err := seqproc.PredictContention(cfg)
-		if err != nil {
-			return BudgetResult{}, err
-		}
-		res.Predictions = append(res.Predictions, BudgetPrediction{
-			Threads:        k,
-			PlainNsPerOp:   plain.NsPerOp,
-			CombineNsPerOp: comb.NsPerOp,
-			Win:            comb.OpsPerNs / plain.OpsPerNs,
-			FailProb:       plain.FailProb,
-			CombineRate:    comb.CombineRate,
-		})
-	}
 	return res, nil
 }

@@ -11,36 +11,24 @@ import (
 // runBudget decomposes the steady-state Mixed pair (one Insert + one
 // DeleteMin) into a ns/op budget — sample (itself split into draw and scan
 // sub-rows), lock, heap, stats, residual — each measured median-of-N
-// through testing.Benchmark, then extrapolates
-// the single-core numbers across a thread sweep with the seqproc contention
-// model to predict what flat combining buys under multicore contention.
+// through testing.Benchmark.
 func runBudget(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench budget", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	queues := fs.Int("queues", 8, "MultiQueue queue count")
 	prefill := fs.Int("prefill", 4096, "steady-state element count (spread over the queues)")
 	runs := fs.Int("runs", 6, "median-of-N benchmark samples per component")
-	threadsFlag := fs.String("threads", defaultThreads(),
-		"comma-separated thread counts for the contention-model extrapolation (empty = skip predictions)")
 	seed := fs.Uint64("seed", 42, "root random seed")
 	var out output
 	out.addFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var threads []int
-	if *threadsFlag != "" {
-		var err error
-		if threads, err = parseInts(*threadsFlag); err != nil {
-			return err
-		}
-	}
 	res, err := bench.Budget(bench.BudgetSpec{
 		Queues:  *queues,
 		Prefill: *prefill,
 		Runs:    *runs,
 		Seed:    *seed,
-		Threads: threads,
 	})
 	if err != nil {
 		return err
@@ -58,17 +46,6 @@ func runBudget(args []string, stdout, stderr io.Writer) error {
 		rep.Add(bench.Row{
 			Component: c.Name, SubOf: c.SubOf, NsPerOp: c.NsPerOp, Share: c.Share,
 			Queues: *queues,
-		})
-	}
-	for _, p := range res.Predictions {
-		tb.AddRow(fmt.Sprintf("model k=%d", p.Threads),
-			fmt.Sprintf("%.1f", p.CombineNsPerOp), "-",
-			fmt.Sprintf("plain %.1f ns/op, combining win %.2fx, fail prob %.2f, combine rate %.2f",
-				p.PlainNsPerOp, p.Win, p.FailProb, p.CombineRate))
-		rep.Add(bench.Row{
-			Component: "model", Threads: p.Threads, Queues: *queues,
-			PlainNsPerOp: p.PlainNsPerOp, CombineNsPerOp: p.CombineNsPerOp,
-			CombineWin: p.Win, FailProb: p.FailProb, CombineRate: p.CombineRate,
 		})
 	}
 	fmt.Fprintf(stderr, "budget: total %.1f ns/op over %d runs (queues=%d prefill=%d)\n",

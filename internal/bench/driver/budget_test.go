@@ -24,7 +24,7 @@ func budgetArgs(extra ...string) []string {
 }
 
 func TestBudgetJSONReport(t *testing.T) {
-	stdout, _ := runMain(t, append([]string{"budget"}, budgetArgs("-threads", "2,4", "-json")...)...)
+	stdout, _ := runMain(t, append([]string{"budget"}, budgetArgs("-json")...)...)
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
@@ -33,12 +33,7 @@ func TestBudgetJSONReport(t *testing.T) {
 		t.Errorf("report header: %+v", rep)
 	}
 	byName := map[string]bench.Row{}
-	var models []bench.Row
 	for _, r := range rep.Rows {
-		if r.Component == "model" {
-			models = append(models, r)
-			continue
-		}
 		byName[r.Component] = r
 	}
 	for _, want := range []string{"sample", "draw", "scan", "lock", "heap", "stats", "residual", "total"} {
@@ -73,30 +68,6 @@ func TestBudgetJSONReport(t *testing.T) {
 	if math.Abs(sum-total.NsPerOp) > 1e-6*math.Abs(total.NsPerOp)+1e-9 {
 		t.Errorf("components sum to %.3f, total is %.3f", sum, total.NsPerOp)
 	}
-	if len(models) != 2 {
-		t.Fatalf("model rows = %d, want 2", len(models))
-	}
-	for _, m := range models {
-		if m.Threads != 2 && m.Threads != 4 {
-			t.Errorf("model row with unexpected thread count: %+v", m)
-		}
-		if m.PlainNsPerOp <= 0 || m.CombineNsPerOp <= 0 || m.CombineWin <= 0 {
-			t.Errorf("model row missing predictions: %+v", m)
-		}
-	}
-}
-
-func TestBudgetSkipsPredictionsWithoutThreads(t *testing.T) {
-	stdout, _ := runMain(t, append([]string{"budget"}, budgetArgs("-threads", "", "-json")...)...)
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	for _, r := range rep.Rows {
-		if r.Component == "model" {
-			t.Errorf("model row present with -threads '': %+v", r)
-		}
-	}
 }
 
 func TestBudgetRejectsBadFlags(t *testing.T) {
@@ -104,7 +75,7 @@ func TestBudgetRejectsBadFlags(t *testing.T) {
 	if err = runMainErr("budget", "-queues", "1"); err == nil {
 		t.Error("queues=1 accepted")
 	}
-	if err = runMainErr("budget", "-threads", "x"); err == nil {
-		t.Error("bad -threads accepted")
+	if err = runMainErr("budget", "-threads", "2"); err == nil {
+		t.Error("-threads accepted; budget has no thread sweep")
 	}
 }

@@ -44,8 +44,7 @@ Subcommands:
   calibrate    print the host's spin-unit cost (the rho <-> rate constant)
   budget       decompose the steady-state insert+deleteMin pair into a
                ns/op budget (sample / lock / heap / stats / residual,
-               median-of-N each) and predict combining's multicore win
-               with the seqproc contention model
+               median-of-N each)
   help         print this message
 
 Every subcommand accepts -csv (CSV instead of an aligned table), -json

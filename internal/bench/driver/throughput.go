@@ -23,7 +23,6 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 	shards := fs.Int("shards", 0, "split MultiQueue queues into g contiguous shards with round-robin handle homes (0 = unsharded)")
 	localBias := fs.Float64("localbias", 0, "probability a sharded handle samples within its home shard")
 	batch := fs.Int("batch", 0, "bulk-operation size k (0/1 = single-op loop; k elements move per lock acquisition)")
-	combining := fs.Bool("combining", false, "arm flat combining on MultiQueue queue locks (the combining line-up entry has it on regardless)")
 	seed := fs.Uint64("seed", 42, "root random seed")
 	reps := fs.Int("reps", 3, "repetitions per configuration (best run reported)")
 	var out output
@@ -39,7 +38,7 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 	if *reps < 1 {
 		*reps = 1
 	}
-	tb := bench.NewTable("impl", "threads", "batch", "mops", "ops", "empty_pops", "buffered_pops", "lock_fails", "combined_ops")
+	tb := bench.NewTable("impl", "threads", "batch", "mops", "ops", "empty_pops", "buffered_pops", "lock_fails")
 	rep := bench.NewReport("throughput", *seed)
 	for _, impl := range splitList(*implsFlag) {
 		for _, th := range threads {
@@ -54,7 +53,6 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 					Duration:  *duration,
 					Prefill:   *prefill,
 					Batch:     *batch,
-					Combining: *combining,
 					Seed:      *seed + uint64(r),
 				})
 				if err != nil {
@@ -65,14 +63,12 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 				}
 			}
 			tb.AddRow(impl, th, *batch, best.MOps, best.Ops, best.EmptyPops,
-				best.BufferedPops, best.LockFails, best.CombinedOps)
+				best.BufferedPops, best.LockFails)
 			row := bench.Row{
 				Impl: impl, Threads: th, Batch: *batch,
 				MOps: best.MOps, Ops: best.Ops, EmptyPops: best.EmptyPops,
 				BufferedPops: best.BufferedPops,
 				LockFails:    best.LockFails,
-				CombinedOps:  best.CombinedOps,
-				CombineWaits: best.CombineWaits,
 			}
 			row.SetTopology(best.Topology)
 			rep.Add(row)

@@ -138,15 +138,9 @@ type Row struct {
 	// conversion.
 	SpinNsPerUnit float64 `json:"spin_ns_per_unit,omitempty"`
 
-	// Combining resolution and accounting (powerbench throughput
-	// -combining, and the combining line-up entry). Combining echoes the
-	// resolved option; LockFails/CombinedOps/CombineWaits are totals summed
-	// over every worker handle (see core.HandleStats). All absent on
-	// non-combining rows, keeping earlier BENCH_*.json files byte-comparable.
-	Combining    bool  `json:"combining,omitempty"`
-	LockFails    int64 `json:"lock_fails,omitempty"`
-	CombinedOps  int64 `json:"combined_ops,omitempty"`
-	CombineWaits int64 `json:"combine_waits,omitempty"`
+	// LockFails is the try-lock loss count summed over every worker handle
+	// of a throughput row (see core.HandleStats); absent when zero.
+	LockFails int64 `json:"lock_fails,omitempty"`
 
 	// Elastic-topology accounting (powerbench serve -elastic). Epochs is the
 	// queue's final topology version, Resizes the number of reconfigurations
@@ -160,23 +154,15 @@ type Row struct {
 
 	// Budget metrics (powerbench budget). Component names a measured
 	// decomposition row ("sample", "lock", "heap", "stats", "residual",
-	// "total") with its median-of-N NsPerOp and Share of the measured total,
-	// or "model" for a contention-prediction row, which instead carries
-	// Threads, the predicted plain/combining ns/op, the throughput win
-	// factor, and the model's fail probability and combine rate. SubOf marks
-	// a sub-row decomposing a parent component ("draw" and "scan" under
-	// "sample"); sub-rows are excluded from the additive sum behind
-	// "residual" (all absent before PR 10 — earlier budget reports stay
-	// byte-comparable).
-	Component      string  `json:"component,omitempty"`
-	SubOf          string  `json:"sub_of,omitempty"`
-	NsPerOp        float64 `json:"ns_per_op,omitempty"`
-	Share          float64 `json:"share,omitempty"`
-	PlainNsPerOp   float64 `json:"plain_ns_per_op,omitempty"`
-	CombineNsPerOp float64 `json:"combine_ns_per_op,omitempty"`
-	CombineWin     float64 `json:"combine_win,omitempty"`
-	FailProb       float64 `json:"fail_prob,omitempty"`
-	CombineRate    float64 `json:"combine_rate,omitempty"`
+	// "total") with its median-of-N NsPerOp and Share of the measured total.
+	// SubOf marks a sub-row decomposing a parent component ("draw" and
+	// "scan" under "sample"); sub-rows are excluded from the additive sum
+	// behind "residual" (all absent before PR 10 — earlier budget reports
+	// stay byte-comparable).
+	Component string  `json:"component,omitempty"`
+	SubOf     string  `json:"sub_of,omitempty"`
+	NsPerOp   float64 `json:"ns_per_op,omitempty"`
+	Share     float64 `json:"share,omitempty"`
 }
 
 // SetTopology copies a resolved topology into the row.
@@ -195,7 +181,6 @@ func (r *Row) SetTopology(top pqadapt.Topology) {
 		bias := top.LocalBias
 		r.LocalBias = &bias
 	}
-	r.Combining = top.Combining
 }
 
 // Report is the machine-readable output of one powerbench invocation. Its

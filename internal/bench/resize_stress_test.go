@@ -18,17 +18,13 @@ import (
 // run terminates only when the pending counter hits zero, so a lost element
 // (stranded in a retired queue) or a drain deadlock would hang the test,
 // not pass it. The sharded entry additionally exercises shard re-clamping
-// (4 shards cannot survive a shrink to 4 queues with d = 2) and the
-// combining entry routes the retired-queue drain through the flat-combining
-// unlock hook.
+// (4 shards cannot survive a shrink to 4 queues with d = 2).
 func TestResizeStressLineup(t *testing.T) {
 	jobs := int64(120000)
 	if raceEnabled || testing.Short() {
 		jobs = 30000
 	}
-	impls := []pqadapt.Impl{
-		pqadapt.ImplMultiQueue, pqadapt.ImplSharded, pqadapt.ImplCombining,
-	}
+	impls := []pqadapt.Impl{pqadapt.ImplMultiQueue, pqadapt.ImplSharded}
 	for _, impl := range impls {
 		impl := impl
 		t.Run(string(impl), func(t *testing.T) {

@@ -52,10 +52,6 @@ type ThroughputSpec struct {
 	// implementations; a loop fallback elsewhere). 0 or 1 measures the
 	// classic single-op loop.
 	Batch int
-	// Combining arms flat combining on a MultiQueue's queue locks (see
-	// core.WithCombining); ignored for implementations without internal
-	// queues. The combining line-up entry sets it implicitly.
-	Combining bool
 	// Seed fixes all randomness.
 	Seed uint64
 }
@@ -79,14 +75,9 @@ type ThroughputResult struct {
 	Elapsed time.Duration
 	// MOps is throughput in million operations per second.
 	MOps float64
-	// LockFails, CombinedOps and CombineWaits are core.HandleStats contention
-	// counters summed over every worker handle: try-lock losses, operations
-	// completed remotely through a publication ring, and publications made.
-	// All zero for implementations without core handles; the latter two are
-	// zero unless combining resolved on.
-	LockFails    int64
-	CombinedOps  int64
-	CombineWaits int64
+	// LockFails is the core.HandleStats try-lock loss count summed over
+	// every worker handle; zero for implementations without core handles.
+	LockFails int64
 	// Topology records what the measured queue resolved to.
 	Topology pqadapt.Topology
 }
@@ -96,13 +87,11 @@ type ThroughputResult struct {
 // loop exits (handles are single-goroutine; reading them mid-run would
 // race).
 type paddedCount struct {
-	n            int64
-	empty        int64
-	buffered     int64
-	lockFails    int64
-	combinedOps  int64
-	combineWaits int64
-	_            [16]byte
+	n         int64
+	empty     int64
+	buffered  int64
+	lockFails int64
+	_         [32]byte
 }
 
 // Throughput runs alternating insert / deleteMin pairs on the chosen
@@ -117,7 +106,7 @@ func Throughput(spec ThroughputSpec) (ThroughputResult, error) {
 	q, err := pqadapt.NewSpec(pqadapt.Spec{
 		Impl: spec.Impl, Queues: spec.Queues,
 		Shards: spec.Shards, LocalBias: spec.LocalBias,
-		Combining: spec.Combining, Seed: spec.Seed,
+		Seed: spec.Seed,
 	})
 	if err != nil {
 		return ThroughputResult{}, err
@@ -204,21 +193,17 @@ func Throughput(spec ThroughputSpec) (ThroughputResult, error) {
 			if hl, ok := view.(interface{ Handle() *core.Handle[int32] }); ok {
 				hs := hl.Handle().Stats()
 				counts[w].lockFails = hs.LockFails
-				counts[w].combinedOps = hs.CombinedOps
-				counts[w].combineWaits = hs.CombineWaits
 			}
 		}(w)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	var total, empty, buffered, fails, combined, waits int64
+	var total, empty, buffered, fails int64
 	for i := range counts {
 		total += counts[i].n
 		empty += counts[i].empty
 		buffered += counts[i].buffered
 		fails += counts[i].lockFails
-		combined += counts[i].combinedOps
-		waits += counts[i].combineWaits
 	}
 	return ThroughputResult{
 		Ops:          total,
@@ -227,8 +212,6 @@ func Throughput(spec ThroughputSpec) (ThroughputResult, error) {
 		Elapsed:      elapsed,
 		MOps:         float64(total) / elapsed.Seconds() / 1e6,
 		LockFails:    fails,
-		CombinedOps:  combined,
-		CombineWaits: waits,
 		Topology:     topology,
 	}, nil
 }

@@ -132,62 +132,6 @@ func TestHandleOpsAllocationFreeSharded(t *testing.T) {
 	})
 }
 
-// TestCombiningOpsAllocationFree covers the flat-combining machinery. The
-// Handle ops exercise the staging and ring-draining release path; the
-// publication paths (grab → publish → self-combine) cannot be reached
-// through the public API single-threaded — TryLock never fails without a
-// concurrent holder — so they are driven directly on the selector, with an
-// uncontended lock so each call deterministically takes the self-combine
-// branch (acquire mid-wait, retract own slot, apply, drain).
-func TestCombiningOpsAllocationFree(t *testing.T) {
-	mq, h := allocMQ(t, WithQueues(8), WithSeed(91), WithCombining(true))
-	rng := xrand.NewSource(92)
-	assertZeroAllocs(t, "Insert(combining)", func() {
-		h.Insert(rng.Uint64()>>1, 0)
-		h.DeleteMin()
-	})
-	assertZeroAllocs(t, "DeleteMin(combining)", func() {
-		h.DeleteMin()
-		h.Insert(rng.Uint64()>>1, 0)
-	})
-	s := &h.sel
-	q := mq.snapshot().queues[0]
-	assertZeroAllocs(t, "tryCombineInsert+tryCombineDelete", func() {
-		s.pubKey, s.pubVal = rng.Uint64()>>1, 0
-		if !s.tryCombineInsert(q) {
-			t.Fatal("tryCombineInsert failed with a free ring")
-		}
-		if !s.tryCombineDelete(q) {
-			t.Fatal("tryCombineDelete failed on a non-empty queue")
-		}
-		if _, _, ok := s.takeCombined(); !ok {
-			t.Fatal("tryCombineDelete staged no result")
-		}
-	})
-	// Remote-completion shape: a pending published op drained by the lock
-	// holder's release (publisher side simulated by writing the slot).
-	assertZeroAllocs(t, "drainCombined", func() {
-		sl := q.comb.grab()
-		if sl == nil {
-			t.Fatal("grab failed with a free ring")
-		}
-		sl.key, sl.val = rng.Uint64()>>1, 0
-		sl.state.Store(slotInsert)
-		if !q.lock.TryLock() {
-			t.Fatal("TryLock failed single-threaded")
-		}
-		q.unlock() // drains the pending insert
-		if sl.state.Load() != slotDone {
-			t.Fatal("drain did not complete the published op")
-		}
-		sl.state.Store(slotFree)
-		// Re-balance the element the published insert added.
-		if _, _, ok := h.DeleteMin(); !ok {
-			t.Fatal("DeleteMin drained unexpectedly")
-		}
-	})
-}
-
 // TestBatchOpsAllocationFreeSharded: the shared selector keeps the batch
 // paths allocation-free under sharding too.
 func TestBatchOpsAllocationFreeSharded(t *testing.T) {

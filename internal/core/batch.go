@@ -54,9 +54,6 @@ func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 		h.inserts += int64(len(keys))
 		return
 	}
-	// Batches never stage for combining — their elements don't fit one
-	// publication slot, and a batch already amortizes its acquisition — so
-	// lockForInsert cannot return nil here.
 	q := h.sel.lockForInsert()
 	q.pushBatch(keys, vals)
 	q.unlock()
@@ -108,8 +105,6 @@ func (h *Handle[V]) DeleteMinBatch(keys []uint64, vals []V, k int) int {
 		h.deletes += int64(n)
 		return n
 	}
-	// No stageDelete: batch deletes never publish (see InsertBatch), so nil
-	// here is always relaxed emptiness.
 	q := h.sel.lockNonEmptyQueue()
 	if q == nil {
 		return 0

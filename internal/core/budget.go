@@ -157,7 +157,7 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 		},
 		{
 			Name: "lock",
-			Doc:  "two uncontended TryLock acquisitions + combining-aware releases",
+			Doc:  "two uncontended TryLock acquisitions + retired-queue-aware releases",
 			New: func() func(int) {
 				mq, _, _ := prefilled()
 				q := mq.snapshot().queues[0]
@@ -195,18 +195,12 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 		},
 		{
 			Name: "stats",
-			Doc:  "per-op handle accounting: op counters, combining stage + result check",
+			Doc:  "per-op handle accounting: the insert and delete op counters",
 			New: func() func(int) {
 				_, h, _ := prefilled()
-				s := &h.sel
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
-						s.stageInsert(uint64(i), 0)
 						h.inserts++
-						s.stageDelete()
-						if _, _, ok := s.takeCombined(); ok {
-							budgetSink++
-						}
 						h.deletes++
 					}
 				}

@@ -52,7 +52,6 @@ type MultiQueue[V any] struct {
 	stickiness int
 	localBias  float64
 	atomic     bool
-	combining  bool
 	resolved   Config
 
 	globalMu sync.Mutex // used only in atomic mode
@@ -124,14 +123,14 @@ func (t *topology[V]) anyNonEmpty() bool {
 // Push/PopMin are direct calls on a concrete type — inlinable, no dynamic
 // dispatch, no pointer chase to a separately allocated heap header.
 //
-// The payload is 89 bytes (lock word 4 + align 4, top 8, count 8, dary
-// split-slice headers 48, comb pointer 8, mq back-pointer 8, closed 1); the
-// pad brings the size to 128 — a multiple of two 64-byte cache lines, so
-// adjacent queues in a topology's backing array never share a line and the
-// adjacent-line prefetcher cannot couple them either. The hot words every
-// operation touches (lock word, top, count) sit in the first 64 bytes. A
-// 72-byte version of this struct once left every element straddling lines
-// with its neighbours despite this comment claiming otherwise;
+// The payload is 81 bytes (lock word 4 + align 4, top 8, count 8, dary
+// split-slice headers 48, mq back-pointer 8, closed 1); the pad brings the
+// size to 128 — a multiple of two 64-byte cache lines, so adjacent queues in
+// a topology's backing array never share a line and the adjacent-line
+// prefetcher cannot couple them either. The hot words every operation
+// touches (lock word, top, count) sit in the first 64 bytes. A 72-byte
+// version of this struct once left every element straddling lines with its
+// neighbours despite this comment claiming otherwise;
 // TestLockedQueuePaddedToCacheLinePair pins the layout.
 //
 //powervet:cacheline=128
@@ -140,9 +139,6 @@ type lockedQueue[V any] struct {
 	top   atomicUint64 // cached minimum key, emptyTop when empty
 	count int64        // cached heap length, guarded by lock
 	dary  pqueue.DAryHeap[V]
-	// comb is the flat-combining publication ring, nil unless WithCombining.
-	// Set at construction, read-only afterwards.
-	comb *combineRing[V]
 	// mq points back to the owning MultiQueue so a retired queue's unlock
 	// hook can reach the live snapshot to drain into. Set at construction,
 	// read-only afterwards.
@@ -152,7 +148,7 @@ type lockedQueue[V any] struct {
 	// carries into live queues before releasing (see unlock/drainRetired).
 	// Guarded by lock (globalMu in atomic mode).
 	closed bool
-	_      [39]byte // pad the 89-byte payload to 128 bytes
+	_      [47]byte // pad the 81-byte payload to 128 bytes
 }
 
 // Config reports the topology and parameters a MultiQueue actually resolved
@@ -183,10 +179,6 @@ type Config struct {
 	Seed uint64
 	// Atomic reports the distributionally linearizable validation mode.
 	Atomic bool
-	// Combining reports whether flat combining is armed on the queue locks
-	// (WithCombining). Resolved: requesting it together with Atomic reads
-	// false here, since the global lock admits no per-queue TryLock race.
-	Combining bool
 	// QueuesPinned is true when WithQueues fixed n explicitly; false means
 	// n was derived from factor × GOMAXPROCS and the floor.
 	QueuesPinned bool
@@ -206,7 +198,6 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 		stickiness: cfg.stickiness,
 		localBias:  cfg.localBias,
 		atomic:     cfg.atomicMode,
-		combining:  cfg.combining,
 		resolved: Config{
 			Queues:        cfg.queues,
 			Choices:       cfg.choices,
@@ -216,7 +207,6 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 			LocalBias:     cfg.localBias,
 			Seed:          cfg.seed,
 			Atomic:        cfg.atomicMode,
-			Combining:     cfg.combining,
 			QueuesPinned:  cfg.queuesPinned,
 			ChoicesPinned: cfg.choicesPinned,
 		},
@@ -228,24 +218,15 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 	return mq, nil
 }
 
-// makeQueues allocates n fresh empty queues in one contiguous backing array
-// (with their combining rings, when armed), returned as pointers so a later
-// snapshot can mix them with surviving queues without copying lock state.
+// makeQueues allocates n fresh empty queues in one contiguous backing array,
+// returned as pointers so a later snapshot can mix them with surviving
+// queues without copying lock state.
 func (mq *MultiQueue[V]) makeQueues(n int) []*lockedQueue[V] {
 	arr := make([]lockedQueue[V], n)
-	var rings []combineRing[V]
-	if mq.combining {
-		// One backing array for all rings: slots are individually padded, so
-		// contiguity costs nothing and saves n-1 allocations.
-		rings = make([]combineRing[V], n)
-	}
 	qs := make([]*lockedQueue[V], n)
 	for i := range arr {
 		q := &arr[i]
 		q.top.Store(emptyTop)
-		if rings != nil {
-			q.comb = &rings[i]
-		}
 		q.mq = mq
 		qs[i] = q
 	}
@@ -319,11 +300,10 @@ func (mq *MultiQueue[V]) Len() int {
 // every shard keeps at least Choices queues (the WithShards rule). Growing
 // appends fresh empty queues; shrinking retires the topology's tail —
 // retired queues are marked closed-for-insert under their own lock and
-// drained into surviving queues by the unlock hook (the same holder-side
-// seam the flat-combining drain uses), so every element an in-flight
-// operation lands on a retired queue is moved exactly once by whoever holds
-// that lock last. Resize returns only after every retired queue has drained
-// to zero.
+// drained into surviving queues by the unlock hook, so every element an
+// in-flight operation lands on a retired queue is moved exactly once by
+// whoever holds that lock last. Resize returns only after every retired
+// queue has drained to zero.
 //
 // Concurrent Resize calls serialise on an internal mutex. The queue count
 // must stay >= Choices (the d-choice sample needs d distinct queues).
@@ -415,6 +395,22 @@ func (mq *MultiQueue[V]) resizeLocked(queues, shards int) error {
 // drainBatch is the number of elements a retired-queue drain moves per
 // target-queue acquisition.
 const drainBatch = 64
+
+// unlock releases q after an operation. On a queue retired by Resize
+// (closed) it first moves every element still present into live queues
+// (drainRetired): the holder-side placement means a stale insert that lands
+// on a retired queue is recovered by its own release — exact-once with no
+// insert-side topology check. All non-atomic-mode release sites go through
+// here; on a live queue it is one bool check on top of the store.
+//
+//powervet:hotpath
+//powervet:unlocks recv.lock
+func (q *lockedQueue[V]) unlock() {
+	if q.closed {
+		q.drainRetired()
+	}
+	q.lock.Unlock()
+}
 
 // drainRetired moves every element left in the closed queue q into live
 // queues of the current snapshot. Called by unlock with q.lock held; cold by

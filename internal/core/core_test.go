@@ -238,6 +238,31 @@ func TestHandleStats(t *testing.T) {
 	}
 }
 
+// TestEmptyReturnCountsOneEmptyScan pins the accounting HandleStats.EmptyScans
+// documents for an empty structure: the all-empty sample that precedes the
+// sweep counts one empty scan per empty return, in both modes and for both
+// DeleteMin and DeleteMinBatch.
+func TestEmptyReturnCountsOneEmptyScan(t *testing.T) {
+	for _, atomic := range []bool{false, true} {
+		mq := mustNew[int](t, WithQueues(8), WithAtomic(atomic))
+		h := mq.Handle()
+		if _, _, ok := h.DeleteMin(); ok {
+			t.Fatalf("atomic=%v: DeleteMin on empty returned ok", atomic)
+		}
+		if got := h.Stats().EmptyScans; got != 1 {
+			t.Errorf("atomic=%v: EmptyScans after empty DeleteMin = %d, want 1", atomic, got)
+		}
+		keys := make([]uint64, 4)
+		vals := make([]int, 4)
+		if n := h.DeleteMinBatch(keys, vals, 4); n != 0 {
+			t.Fatalf("atomic=%v: DeleteMinBatch on empty returned %d", atomic, n)
+		}
+		if got := h.Stats().EmptyScans; got != 2 {
+			t.Errorf("atomic=%v: EmptyScans after empty DeleteMinBatch = %d, want 2", atomic, got)
+		}
+	}
+}
+
 func TestAtomicModeBasic(t *testing.T) {
 	mq := mustNew[int](t, WithQueues(4), WithAtomic(true), WithSeed(9))
 	for i := 0; i < 1000; i++ {

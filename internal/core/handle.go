@@ -44,20 +44,14 @@ type HandleStats struct {
 	// LockFails counts try-lock failures that forced a fresh random queue.
 	LockFails int64
 	// EmptyScans counts deletion attempts that found the sampled queue(s)
-	// empty while the structure was non-empty.
+	// empty, or found a sampled queue drained behind its cached top. The
+	// all-empty sample that precedes the sweep of every queue counts too,
+	// so each empty return (DeleteMin's ok=false, DeleteMinBatch's 0) adds
+	// at least one.
 	EmptyScans int64
 	// BufferedPops counts DeleteMinBuffered results served from the
 	// handle-local pop buffer rather than directly from a shared queue.
 	BufferedPops int64
-	// CombinedOps counts this handle's operations completed remotely through
-	// a combining publication ring — published after a lost TryLock and
-	// applied by whichever handle held the lock (WithCombining only).
-	CombinedOps int64
-	// CombineWaits counts publications: operations that entered a publication
-	// slot after a lost TryLock instead of re-sampling. CombineWaits −
-	// CombinedOps (plus combined empty outcomes) is the self-combined share:
-	// publishers that won the lock mid-wait and applied their own op.
-	CombineWaits int64
 	// Buffered is the current handle-local pop-buffer occupancy: elements
 	// already removed from the shared structure but not yet returned.
 	Buffered int
@@ -71,8 +65,6 @@ func (h *Handle[V]) Stats() HandleStats {
 		LockFails:    h.sel.lockFails,
 		EmptyScans:   h.sel.emptyScans,
 		BufferedPops: h.bufferedPops,
-		CombinedOps:  h.sel.combinedOps,
-		CombineWaits: h.sel.combineWaits,
 		Buffered:     h.popLen - h.popPos,
 	}
 }
@@ -95,12 +87,9 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 		h.inserts++
 		return
 	}
-	h.sel.stageInsert(key, value)
 	q := h.sel.lockForInsert()
-	if q != nil {
-		q.push(key, value)
-		q.unlock()
-	}
+	q.push(key, value)
+	q.unlock()
 	h.inserts++
 }
 
@@ -137,15 +126,8 @@ func (h *Handle[V]) DeleteMin() (uint64, V, bool) {
 		h.deletes++
 		return it.Key, it.Value, true
 	}
-	h.sel.stageDelete()
 	q := h.sel.lockNonEmptyQueue()
 	if q == nil {
-		// nil is either relaxed emptiness or a delete completed through a
-		// combining ring; takeCombined distinguishes.
-		if k, v, combined := h.sel.takeCombined(); combined {
-			h.deletes++
-			return k, v, true
-		}
 		var zero V
 		return 0, zero, false
 	}

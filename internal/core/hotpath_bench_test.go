@@ -162,16 +162,15 @@ func BenchmarkHandleMixedBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTryLockContended pins the TryLock fast-path choice: a single CAS,
-// with Contended as a separate load-only backoff hint, rather than the old
-// load+CAS pair. Under contention a leading load is pure overhead when it
-// reads 0 (the CAS re-reads the line exclusively anyway) and when it reads 1
-// the caller needed Contended semantics, not TryLock. The sub-benchmarks
-// measure the acquire attempt itself while sibling goroutines hammer the
-// same lock word:
+// BenchmarkTryLockContended pins the TryLock fast-path choice: a single CAS
+// rather than the old load+CAS pair. Under contention a leading load is pure
+// overhead when it reads 0 (the CAS re-reads the line exclusively anyway),
+// and when it reads 1 the caller wanted a held-lock test, not TryLock. The
+// sub-benchmarks measure the acquire attempt itself while sibling goroutines
+// hammer the same lock word:
 //
-//	cas:       TryLock()                — the shipped single-CAS form
-//	load+cas:  Contended() || TryLock() — the rejected double-read form
+//	cas:       TryLock()                    — the shipped single-CAS form
+//	load+cas:  v.Load() == 0 && TryLock()   — the rejected double-read form
 //
 // Run with GOMAXPROCS > 1 for the contended regime; at GOMAXPROCS=1 both
 // forms degenerate to the uncontended cost and the comparison is flat (see
@@ -191,30 +190,8 @@ func BenchmarkTryLockContended(b *testing.B) {
 		run(b, func(l *queuedLock) bool { return l.TryLock() })
 	})
 	b.Run("load+cas", func(b *testing.B) {
-		run(b, func(l *queuedLock) bool { return !l.Contended() && l.TryLock() })
+		run(b, func(l *queuedLock) bool { return l.v.Load() == 0 && l.TryLock() })
 	})
-}
-
-// BenchmarkHandleMixedCombining is BenchmarkHandleMixed with combining
-// armed: single-threaded the publication path never triggers, so the delta
-// against the plain run is the pure bookkeeping cost of the feature (two
-// staging stores and a comb-pointer check per unlock).
-func BenchmarkHandleMixedCombining(b *testing.B) {
-	mq, err := New[int32](WithQueues(8), WithSeed(7), WithCombining(true))
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := mq.Handle()
-	rng := xrand.NewSource(9)
-	for i := 0; i < 4096; i++ {
-		h.Insert(rng.Uint64()>>1, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Insert(rng.Uint64()>>1, 0)
-		h.DeleteMin()
-	}
 }
 
 // BenchmarkHandleDeleteMinBuffered measures the executor-facing buffered

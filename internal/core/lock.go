@@ -10,7 +10,6 @@ import (
 type (
 	atomicInt64  = atomic.Int64
 	atomicUint64 = atomic.Uint64
-	atomicUint32 = atomic.Uint32
 )
 
 // queuedLock is the per-queue lock: one test-and-set word.
@@ -19,9 +18,8 @@ type (
 // waiting, so TryLock is the primary operation — a single CAS on the lock
 // word, nothing else (the earlier test-and-set lock issued a separate Load
 // before the CAS, paying two accesses on the uncontended fast path;
-// BenchmarkTryLockContended pins the single-CAS choice, and Contended is the
-// load-only backoff hint for callers that re-try the same lock). Unlock is
-// one plain store.
+// BenchmarkTryLockContended pins the single-CAS choice). Unlock is one plain
+// store.
 //
 // Lock is the blocking path for the few callers that must wait on one
 // particular queue — Len, Resize's close loop and the retired-queue drain,
@@ -40,16 +38,6 @@ type queuedLock struct {
 //powervet:hotpath
 func (l *queuedLock) TryLock() bool {
 	return l.v.CompareAndSwap(0, 1)
-}
-
-// Contended reports whether the lock word is currently held, as a load-only
-// hint: a caller about to re-try the same lock (combining publishers,
-// backoff loops) can test Contended first and skip the CAS — and its
-// cache-line invalidation — while the holder is still inside.
-//
-//powervet:hotpath
-func (l *queuedLock) Contended() bool {
-	return l.v.Load() != 0
 }
 
 // Lock acquires the lock, waiting as long as it takes: a CAS, and while

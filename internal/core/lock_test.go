@@ -75,28 +75,6 @@ func TestQueuedLockQueuedHandoff(t *testing.T) {
 	}
 }
 
-// TestQueuedLockContendedHint: Contended is the load-only backoff hint —
-// it must track the lock word without ever acquiring.
-func TestQueuedLockContendedHint(t *testing.T) {
-	var l queuedLock
-	if l.Contended() {
-		t.Fatal("fresh lock reports contended")
-	}
-	if !l.TryLock() {
-		t.Fatal("TryLock failed on a fresh lock")
-	}
-	if !l.Contended() {
-		t.Fatal("held lock reports uncontended")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock succeeded on a held lock")
-	}
-	l.Unlock()
-	if l.Contended() {
-		t.Fatal("released lock reports contended")
-	}
-}
-
 // TestQueuedLockAllocationFree: both acquisition paths are allocation-free —
 // the blocking path keeps its backoff state on the stack, the relaxed path is
 // a single CAS.
@@ -106,12 +84,9 @@ func TestQueuedLockAllocationFree(t *testing.T) {
 		l.Lock()
 		l.Unlock()
 	})
-	assertZeroAllocs(t, "TryLock/Contended/Unlock", func() {
+	assertZeroAllocs(t, "TryLock/Unlock", func() {
 		if !l.TryLock() {
 			t.Fatal("TryLock failed single-threaded")
-		}
-		if !l.Contended() {
-			t.Fatal("held lock reports uncontended")
 		}
 		l.Unlock()
 	})

@@ -27,7 +27,6 @@ type config struct {
 	localBias  float64
 	seed       uint64
 	atomicMode bool
-	combining  bool
 
 	// resolved bookkeeping, filled in by buildOptions.
 	queuesPinned  bool
@@ -117,27 +116,6 @@ func WithAtomic(enabled bool) Option {
 	return func(c *config) { c.atomicMode = enabled }
 }
 
-// WithCombining arms flat combining on the queue locks: a handle that loses
-// a TryLock race on its chosen queue may publish its single-element
-// operation (an insert's key/value, or a delete-min request) into the
-// queue's fixed-size publication ring and spin-wait while the current lock
-// holder applies published ops right before releasing — one acquire/release
-// amortized over the ops of several handles, InsertBatch's trade across
-// threads. The relaxed semantics make this sound: a combined op is
-// distributed exactly like the same op winning the lock a moment later, so
-// no rank bound changes. Obstacle accounting is surfaced per handle as
-// HandleStats.CombinedOps/CombineWaits. Batch operations never publish
-// (their elements don't fit a slot; they already amortize), but a batch
-// holder still drains the ring on release.
-//
-// Combining is inert in atomic mode — the global lock admits no per-queue
-// TryLock race — and resolves to disabled there, reported by
-// Config.Combining (the same resolve-and-report treatment as the shard
-// clamp). The default is off.
-func WithCombining(enabled bool) Option {
-	return func(c *config) { c.combining = enabled }
-}
-
 func buildOptions(opts []Option) (config, error) {
 	c := config{
 		factor: 2,
@@ -204,12 +182,6 @@ func buildOptions(opts []Option) (config, error) {
 		if c.shards < 1 {
 			c.shards = 1
 		}
-	}
-	// Combining publishes ops to per-queue rings drained at unlock; under the
-	// single global lock of atomic mode there is no per-queue TryLock race to
-	// lose, so the request resolves to disabled (and is reported as such).
-	if c.atomicMode {
-		c.combining = false
 	}
 	return c, nil
 }

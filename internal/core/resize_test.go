@@ -142,10 +142,6 @@ func TestResizeGrowPreservesElements(t *testing.T) {
 	resizePreservesMultiset(t, 4, 16)
 }
 
-func TestResizeShrinkCombining(t *testing.T) {
-	resizePreservesMultiset(t, 16, 4, WithCombining(true))
-}
-
 func TestResizeShrinkSharded(t *testing.T) {
 	resizePreservesMultiset(t, 16, 4, WithShards(4), WithLocalBias(0.9))
 }
@@ -202,7 +198,6 @@ func TestResizeConcurrentExactOnce(t *testing.T) {
 	}{
 		{"plain", nil},
 		{"sharded", []Option{WithShards(2), WithLocalBias(0.9)}},
-		{"combining", []Option{WithCombining(true)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mq, err := New[int](append([]Option{WithQueues(8), WithSeed(11)}, tc.opts...)...)

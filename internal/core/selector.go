@@ -34,12 +34,11 @@ type selector[V any] struct {
 	// the global bounded-draw fast paths from the selector's own cache lines
 	// instead of chasing the snapshot pointer per draw.
 	plan drawPlan
-	// choices, stickiness and combining mirror the owning MultiQueue's
-	// immutable configuration so the per-op paths read them from the
-	// selector's own cache lines instead of dereferencing mq.
+	// choices and stickiness mirror the owning MultiQueue's immutable
+	// configuration so the per-op paths read them from the selector's own
+	// cache lines instead of dereferencing mq.
 	choices    int
 	stickiness int
-	combining  bool
 	// id is the handle's 1-based creation index, kept for round-robin home
 	// re-pinning when the epoch turns over.
 	id int
@@ -56,23 +55,6 @@ type selector[V any] struct {
 	// Obstacle counters, maintained without atomics (single-owner).
 	lockFails  int64
 	emptyScans int64
-	// Combining counters (single-owner): combineWaits counts publications —
-	// ops that entered a publication slot after a lost TryLock instead of
-	// re-sampling — and combinedOps counts the subset completed remotely by
-	// another handle's drain.
-	combinedOps  int64
-	combineWaits int64
-	// Staged single-element op for combining, set by Handle.Insert/DeleteMin
-	// via stageInsert/stageDelete and consumed by the lock* entry points.
-	// Batch operations never stage (their elements don't fit one slot).
-	pubKey uint64
-	pubVal V
-	pubIns bool
-	pubDel bool
-	// Result of a combined delete-min, staged for takeCombined.
-	resKey   uint64
-	resVal   V
-	combined bool
 }
 
 // init prepares the selector for the handle with the given 1-based id.
@@ -83,7 +65,6 @@ func (s *selector[V]) init(mq *MultiQueue[V], id int) {
 	s.id = id
 	s.choices = mq.choices
 	s.stickiness = mq.stickiness
-	s.combining = mq.combining
 	s.rng = mq.sharded.Source(id)
 	if mq.choices > 2 {
 		// Allocated here, not lazily on the d-choice hot path: sampling
@@ -232,43 +213,6 @@ func (s *selector[V]) sampleScoped(lo, n int, useChoice bool) *lockedQueue[V] {
 	}
 }
 
-// stageInsert stages a single insert for combining publication: if the
-// upcoming lockForInsert loses a TryLock race it may publish this op instead
-// of re-sampling. A no-op unless the MultiQueue was built WithCombining.
-//
-//powervet:hotpath
-func (s *selector[V]) stageInsert(key uint64, val V) {
-	if s.combining {
-		s.pubKey, s.pubVal, s.pubIns = key, val, true
-	}
-}
-
-// stageDelete stages a delete-min request for combining publication, the
-// deletion-side counterpart of stageInsert.
-//
-//powervet:hotpath
-func (s *selector[V]) stageDelete() {
-	if s.combining {
-		s.pubDel = true
-	}
-}
-
-// takeCombined returns and clears the result a combined delete-min staged
-// while lockNonEmptyQueue returned nil. ok=false means nothing was combined:
-// the nil really was relaxed emptiness.
-//
-//powervet:hotpath
-func (s *selector[V]) takeCombined() (uint64, V, bool) {
-	var zero V
-	if !s.combined {
-		return 0, zero, false
-	}
-	s.combined = false
-	k, v := s.resKey, s.resVal
-	s.resVal = zero
-	return k, v, true
-}
-
 // lockForInsert returns a LOCKED queue for an insert-side operation; the
 // caller pushes (one element or a batch — a batch counts as one operation
 // against the sticky streak) and unlocks. Sticky fast path and obstacle
@@ -276,17 +220,10 @@ func (s *selector[V]) takeCombined() (uint64, V, bool) {
 // queue while the streak lasts and its lock is free; any obstacle breaks the
 // streak and counts a lockFail.
 //
-// With combining, a staged insert (stageInsert) that loses the TryLock race
-// may be published to the contended queue's ring instead of re-sampling; a
-// nil return means the op completed through the ring and there is nothing
-// left for the caller to push.
-//
 //powervet:hotpath
 //powervet:locks result.lock
 func (s *selector[V]) lockForInsert() *lockedQueue[V] {
 	s.refresh()
-	pub := s.pubIns
-	s.pubIns = false
 	if s.insLeft > 0 && s.stickyIns != nil {
 		if q := s.stickyIns; q.lock.TryLock() {
 			s.insLeft--
@@ -306,108 +243,6 @@ func (s *selector[V]) lockForInsert() *lockedQueue[V] {
 			return q
 		}
 		s.lockFails++
-		if pub && s.tryCombineInsert(q) {
-			return nil
-		}
-		bo.Spin()
-	}
-}
-
-// tryCombineInsert publishes the staged insert to q's ring and waits for
-// completion: either a combiner applies it (slotDone), or this handle wins
-// q's lock itself mid-wait and self-combines — retracting the slot, pushing
-// directly, and draining others. Returns false (op still pending with the
-// caller) only when the ring was full.
-//
-//powervet:hotpath
-func (s *selector[V]) tryCombineInsert(q *lockedQueue[V]) bool {
-	sl := q.comb.grab()
-	if sl == nil {
-		return false
-	}
-	sl.key, sl.val = s.pubKey, s.pubVal
-	sl.state.Store(slotInsert)
-	s.combineWaits++
-	var bo backoff.Spinner
-	for {
-		if sl.state.Load() == slotDone {
-			sl.state.Store(slotFree)
-			s.combinedOps++
-			return true
-		}
-		if !q.lock.Contended() && q.lock.TryLock() {
-			// Holder now; the slot can no longer change under us. It may have
-			// been completed just before we acquired — otherwise retract it
-			// and apply the op as the holder.
-			if sl.state.Load() == slotDone {
-				s.combinedOps++
-			} else {
-				q.push(sl.key, sl.val)
-			}
-			var zero V
-			sl.val = zero
-			sl.state.Store(slotFree)
-			q.unlock()
-			return true
-		}
-		bo.Spin()
-	}
-}
-
-// tryCombineDelete publishes a delete-min request to q's ring and waits,
-// mirroring tryCombineInsert. On success the result is staged for
-// takeCombined and true is returned; a combined "queue empty" outcome counts
-// an emptyScan and returns false so the selection loop keeps sampling (it is
-// one queue's emptiness, not the structure's). False with no emptyScan means
-// the ring was full.
-//
-//powervet:hotpath
-func (s *selector[V]) tryCombineDelete(q *lockedQueue[V]) bool {
-	sl := q.comb.grab()
-	if sl == nil {
-		return false
-	}
-	sl.state.Store(slotDelete)
-	s.combineWaits++
-	var bo backoff.Spinner
-	for {
-		if sl.state.Load() == slotDone {
-			k, v, ok := sl.key, sl.val, sl.ok
-			var zero V
-			sl.val = zero
-			sl.state.Store(slotFree)
-			if !ok {
-				s.emptyScans++
-				return false
-			}
-			s.resKey, s.resVal, s.combined = k, v, true
-			s.combinedOps++
-			return true
-		}
-		if !q.lock.Contended() && q.lock.TryLock() {
-			var k uint64
-			var v V
-			var ok bool
-			if sl.state.Load() == slotDone {
-				k, v, ok = sl.key, sl.val, sl.ok
-				if ok {
-					s.combinedOps++
-				}
-			} else {
-				it, popped := q.popMin()
-				k, v, ok = it.Key, it.Value, popped
-			}
-			var zero V
-			sl.val = zero
-			sl.state.Store(slotFree)
-			q.unlock()
-			if !ok {
-				s.emptyScans++
-				return false
-			}
-			s.resKey, s.resVal, s.combined = k, v, true
-			return true
-		}
 		bo.Spin()
 	}
 }
@@ -425,17 +260,10 @@ func (s *selector[V]) tryCombineDelete(q *lockedQueue[V]) bool {
 // sticky queue whose cached top already reads empty) is an emptyScan; any
 // obstacle breaks a sticky streak.
 //
-// With combining, a staged delete (stageDelete) that loses the TryLock race
-// may be published to the contended queue's ring; a nil return then has two
-// readings the caller distinguishes via takeCombined — the op completed
-// through the ring (result staged), or relaxed emptiness as before.
-//
 //powervet:hotpath
 //powervet:locks result.lock
 func (s *selector[V]) lockNonEmptyQueue() *lockedQueue[V] {
 	s.refresh()
-	pub := s.pubDel
-	s.pubDel = false
 	if s.delLeft > 0 && s.stickyDel != nil {
 		q := s.stickyDel
 		switch {
@@ -489,9 +317,6 @@ func (s *selector[V]) lockNonEmptyQueue() *lockedQueue[V] {
 		}
 		if !q.lock.TryLock() {
 			s.lockFails++
-			if pub && s.tryCombineDelete(q) {
-				return nil
-			}
 			bo.Spin()
 			continue
 		}

@@ -29,11 +29,6 @@ const (
 	// probability ShardedLocalBias. Core clamps the shard count on hosts
 	// whose derived queue count cannot hold 4 shards of ≥ d queues.
 	ImplSharded Impl = "sharded4x90"
-	// ImplCombining is the MultiQueue (β = 1) with flat combining armed on
-	// the queue locks: a handle that loses a TryLock race may publish its op
-	// into the queue's publication ring instead of re-sampling, and the lock
-	// holder drains the ring before releasing (core.WithCombining).
-	ImplCombining Impl = "combining"
 	// ImplOneBeta75 is the paper's (1+β) MultiQueue with β = 0.75.
 	ImplOneBeta75 Impl = "onebeta75"
 	// ImplOneBeta50 is the paper's (1+β) MultiQueue with β = 0.5.
@@ -50,7 +45,7 @@ const (
 func Impls() []Impl {
 	return []Impl{
 		ImplOneBeta50, ImplOneBeta75, ImplMultiQueue, ImplSharded,
-		ImplCombining, ImplSkipList, ImplKLSM, ImplGlobalLock,
+		ImplSkipList, ImplKLSM, ImplGlobalLock,
 	}
 }
 
@@ -78,7 +73,7 @@ func IsMultiQueue(impl Impl) bool {
 // mqBeta maps a MultiQueue line-up implementation to its β.
 func mqBeta(impl Impl) (float64, bool) {
 	switch impl {
-	case ImplMultiQueue, ImplSharded, ImplCombining:
+	case ImplMultiQueue, ImplSharded:
 		return 1, true
 	case ImplOneBeta75:
 		return 0.75, true
@@ -105,10 +100,6 @@ type Spec struct {
 	// LocalBias is the probability a sharded handle samples within its home
 	// shard (see core.WithLocalBias). Only meaningful with Shards > 1.
 	LocalBias float64
-	// Combining arms flat combining on a MultiQueue's queue locks (see
-	// core.WithCombining); ImplCombining sets it implicitly. Ignored for
-	// implementations without internal queues.
-	Combining bool
 	// Seed fixes all randomness.
 	Seed uint64
 }
@@ -126,9 +117,6 @@ type Topology struct {
 	// here, so pre-shard reports and unsharded rows stay byte-identical).
 	Shards    int     `json:"shards,omitempty"`
 	LocalBias float64 `json:"local_bias,omitempty"`
-	// Combining reports whether flat combining resolved on (absent on
-	// non-combining rows, so earlier reports stay byte-identical).
-	Combining bool `json:"combining,omitempty"`
 }
 
 // MQConfigured is implemented by adapters backed by a core.MultiQueue and
@@ -149,7 +137,6 @@ func TopologyOf(impl Impl, q Queue) Topology {
 			top.Shards = cfg.Shards
 			top.LocalBias = cfg.LocalBias
 		}
-		top.Combining = cfg.Combining
 	}
 	return top
 }
@@ -177,9 +164,6 @@ func NewSpec(spec Spec) (Queue, error) {
 		if spec.Impl == ImplSharded && spec.Shards == 0 {
 			spec.Shards = ShardedShards
 			spec.LocalBias = ShardedLocalBias
-		}
-		if spec.Impl == ImplCombining {
-			spec.Combining = true
 		}
 		return NewMultiQueueSpec(beta, spec)
 	}
@@ -219,9 +203,6 @@ func NewMultiQueueSpec(beta float64, spec Spec) (Queue, error) {
 	}
 	if spec.LocalBias > 0 {
 		opts = append(opts, core.WithLocalBias(spec.LocalBias))
-	}
-	if spec.Combining {
-		opts = append(opts, core.WithCombining(true))
 	}
 	mq, err := core.New[int32](opts...)
 	if err != nil {

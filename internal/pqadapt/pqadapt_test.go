@@ -67,40 +67,6 @@ func TestShardedSpecTopology(t *testing.T) {
 	}
 }
 
-// TestCombiningSpecTopology: the combining line-up entry arms flat
-// combining implicitly, an explicit Spec.Combining arms any MultiQueue
-// entry, and non-combining queues report no combining field (so
-// pre-combining JSON reports stay byte-identical).
-func TestCombiningSpecTopology(t *testing.T) {
-	q, err := NewSpec(Spec{Impl: ImplCombining, Queues: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := TopologyOf(ImplCombining, q)
-	if !top.Combining {
-		t.Errorf("combining entry resolved off: %+v", top)
-	}
-	if top.Queues != 8 || top.Beta != 1 {
-		t.Errorf("combining base topology: %+v", top)
-	}
-
-	q, err = NewSpec(Spec{Impl: ImplOneBeta75, Queues: 8, Combining: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top := TopologyOf(ImplOneBeta75, q); !top.Combining {
-		t.Errorf("explicit Spec.Combining ignored: %+v", top)
-	}
-
-	q, err = NewSpec(Spec{Impl: ImplMultiQueue, Queues: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top := TopologyOf(ImplMultiQueue, q); top.Combining {
-		t.Errorf("plain queue reports combining: %+v", top)
-	}
-}
-
 func TestAllImplsRoundTrip(t *testing.T) {
 	for _, impl := range Impls() {
 		impl := impl

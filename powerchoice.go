@@ -51,11 +51,6 @@ var (
 	// WithLocalBias sets the probability a sharded handle samples within
 	// its home shard instead of globally (default 0 = always global).
 	WithLocalBias = core.WithLocalBias
-	// WithCombining arms flat combining on the queue locks: a handle that
-	// loses a TryLock race may publish its operation into the queue's
-	// publication ring and let the lock holder apply it before releasing
-	// (default off; resolved off in atomic mode).
-	WithCombining = core.WithCombining
 	// WithSeed fixes the random seed.
 	WithSeed = core.WithSeed
 	// WithAtomic enables the distributionally linearizable mode.
@@ -75,12 +70,18 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 func (q *MultiQueue[V]) Insert(key uint64, value V) { q.inner.Insert(key, value) }
 
 // DeleteMin removes an element of relaxed minimum priority. It returns
-// ok=false only when the queue is empty.
+// ok=false when a sweep of every internal queue finds them all empty.
+// Emptiness is relaxed: an insert that has not yet taken its queue lock can
+// be missed, and a DeleteMin racing a Resize can report empty once, for
+// example while a drain batch is between queues.
 func (q *MultiQueue[V]) DeleteMin() (key uint64, value V, ok bool) {
 	return q.inner.DeleteMin()
 }
 
-// Len returns the number of stored elements, counting in-flight inserts.
+// Len returns the number of stored elements. It reads the internal queues
+// one at a time, so under concurrent operations the count is approximate
+// (an insert that has not yet taken its queue lock is not counted); it is
+// exact when no operation is in flight.
 func (q *MultiQueue[V]) Len() int { return q.inner.Len() }
 
 // NumQueues returns the internal queue count n of the live topology (it
@@ -143,7 +144,8 @@ func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 
 // DeleteMinBatch removes up to k elements under a single lock acquisition,
 // storing them in ascending key order into keys/vals and returning the
-// number removed (0 = the queue is empty). k ≤ 0 means the full slice
+// number removed (0 = a sweep found every internal queue empty, with the
+// same relaxed emptiness as DeleteMin). k ≤ 0 means the full slice
 // length. The batch is one internal queue's k smallest, so each run is
 // sorted but carries the documented extra rank relaxation of batching.
 func (h *Handle[V]) DeleteMinBatch(keys []uint64, vals []V, k int) int {
