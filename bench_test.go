@@ -231,52 +231,6 @@ func BenchmarkAblationBeta(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChoices sweeps d, the number of sampled queues per
-// deletion: throughput falls slowly with d while rank quality improves
-// (the d-choice generalisation; d=2 is the paper's rule).
-func BenchmarkAblationChoices(b *testing.B) {
-	threads := runtime.GOMAXPROCS(0)
-	for _, d := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			mq, err := core.New[int32](
-				core.WithQueues(8), core.WithChoices(d), core.WithSeed(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := xrand.NewSource(1)
-			for i := 0; i < 1<<16; i++ {
-				mq.Insert(rng.Uint64()>>1, 0)
-			}
-			benchHandlePairs(b, mq, threads)
-		})
-	}
-}
-
-// benchHandlePairs drives b.N insert+delete pairs through dedicated handles
-// and reports Mops/s.
-func benchHandlePairs(b *testing.B, mq *core.MultiQueue[int32], threads int) {
-	b.Helper()
-	per := b.N/threads + 1
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := mq.Handle()
-			r := xrand.NewSource(uint64(w))
-			for i := 0; i < per; i++ {
-				h.Insert(r.Uint64()>>1, 0)
-				h.DeleteMin()
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	ops := float64(2 * per * threads)
-	b.ReportMetric(ops/b.Elapsed().Seconds()/1e6, "Mops/s")
-}
-
 // BenchmarkAblationAtomicMode compares try-lock deletion against the
 // distributionally linearizable global-lock mode (DESIGN.md A3).
 func BenchmarkAblationAtomicMode(b *testing.B) {

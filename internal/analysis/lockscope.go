@@ -566,8 +566,8 @@ func (lf *lsFunc) execRange(st *ast.RangeStmt, s lsState, bt *branchTargets) lsS
 
 // execSwitch interprets a switch. A tagless switch evaluates its case
 // conditions sequentially, so a `case !q.lock.TryLock():` clause leaves the
-// lock held in every subsequent clause — the shape the selector's sticky
-// fast path uses.
+// lock held in every subsequent clause (testdata's stickySwitch pins that
+// shape).
 func (lf *lsFunc) execSwitch(st *ast.SwitchStmt, s lsState, bt *branchTargets) lsState {
 	if st.Init != nil {
 		s = lf.execStmt(st.Init, s, bt)

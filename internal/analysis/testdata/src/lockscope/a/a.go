@@ -74,7 +74,7 @@ func nested(q1, q2 *queue) {
 	q1.lock.Unlock()
 }
 
-// Legal shapes: TryLock-guarded branch, defer, loops, sticky switch.
+// Legal shapes: TryLock-guarded branch, defer, loops, tagless TryLock switch.
 
 func guarded(q *queue) {
 	if q.lock.TryLock() {
@@ -98,8 +98,8 @@ func retryLoop(qs []*queue) {
 	}
 }
 
-// stickySwitch is the selector's fast-path shape: reaching any case after
-// `case !q.lock.TryLock():` implies the lock was acquired.
+// stickySwitch is a tagless switch whose first case try-locks: reaching any
+// case after `case !q.lock.TryLock():` implies the lock was acquired.
 func stickySwitch(q *queue) {
 	switch {
 	case !q.lock.TryLock():

@@ -2,10 +2,12 @@ package core
 
 // Steady-state allocation regression tests: every Handle hot-path operation
 // must allocate zero bytes once the structure has reached its working
-// capacity. The scratch buffer for d-choice sampling and the local pop
-// buffer are allocated at handle construction / first use exactly so these
-// hold; a regression here (a lazy make on the hot path, a closure capture,
-// an interface box) shows up as a fractional alloc/op.
+// capacity. The local pop buffer is allocated at first use exactly so these
+// hold. A regression (a lazy make on the hot path, a closure capture, an
+// interface box) shows up only if it allocates at least once per measured
+// run: testing.AllocsPerRun divides as integers, so an allocation on a path
+// that runs every few calls averages to 0. Each run therefore covers every
+// path it claims — the buffered-pop run pops k times, one full refill.
 
 import (
 	"strings"
@@ -99,12 +101,13 @@ func TestHandleOpsAllocationFree(t *testing.T) {
 	})
 }
 
-// TestHandleOpsAllocationFreeDChoice covers the d > 2 sampling path, whose
-// scratch buffer was once allocated lazily inside pickQueue.
-func TestHandleOpsAllocationFreeDChoice(t *testing.T) {
-	_, h := allocMQ(t, WithQueues(8), WithChoices(4), WithSeed(75))
+// TestHandleOpsAllocationFreeBetaCoin covers the fractional β coin: at
+// β = 0.5 every DeleteMin flips it, and either outcome — the single-queue
+// draw or the two-choice pair — must stay allocation-free.
+func TestHandleOpsAllocationFreeBetaCoin(t *testing.T) {
+	_, h := allocMQ(t, WithQueues(8), WithBeta(0.5), WithSeed(75))
 	rng := xrand.NewSource(76)
-	assertZeroAllocs(t, "DeleteMin(d=4)", func() {
+	assertZeroAllocs(t, "DeleteMin(β=0.5)", func() {
 		h.DeleteMin()
 		h.Insert(rng.Uint64()>>1, 0)
 	})
@@ -112,8 +115,7 @@ func TestHandleOpsAllocationFreeDChoice(t *testing.T) {
 
 // TestHandleOpsAllocationFreeSharded covers the shard-scoped sampling path:
 // the locality coin, the home-scope index arithmetic and the global
-// fallback must all stay allocation-free (bias 0.5 exercises both scopes;
-// d = 4 additionally exercises the scoped scratch-buffer sampling).
+// fallback must all stay allocation-free (bias 0.5 exercises both scopes).
 func TestHandleOpsAllocationFreeSharded(t *testing.T) {
 	_, h := allocMQ(t, WithQueues(8), WithShards(4), WithLocalBias(0.5), WithSeed(81))
 	rng := xrand.NewSource(82)
@@ -124,11 +126,6 @@ func TestHandleOpsAllocationFreeSharded(t *testing.T) {
 	assertZeroAllocs(t, "DeleteMin(sharded)", func() {
 		h.DeleteMin()
 		h.Insert(rng.Uint64()>>1, 0)
-	})
-	_, h4 := allocMQ(t, WithQueues(8), WithChoices(4), WithShards(2), WithLocalBias(0.9), WithSeed(83))
-	assertZeroAllocs(t, "DeleteMin(sharded,d=4)", func() {
-		h4.DeleteMin()
-		h4.Insert(rng.Uint64()>>1, 0)
 	})
 }
 
@@ -180,11 +177,15 @@ func TestBatchOpsAllocationFree(t *testing.T) {
 			popped += n
 		}
 	})
+	// A refill leaves at most k−1 elements buffered, so k pops per run
+	// always include one refill.
 	assertZeroAllocs(t, "DeleteMinBuffered", func() {
-		key, _, ok := h.DeleteMinBuffered(k)
-		if !ok {
-			t.Fatal("buffered pop drained unexpectedly")
+		for j := 0; j < k; j++ {
+			key, _, ok := h.DeleteMinBuffered(k)
+			if !ok {
+				t.Fatal("buffered pop drained unexpectedly")
+			}
+			h.Insert(key, 0)
 		}
-		h.Insert(key, 0)
 	})
 }

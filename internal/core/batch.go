@@ -4,9 +4,9 @@ package core
 // acquire/release, queue sampling, cached-top maintenance — over up to k
 // elements, the k-LSM-style trade the repository already adapts in pqadapt
 // (klsm256): one lock acquisition and one top refresh move k elements.
-// Queue selection — the β coin, d-choice sampling, shard scoping, sticky
-// streaks and obstacle accounting — is the same selector the single-element
-// operations use, so the two paths cannot drift
+// Queue selection — the β coin, two-choice sampling, shard scoping and
+// obstacle accounting — is the same selector the single-element operations
+// use, so the two paths cannot drift
 // (TestSingleAndBatchObstacleAccountingParity).
 //
 // The cost is a documented extra rank relaxation with two parts.
@@ -32,9 +32,8 @@ package core
 // single O(1) cached-top update. keys and vals must have equal length (the
 // call panics otherwise — a programming error, not an input error); keys
 // equal to the maximum uint64 are clamped down by one like Insert's. The
-// whole batch lands on one queue: rank-wise this is equivalent to an insert
-// streak with stickiness len(keys). A batch counts as one operation against
-// a sticky streak.
+// whole batch lands on one queue: rank-wise this is equivalent to len(keys)
+// consecutive inserts into that one queue.
 //
 //powervet:hotpath
 func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
@@ -64,9 +63,8 @@ func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 // and a single cached-top refresh, storing them in ascending key order into
 // keys/vals and returning the number removed. k is clamped to the shorter of
 // the two slices; k <= 0 means their full length. All removed elements come
-// from one queue — the queue the (1+β) d-choice rule picks — so the batch is
-// that queue's k smallest, not the structure's. A batch counts as one
-// operation against a sticky streak.
+// from one queue — the queue the (1+β) two-choice rule picks — so the batch
+// is that queue's k smallest, not the structure's.
 //
 // A return of 0 means a full sweep of the cached tops found every queue
 // empty (relaxed emptiness, exactly like DeleteMin's ok=false).

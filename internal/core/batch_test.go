@@ -375,24 +375,3 @@ func TestBatchOpsAtomicMode(t *testing.T) {
 		t.Fatalf("atomic mode recovered %d of 400", total)
 	}
 }
-
-// TestBatchStickinessInteraction: a batch operation counts as one op against
-// a sticky streak and re-arms it like the single-op paths.
-func TestBatchStickinessInteraction(t *testing.T) {
-	mq := mustNew[int](t, WithQueues(8), WithStickiness(100), WithSeed(69))
-	h := mq.Handle()
-	keys := []uint64{1, 2, 3, 4}
-	vals := []int{1, 2, 3, 4}
-	for b := 0; b < 25; b++ {
-		h.InsertBatch(keys, vals)
-	}
-	nonEmpty := 0
-	for i := range mq.snapshot().queues {
-		if mq.snapshot().queues[i].count > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 1 {
-		t.Errorf("25 sticky batches spread over %d queues, want 1", nonEmpty)
-	}
-}

@@ -46,13 +46,12 @@ type MultiQueue[V any] struct {
 	// topo is the current topology snapshot: the queue set, shard count and
 	// epoch every operation resolves through (see topology). Replaced
 	// wholesale by Resize; hot paths load it once per operation.
-	topo       atomic.Pointer[topology[V]]
-	beta       float64
-	choices    int
-	stickiness int
-	localBias  float64
-	atomic     bool
-	resolved   Config
+	topo      atomic.Pointer[topology[V]]
+	beta      float64
+	choices   int
+	localBias float64
+	atomic    bool
+	resolved  Config
 
 	globalMu sync.Mutex // used only in atomic mode
 	handles  sync.Pool
@@ -159,14 +158,12 @@ type lockedQueue[V any] struct {
 type Config struct {
 	// Queues is n, the resolved number of internal queues.
 	Queues int
-	// Choices is d, the resolved number of queues sampled per
-	// choice-deletion.
+	// Choices is d, the number of queues sampled per choice-deletion:
+	// min(2, n-1) for the n queues the structure was built with, at least
+	// 1. Resize does not change it.
 	Choices int
 	// Beta is the two-choice probability β.
 	Beta float64
-	// Stickiness is the per-handle queue-reuse streak length (1 = fully
-	// random, the paper's rule).
-	Stickiness int
 	// Shards is the resolved shard count g: the queues are split into g
 	// contiguous ranges and each handle is pinned to one of them round-robin
 	// (1 = unsharded). The requested count is clamped so every shard keeps
@@ -182,8 +179,6 @@ type Config struct {
 	// QueuesPinned is true when WithQueues fixed n explicitly; false means
 	// n was derived from factor × GOMAXPROCS and the floor.
 	QueuesPinned bool
-	// ChoicesPinned is true when WithChoices fixed d explicitly.
-	ChoicesPinned bool
 }
 
 // New constructs a MultiQueue from the given options (see Option).
@@ -193,22 +188,19 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 		return nil, err
 	}
 	mq := &MultiQueue[V]{
-		beta:       cfg.beta,
-		choices:    cfg.choices,
-		stickiness: cfg.stickiness,
-		localBias:  cfg.localBias,
-		atomic:     cfg.atomicMode,
+		beta:      cfg.beta,
+		choices:   cfg.choices,
+		localBias: cfg.localBias,
+		atomic:    cfg.atomicMode,
 		resolved: Config{
-			Queues:        cfg.queues,
-			Choices:       cfg.choices,
-			Beta:          cfg.beta,
-			Stickiness:    cfg.stickiness,
-			Shards:        cfg.shards,
-			LocalBias:     cfg.localBias,
-			Seed:          cfg.seed,
-			Atomic:        cfg.atomicMode,
-			QueuesPinned:  cfg.queuesPinned,
-			ChoicesPinned: cfg.choicesPinned,
+			Queues:       cfg.queues,
+			Choices:      cfg.choices,
+			Beta:         cfg.beta,
+			Shards:       cfg.shards,
+			LocalBias:    cfg.localBias,
+			Seed:         cfg.seed,
+			Atomic:       cfg.atomicMode,
+			QueuesPinned: cfg.queuesPinned,
 		},
 		//powervet:allow rngtag the MultiQueue is the designated owner of the raw root family at Config.Seed; harnesses must Tag away from it (tagging here would silently reseed every pinned stream)
 		sharded: xrand.NewSharded(cfg.seed),
@@ -255,15 +247,12 @@ func (mq *MultiQueue[V]) Config() Config {
 // Beta returns the configured two-choice probability.
 func (mq *MultiQueue[V]) Beta() float64 { return mq.beta }
 
-// Choices returns d, the number of queues sampled per choice-deletion.
-func (mq *MultiQueue[V]) Choices() int { return mq.choices }
-
 // Shards returns the live snapshot's shard count g (1 = unsharded).
 func (mq *MultiQueue[V]) Shards() int { return mq.topo.Load().shards }
 
 // Epoch returns the live snapshot's epoch: 0 at construction, +1 per
-// completed Resize. Handles re-pin their home shards and drop sticky streaks
-// when they observe a new epoch.
+// completed Resize. Handles re-pin their home shards when they observe a new
+// epoch.
 func (mq *MultiQueue[V]) Epoch() uint64 { return mq.topo.Load().epoch }
 
 // Resizes returns the number of completed Resize calls.
@@ -306,7 +295,9 @@ func (mq *MultiQueue[V]) Len() int {
 // queue has drained to zero.
 //
 // Concurrent Resize calls serialise on an internal mutex. The queue count
-// must stay >= Choices (the d-choice sample needs d distinct queues).
+// must stay >= Choices (a two-choice draw needs two distinct queues). Choices
+// itself is fixed at construction: Resize does not re-derive it, so shrinking
+// a two-choice structure to two queues leaves d = n, an exact queue.
 // Operations that raced the swap may briefly work against the previous
 // snapshot: inserts there are recovered by the drain, and a DeleteMin
 // sweeping a stale, fully-drained snapshot can report empty once — the same

@@ -21,21 +21,20 @@ type config struct {
 	queues     int
 	factor     int
 	beta       float64
-	choices    int
-	stickiness int
 	shards     int
 	localBias  float64
 	seed       uint64
 	atomicMode bool
 
 	// resolved bookkeeping, filled in by buildOptions.
-	queuesPinned  bool
-	choicesPinned bool
+	choices      int
+	queuesPinned bool
 }
 
 // WithQueues sets the number of internal queues explicitly. It overrides
 // WithQueueFactor and bypasses the derived-queue floor: an explicit n is
-// honoured exactly, even when it degenerates the structure (n = choices).
+// honoured exactly, even when it leaves no two-choice deletion (n ≤ 2, see
+// buildOptions).
 func WithQueues(n int) Option {
 	return func(c *config) { c.queues = n }
 }
@@ -55,35 +54,15 @@ func WithBeta(beta float64) Option {
 	return func(c *config) { c.beta = beta }
 }
 
-// WithChoices sets d, the number of queues sampled by a choice-deletion
-// (the d-choice generalisation; the paper's rule and the default is d=2).
-// Larger d tightens rank quality at the cost of d top reads per deletion;
-// d equal to the queue count degenerates to an exact — but contended —
-// queue.
-func WithChoices(d int) Option {
-	return func(c *config) { c.choices = d }
-}
-
-// WithStickiness makes each handle reuse its sampled queue(s) for up to s
-// consecutive operations before re-randomising, a variant used by the
-// MultiQueue line of work (§2 mentions such variants; later MultiQueue
-// papers study it as "stickiness"): fewer random queue switches mean
-// better cache locality at a modest rank-quality cost. s=1 (the default)
-// is the paper's fully random rule. A sticky streak breaks early whenever
-// the remembered queue is contended or empty.
-func WithStickiness(s int) Option {
-	return func(c *config) { c.stickiness = s }
-}
-
 // WithShards partitions the internal queues into g contiguous shards and
 // pins every handle to a home shard, round-robin in handle-creation order.
 // Shards only change behaviour together with WithLocalBias: a biased sample
-// draws all of its candidates (both queues of a two-choice deletion, all d
-// of a d-choice) from the handle's home shard, touching one small slice of
-// the topology instead of random cache lines across all n queues.
+// draws all of its candidates (both queues of a two-choice deletion) from
+// the handle's home shard, touching one small slice of the topology instead
+// of random cache lines across all n queues.
 //
 // The requested g is clamped so that every shard keeps at least `choices`
-// queues — a smaller shard could not supply d distinct candidates — and
+// queues — a smaller shard could not supply two distinct candidates — and
 // Config.Shards reports the resolved count, mirroring how derived queue
 // counts are floored and reported. g ≤ 1 (the default) is unsharded.
 func WithShards(g int) Option {
@@ -141,28 +120,11 @@ func buildOptions(opts []Option) (config, error) {
 	if c.beta < 0 || c.beta > 1 {
 		return c, fmt.Errorf("core: beta %v outside [0,1]", c.beta)
 	}
-	c.choicesPinned = c.choices != 0
-	if !c.choicesPinned {
-		// A defaulted d must leave genuine relaxation: d = n samples every
-		// queue and is exact. Derive d = min(2, n-1), clamped to at least 1
-		// (n = 1 is inherently exact — there is nothing to choose between).
-		c.choices = 2
-		if c.choices >= c.queues {
-			c.choices = c.queues - 1
-			if c.choices < 1 {
-				c.choices = 1
-			}
-		}
-	}
-	if c.choices < 1 || c.choices > c.queues {
-		return c, fmt.Errorf("core: choices %d outside [1,%d]", c.choices, c.queues)
-	}
-	if c.stickiness == 0 {
-		c.stickiness = 1
-	}
-	if c.stickiness < 1 {
-		return c, fmt.Errorf("core: stickiness %d < 1", c.stickiness)
-	}
+	// d, the number of queues a choice-deletion samples, is the paper's two
+	// wherever that leaves genuine relaxation: d = n samples every queue and
+	// is exact. So d = min(2, n-1), floored at 1 (n = 1 is inherently exact —
+	// there is nothing to choose between).
+	c.choices = max(1, min(2, c.queues-1))
 	if c.shards < 0 {
 		return c, fmt.Errorf("core: shards %d < 0", c.shards)
 	}
@@ -174,8 +136,8 @@ func buildOptions(opts []Option) (config, error) {
 	}
 	// Clamp the shard count so every shard keeps at least `choices` queues:
 	// shards are the contiguous ranges [i·n/g, (i+1)·n/g), whose minimum
-	// size is ⌊n/g⌋, and a scope-local d-choice needs d distinct candidates.
-	// Like the derived-queue floor, the resolved value is reported
+	// size is ⌊n/g⌋, and a scope-local two-choice draw needs two distinct
+	// candidates. Like the derived-queue floor, the resolved value is reported
 	// (Config.Shards) rather than silently acted on.
 	if maxShards := c.queues / c.choices; c.shards > maxShards {
 		c.shards = maxShards

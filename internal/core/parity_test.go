@@ -3,136 +3,153 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"powerchoice/internal/xrand"
 )
 
 // Single-op / batch-op accounting parity: Insert vs InsertBatch and
-// DeleteMin vs DeleteMinBatch now run through the same selector
-// (lockForInsert / lockNonEmptyQueue), so for any obstacle — a contended
-// sticky lock, a sticky queue drained behind a stale cached top, an empty
-// cached top, a lost slow-path try-lock — both paths must report identical
-// lockFails / emptyScans deltas and break (or keep) the sticky streak
-// identically. Before the extraction these four paths carried hand-copied
-// accounting that had already drifted once (the silent empty-top break).
+// DeleteMin vs DeleteMinBatch run through the same selector
+// (lockForInsert / lockNonEmptyQueue), so for any obstacle — a lost
+// try-lock, a queue drained behind a stale cached top, a sampled pair whose
+// cached tops both read empty — both paths must report identical
+// lockFails / emptyScans deltas. Before the extraction these four paths
+// carried hand-copied accounting that had already drifted once.
+//
+// Each obstacle sits on the queue(s) the handle samples next, found by
+// replaying a clone of its random source: the default configuration draws
+// one Intn(n) per Insert and one TwoDistinct32(n) per DeleteMin, with no
+// coin flip (TestDefaultConfigFlipsNoCoins). Each case also asserts that its
+// counter moved, so an arrangement the draw misses cannot pass by comparing
+// two zeros.
 
-// parityDeltas runs op against a freshly arranged MultiQueue/handle and
-// reports the counter deltas and the post-op sticky state.
+const parityQueues = 4
+
+// parityDeltas is one operation's effect on the handle's obstacle counters.
 type parityDeltas struct {
 	lockFails, emptyScans int64
-	streakBroken          bool
 	ok                    bool
 }
 
-func deleteParity(t *testing.T, arrange func(mq *MultiQueue[int], h *Handle[int]) (cleanup func()),
-	batched bool) parityDeltas {
+// parityArrange places an obstacle in a fresh MultiQueue before h's
+// operation and returns an optional cleanup.
+type parityArrange func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) (cleanup func())
+
+// runParity runs op once against a freshly arranged MultiQueue and handle and
+// reports the counter deltas. Every run builds the same structure and the
+// same handle stream, so the single and batch variants meet the same draws.
+func runParity(t *testing.T, arrange parityArrange, op func(h *Handle[int]) bool) parityDeltas {
 	t.Helper()
-	mq := mustNew[int](t, WithQueues(4), WithStickiness(16), WithSeed(67))
+	mq := mustNew[int](t, WithQueues(parityQueues), WithSeed(67))
 	h := mq.Handle()
-	cleanup := arrange(mq, h)
-	if cleanup != nil {
+	if cleanup := arrange(t, mq, h); cleanup != nil {
 		defer cleanup()
 	}
-	armed := h.sel.stickyDel
 	before := h.Stats()
-	var ok bool
-	if batched {
-		keys := make([]uint64, 1)
-		vals := make([]int, 1)
-		ok = h.DeleteMinBatch(keys, vals, 1) > 0
-	} else {
-		_, _, ok = h.DeleteMin()
-	}
+	ok := op(h)
 	after := h.Stats()
 	return parityDeltas{
-		lockFails:    after.LockFails - before.LockFails,
-		emptyScans:   after.EmptyScans - before.EmptyScans,
-		streakBroken: armed != nil && h.sel.stickyDel != armed,
-		ok:           ok,
+		lockFails:  after.LockFails - before.LockFails,
+		emptyScans: after.EmptyScans - before.EmptyScans,
+		ok:         ok,
 	}
 }
 
-func insertParity(t *testing.T, arrange func(mq *MultiQueue[int], h *Handle[int]) (cleanup func()),
-	batched bool) parityDeltas {
+// nextPair replays the queue pair h's next DeleteMin samples.
+func nextPair(h *Handle[int]) (int, int) {
+	return h.sel.rng.Clone().TwoDistinct32(parityQueues)
+}
+
+// fillExcept pushes one element with the given key onto every queue not in
+// skip, so any draw that avoids the arranged obstacle completes.
+func fillExcept(mq *MultiQueue[int], key uint64, skip ...int) {
+	for i, q := range mq.snapshot().queues {
+		if !slices.Contains(skip, i) {
+			q.push(key, int(key))
+		}
+	}
+}
+
+// holdLock takes queue i's lock for the duration of the operation.
+func holdLock(t *testing.T, mq *MultiQueue[int], i int) func() {
 	t.Helper()
-	mq := mustNew[int](t, WithQueues(4), WithStickiness(16), WithSeed(67))
-	h := mq.Handle()
-	cleanup := arrange(mq, h)
-	if cleanup != nil {
-		defer cleanup()
+	q := mq.snapshot().queues[i]
+	if !q.lock.TryLock() {
+		t.Fatalf("could not take queue %d's lock", i)
 	}
-	armed := h.sel.stickyIns
-	before := h.Stats()
-	if batched {
-		h.InsertBatch([]uint64{7}, []int{7})
-	} else {
-		h.Insert(7, 7)
+	return q.lock.Unlock
+}
+
+// checkMoved fails unless exactly the counter the case names moved ("" for
+// the no-obstacle case: neither).
+func checkMoved(t *testing.T, d parityDeltas, moves string) {
+	t.Helper()
+	if got, want := d.lockFails > 0, moves == "lockFails"; got != want {
+		t.Errorf("lockFails delta = %d; moved = %v, want %v", d.lockFails, got, want)
 	}
-	after := h.Stats()
-	return parityDeltas{
-		lockFails:    after.LockFails - before.LockFails,
-		emptyScans:   after.EmptyScans - before.EmptyScans,
-		streakBroken: armed != nil && h.sel.stickyIns != armed,
-		ok:           true,
+	if got, want := d.emptyScans > 0, moves == "emptyScans"; got != want {
+		t.Errorf("emptyScans delta = %d; moved = %v, want %v", d.emptyScans, got, want)
 	}
 }
 
 func TestSingleAndBatchObstacleAccountingParity(t *testing.T) {
-	// Every arrange returns the structure to a state where the operation can
-	// still complete (an element reachable somewhere), so both variants
-	// finish and the deltas measure only the obstacle.
+	// Every arrangement leaves an element on a queue the obstacle does not
+	// touch, so both variants finish and the deltas measure only the
+	// obstacle.
 	deleteCases := []struct {
 		name    string
-		arrange func(mq *MultiQueue[int], h *Handle[int]) func()
+		moves   string
+		arrange parityArrange
 	}{
 		{
-			name: "no obstacle, sticky streak runs",
-			arrange: func(mq *MultiQueue[int], h *Handle[int]) func() {
-				mq.snapshot().queues[0].push(7, 7)
-				mq.snapshot().queues[0].push(8, 8)
-				h.sel.stickyDel = mq.snapshot().queues[0]
-				h.sel.delLeft = 5
+			name: "no obstacle",
+			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
+				fillExcept(mq, 9)
 				return nil
 			},
 		},
 		{
-			name: "sticky lock contended",
-			arrange: func(mq *MultiQueue[int], h *Handle[int]) func() {
-				mq.snapshot().queues[0].push(7, 7)
-				mq.snapshot().queues[1].push(9, 9)
-				h.sel.stickyDel = mq.snapshot().queues[0]
-				h.sel.delLeft = 5
-				if !mq.snapshot().queues[0].lock.TryLock() {
-					t.Fatal("could not contend queue 0")
-				}
-				return mq.snapshot().queues[0].lock.Unlock
+			name:  "lock held on winner",
+			moves: "lockFails",
+			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
+				i, _ := nextPair(h)
+				fillExcept(mq, 9, i)
+				mq.snapshot().queues[i].push(1, 1) // the lower top wins the pair
+				return holdLock(t, mq, i)
 			},
 		},
 		{
-			name: "sticky queue drained behind stale top",
-			arrange: func(mq *MultiQueue[int], h *Handle[int]) func() {
-				mq.snapshot().queues[0].top.Store(3) // stale: heap actually empty
-				mq.snapshot().queues[1].push(9, 9)
-				h.sel.stickyDel = mq.snapshot().queues[0]
-				h.sel.delLeft = 5
-				return func() { mq.snapshot().queues[0].top.Store(emptyTop) }
+			name:  "stale top on winner",
+			moves: "emptyScans",
+			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
+				i, _ := nextPair(h)
+				fillExcept(mq, 9, i)
+				mq.snapshot().queues[i].top.Store(3) // stale: the heap is empty
+				return nil
 			},
 		},
 		{
-			name: "sticky queue with empty cached top",
-			arrange: func(mq *MultiQueue[int], h *Handle[int]) func() {
-				mq.snapshot().queues[1].push(9, 9)
-				h.sel.stickyDel = mq.snapshot().queues[0]
-				h.sel.delLeft = 5
+			name:  "sampled pair all empty",
+			moves: "emptyScans",
+			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
+				i, j := nextPair(h)
+				fillExcept(mq, 9, i, j)
 				return nil
 			},
 		},
 	}
+	deleteOne := func(h *Handle[int]) bool {
+		_, _, ok := h.DeleteMin()
+		return ok
+	}
+	deleteBatch := func(h *Handle[int]) bool {
+		return h.DeleteMinBatch(make([]uint64, 1), make([]int, 1), 1) > 0
+	}
 	for _, c := range deleteCases {
 		t.Run("delete/"+c.name, func(t *testing.T) {
-			single := deleteParity(t, c.arrange, false)
-			batch := deleteParity(t, c.arrange, true)
+			single := runParity(t, c.arrange, deleteOne)
+			batch := runParity(t, c.arrange, deleteBatch)
 			if single != batch {
 				t.Errorf("DeleteMin and DeleteMinBatch diverge:\nsingle: %+v\nbatch:  %+v",
 					single, batch)
@@ -140,41 +157,46 @@ func TestSingleAndBatchObstacleAccountingParity(t *testing.T) {
 			if !single.ok {
 				t.Error("operation did not complete with an element available")
 			}
+			checkMoved(t, single, c.moves)
 		})
 	}
 
 	insertCases := []struct {
 		name    string
-		arrange func(mq *MultiQueue[int], h *Handle[int]) func()
+		moves   string
+		arrange parityArrange
 	}{
 		{
-			name: "no obstacle, sticky streak runs",
-			arrange: func(mq *MultiQueue[int], h *Handle[int]) func() {
-				h.sel.stickyIns = mq.snapshot().queues[0]
-				h.sel.insLeft = 5
+			name: "no obstacle",
+			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
 				return nil
 			},
 		},
 		{
-			name: "sticky lock contended",
-			arrange: func(mq *MultiQueue[int], h *Handle[int]) func() {
-				h.sel.stickyIns = mq.snapshot().queues[0]
-				h.sel.insLeft = 5
-				if !mq.snapshot().queues[0].lock.TryLock() {
-					t.Fatal("could not contend queue 0")
-				}
-				return mq.snapshot().queues[0].lock.Unlock
+			name:  "lock held on drawn queue",
+			moves: "lockFails",
+			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
+				return holdLock(t, mq, h.sel.rng.Clone().Intn(parityQueues))
 			},
 		},
 	}
+	insertOne := func(h *Handle[int]) bool {
+		h.Insert(7, 7)
+		return true
+	}
+	insertBatch := func(h *Handle[int]) bool {
+		h.InsertBatch([]uint64{7}, []int{7})
+		return true
+	}
 	for _, c := range insertCases {
 		t.Run("insert/"+c.name, func(t *testing.T) {
-			single := insertParity(t, c.arrange, false)
-			batch := insertParity(t, c.arrange, true)
+			single := runParity(t, c.arrange, insertOne)
+			batch := runParity(t, c.arrange, insertBatch)
 			if single != batch {
 				t.Errorf("Insert and InsertBatch diverge:\nsingle: %+v\nbatch:  %+v",
 					single, batch)
 			}
+			checkMoved(t, single, c.moves)
 		})
 	}
 }
@@ -184,8 +206,8 @@ func TestSingleAndBatchObstacleAccountingParity(t *testing.T) {
 // WithQueues(8), WithSeed(23), each checked against a constant FNV-1a digest
 // of its popped keys (little-endian) plus the final HandleStats and residual
 // Len. A single handle never loses a TryLock, so the run is deterministic;
-// any change to a random draw, the selection rule, the sticky or batch paths
-// or the obstacle accounting moves a constant. A change that means to keep
+// any change to a random draw, the selection rule, the batch paths or the
+// obstacle accounting moves a constant. A change that means to keep
 // behaviour must keep every constant.
 func TestDefaultConfigPopSequencePinned(t *testing.T) {
 	workloads := []struct {
@@ -285,32 +307,5 @@ func TestDefaultConfigPopSequencePinned(t *testing.T) {
 				t.Errorf("Len = %d, want %d", got, w.len)
 			}
 		})
-	}
-}
-
-// TestParityStreakSurvivesSuccess: the unobstructed sticky case must NOT
-// break the streak on either path, and both must consume exactly one unit
-// of it.
-func TestParityStreakSurvivesSuccess(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		mq := mustNew[int](t, WithQueues(4), WithStickiness(16), WithSeed(69))
-		h := mq.Handle()
-		mq.snapshot().queues[0].push(7, 7)
-		mq.snapshot().queues[0].push(8, 8)
-		h.sel.stickyDel = mq.snapshot().queues[0]
-		h.sel.delLeft = 5
-		if batched {
-			keys := make([]uint64, 1)
-			vals := make([]int, 1)
-			if h.DeleteMinBatch(keys, vals, 1) != 1 {
-				t.Fatal("batch pop failed")
-			}
-		} else if _, _, ok := h.DeleteMin(); !ok {
-			t.Fatal("pop failed")
-		}
-		if h.sel.stickyDel != mq.snapshot().queues[0] || h.sel.delLeft != 4 {
-			t.Errorf("batched=%v: streak = (%p, %d), want (queue0, 4)",
-				batched, h.sel.stickyDel, h.sel.delLeft)
-		}
 	}
 }

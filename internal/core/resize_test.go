@@ -62,15 +62,15 @@ func TestResizeAccessorsTrackSnapshot(t *testing.T) {
 }
 
 func TestResizeValidation(t *testing.T) {
-	mq, err := New[int](WithQueues(8), WithChoices(4), WithSeed(1))
+	mq, err := New[int](WithQueues(8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mq.Resize(0, 1); err == nil {
 		t.Fatal("Resize(0, 1) must fail")
 	}
-	if err := mq.Resize(2, 1); err == nil {
-		t.Fatal("Resize below Choices must fail (d-choice needs d distinct queues)")
+	if err := mq.Resize(1, 1); err == nil {
+		t.Fatal("Resize below Choices must fail (a two-choice draw needs two distinct queues)")
 	}
 	if mq.Epoch() != 0 || mq.Resizes() != 0 {
 		t.Fatalf("failed resizes must not advance epoch (%d) or count (%d)", mq.Epoch(), mq.Resizes())
@@ -151,11 +151,11 @@ func TestResizeAtomicMode(t *testing.T) {
 	resizePreservesMultiset(t, 4, 16, WithAtomic(true))
 }
 
-// TestResizeRepinsHandles: a handle's selector must adopt the new snapshot —
-// home-shard scope re-derived, sticky streaks dropped — on its first
-// operation after an epoch change.
+// TestResizeRepinsHandles: a handle's selector must adopt the new snapshot,
+// with its home-shard scope re-derived, on its first operation after an
+// epoch change.
 func TestResizeRepinsHandles(t *testing.T) {
-	mq, err := New[int](WithQueues(8), WithShards(2), WithLocalBias(1), WithStickiness(4), WithSeed(3))
+	mq, err := New[int](WithQueues(8), WithShards(2), WithLocalBias(1), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,6 @@ func TestResizeRepinsHandles(t *testing.T) {
 	h.Insert(1, 1)
 	if h.sel.cur.epoch != 0 {
 		t.Fatalf("selector pinned to epoch %d before any resize", h.sel.cur.epoch)
-	}
-	if h.sel.stickyIns == nil {
-		t.Fatal("stickiness armed but no insert streak remembered")
 	}
 	if err := mq.Resize(16, 4); err != nil {
 		t.Fatal(err)

@@ -26,28 +26,27 @@ func TestShardOptionsValidation(t *testing.T) {
 }
 
 // TestShardCountClampedToChoices: every shard must keep at least d queues —
-// a smaller shard could not supply d distinct d-choice candidates — so the
-// requested count is clamped and the resolved value reported, exactly like
-// the derived-queue floor.
+// a smaller shard could not supply two distinct two-choice candidates — so
+// the requested count is clamped and the resolved value reported, exactly
+// like the derived-queue floor.
 func TestShardCountClampedToChoices(t *testing.T) {
 	cases := []struct {
-		queues, choices, shards int
-		want                    int
+		queues, shards int
+		want           int
 	}{
-		{queues: 8, choices: 2, shards: 4, want: 4},
-		{queues: 8, choices: 2, shards: 64, want: 4}, // ⌊8/2⌋
-		{queues: 4, choices: 2, shards: 4, want: 2},  // ⌊4/2⌋
-		{queues: 8, choices: 4, shards: 4, want: 2},  // ⌊8/4⌋
-		{queues: 6, choices: 1, shards: 6, want: 6},  // single-queue shards are fine at d=1
-		{queues: 4, choices: 4, shards: 8, want: 1},  // d = n: only the trivial shard fits
-		{queues: 10, choices: 2, shards: 4, want: 4}, // non-divisible split: min size ⌊10/4⌋ = 2
+		{queues: 8, shards: 4, want: 4},
+		{queues: 8, shards: 64, want: 4}, // ⌊8/2⌋
+		{queues: 4, shards: 4, want: 2},  // ⌊4/2⌋
+		{queues: 3, shards: 4, want: 1},  // ⌊3/2⌋
+		{queues: 2, shards: 2, want: 2},  // d = 1: single-queue shards are fine
+		{queues: 1, shards: 8, want: 1},  // only the trivial shard fits
+		{queues: 10, shards: 4, want: 4}, // non-divisible split: min size ⌊10/4⌋ = 2
 	}
 	for _, c := range cases {
-		mq := mustNew[int](t, WithQueues(c.queues), WithChoices(c.choices),
-			WithShards(c.shards), WithLocalBias(1))
+		mq := mustNew[int](t, WithQueues(c.queues), WithShards(c.shards), WithLocalBias(1))
 		if got := mq.Config().Shards; got != c.want {
 			t.Errorf("n=%d d=%d g=%d: resolved shards = %d, want %d",
-				c.queues, c.choices, c.shards, got, c.want)
+				c.queues, mq.Config().Choices, c.shards, got, c.want)
 		}
 	}
 }

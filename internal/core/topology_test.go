@@ -34,28 +34,23 @@ func TestDerivedTopologyNeverDegenerate(t *testing.T) {
 }
 
 // TestDefaultedChoicesNeverEqualQueues: even when the queue count is pinned
-// low, a *defaulted* d must not silently sample every queue; only an explicit
-// WithChoices may request the degenerate d = n configuration. n = 1 is the
-// unavoidable exception — a single queue is exact by construction.
+// low, d must not silently sample every queue. It resolves to the paper's
+// two wherever that leaves relaxation, d = min(2, n-1), floored at 1 for
+// n = 1 — a single queue is exact by construction.
 func TestDefaultedChoicesNeverEqualQueues(t *testing.T) {
-	for n := 2; n <= 6; n++ {
+	for n := 1; n <= 8; n++ {
 		mq := mustNew[int](t, WithQueues(n))
 		cfg := mq.Config()
 		if !cfg.QueuesPinned {
 			t.Errorf("n=%d: pinned topology reported as derived", n)
 		}
-		if cfg.ChoicesPinned {
-			t.Errorf("n=%d: defaulted choices reported as pinned", n)
+		want := 2
+		if n <= 2 {
+			want = 1
 		}
-		if cfg.Choices >= cfg.Queues {
-			t.Errorf("n=%d: defaulted choices %d ≥ queues %d", n, cfg.Choices, cfg.Queues)
+		if cfg.Choices != want {
+			t.Errorf("n=%d: choices = %d, want %d", n, cfg.Choices, want)
 		}
-	}
-	// Explicit degeneracy stays available for the exact-queue ablation.
-	mq := mustNew[int](t, WithQueues(4), WithChoices(4))
-	cfg := mq.Config()
-	if cfg.Choices != 4 || !cfg.ChoicesPinned {
-		t.Errorf("explicit d = n not honoured: %+v", cfg)
 	}
 }
 
@@ -63,15 +58,13 @@ func TestDefaultedChoicesNeverEqualQueues(t *testing.T) {
 // requested parameter.
 func TestConfigReportsResolvedTopology(t *testing.T) {
 	mq := mustNew[int](t,
-		WithQueues(8), WithChoices(3), WithBeta(0.75),
-		WithStickiness(4), WithSeed(99))
+		WithQueues(8), WithBeta(0.75), WithSeed(99))
 	cfg := mq.Config()
-	if cfg.Queues != 8 || cfg.Choices != 3 || cfg.Beta != 0.75 ||
-		cfg.Stickiness != 4 || cfg.Seed != 99 || cfg.Atomic ||
-		!cfg.QueuesPinned || !cfg.ChoicesPinned {
+	if cfg.Queues != 8 || cfg.Choices != 2 || cfg.Beta != 0.75 ||
+		cfg.Seed != 99 || cfg.Atomic || !cfg.QueuesPinned {
 		t.Errorf("Config = %+v", cfg)
 	}
-	if cfg.Queues != mq.NumQueues() || cfg.Choices != mq.Choices() || cfg.Beta != mq.Beta() {
+	if cfg.Queues != mq.NumQueues() || cfg.Beta != mq.Beta() {
 		t.Errorf("Config disagrees with accessors: %+v", cfg)
 	}
 }

@@ -38,15 +38,10 @@ var (
 	WithQueueFactor = core.WithQueueFactor
 	// WithBeta sets the two-choice probability β (default 1).
 	WithBeta = core.WithBeta
-	// WithChoices sets d, the queues sampled per choice-deletion
-	// (default 2 — the paper's rule; d = queue count is exact).
-	WithChoices = core.WithChoices
-	// WithStickiness makes handles reuse sampled queues for up to s
-	// consecutive operations (default 1 = fully random).
-	WithStickiness = core.WithStickiness
 	// WithShards partitions the queues into g contiguous shards with
 	// round-robin handle homes (g is clamped so every shard keeps at
-	// least d queues; Config.Shards reports the resolved count).
+	// least Config().Choices queues; Config.Shards reports the resolved
+	// count).
 	WithShards = core.WithShards
 	// WithLocalBias sets the probability a sharded handle samples within
 	// its home shard instead of globally (default 0 = always global).
@@ -93,7 +88,8 @@ func (q *MultiQueue[V]) NumQueues() int { return q.inner.NumQueues() }
 // keep running while the queue set grows or shrinks, retired queues drain
 // their elements into survivors exactly once, and handles adopt the new
 // topology on their next operation. The queue count must stay at or above
-// the configured choice count d.
+// Config().Choices, the two queues a choice-deletion samples (one on a
+// structure built with fewer than three queues).
 func (q *MultiQueue[V]) Resize(queues, shards int) error { return q.inner.Resize(queues, shards) }
 
 // Epoch returns the live topology version: 0 at construction, +1 per
