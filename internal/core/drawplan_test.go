@@ -2,6 +2,26 @@ package core
 
 import "testing"
 
+// TestChoicesValidation pins the d that no option can set and the check that
+// still reads it: two choices on eight queues, one on a single queue, and a
+// Resize that accepts exactly d queues but rejects fewer.
+func TestChoicesValidation(t *testing.T) {
+	if got := mustNew[int](t, WithQueues(1)).Config().Choices; got != 1 {
+		t.Errorf("single-queue Choices = %d", got)
+	}
+	mq := mustNew[int](t, WithQueues(8))
+	d := mq.Config().Choices
+	if d != 2 {
+		t.Fatalf("default Choices = %d", d)
+	}
+	if err := mq.Resize(d-1, 0); err == nil {
+		t.Errorf("Resize to %d queues accepted below Choices %d", d-1, d)
+	}
+	if err := mq.Resize(d, 0); err != nil {
+		t.Errorf("Resize to exactly Choices queues: %v", err)
+	}
+}
+
 // TestDefaultConfigFlipsNoCoins pins the zero-coin claim of README and
 // drawplan.go: under the default β = 1, d = 2 and no shards, an Insert draws
 // one Intn(n) and a DeleteMin one TwoDistinct32(n), with no coin flip. A
