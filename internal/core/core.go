@@ -477,8 +477,9 @@ func (q *lockedQueue[V]) syncDary() {
 // the new top is min(top, key) and the count just increments — so the common
 // insert does no PeekMin at all (the pre-devirtualization code re-derived
 // the top from the heap after every Push). top is written only under q.lock,
-// so a plain load+store pair replaces an atomic RMW, and the store is rare:
-// a random key is below the current minimum with probability ~1/(count+1).
+// so a load and a store replace a CAS loop, and the store (an XCHG on amd64)
+// is rare: a random key is below the current minimum with probability
+// ~1/(count+1).
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) push(key uint64, value V) {

@@ -39,19 +39,44 @@ func BenchmarkHandleInsert(b *testing.B) {
 	}
 }
 
+// benchDepth is the prefill of the benchmarks that pop: 4,096 elements, 512
+// per queue. The deletion benchmarks pop at most refillBlock elements between
+// refills, so the depth, and with it the levels each sift descends, stays
+// within [benchDepth-refillBlock, benchDepth] whatever b.N the framework
+// picks.
+const (
+	benchDepth  = 4096
+	refillBlock = 1024
+)
+
+// refill inserts n random elements with the timer stopped.
+func refill(b *testing.B, h *Handle[int32], rng *xrand.Source, n int) {
+	b.StopTimer()
+	for ; n > 0; n-- {
+		h.Insert(rng.Uint64()>>1, 0)
+	}
+	b.StartTimer()
+}
+
 // BenchmarkHandleDeleteMin measures a single uncontended Handle.DeleteMin
-// from a prefilled structure that never runs empty inside the timed region.
+// from a structure kept near benchDepth that never runs empty inside the
+// timed region.
 func BenchmarkHandleDeleteMin(b *testing.B) {
 	mq := newBenchMQ(b)
 	h := mq.Handle()
 	rng := xrand.NewSource(5)
-	for i := 0; i < b.N+64; i++ {
+	for i := 0; i < benchDepth; i++ {
 		h.Insert(rng.Uint64()>>1, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.DeleteMin()
+		if i > 0 && i%refillBlock == 0 {
+			refill(b, h, rng, refillBlock)
+		}
+		if _, _, ok := h.DeleteMin(); !ok {
+			b.Fatal("drained early")
+		}
 	}
 }
 
@@ -63,7 +88,7 @@ func BenchmarkHandleMixed(b *testing.B) {
 	mq := newBenchMQ(b)
 	h := mq.Handle()
 	rng := xrand.NewSource(9)
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < benchDepth; i++ {
 		h.Insert(rng.Uint64()>>1, 0)
 	}
 	b.ReportAllocs()
@@ -103,24 +128,31 @@ func BenchmarkHandleInsertBatch(b *testing.B) {
 }
 
 // BenchmarkHandleDeleteMinBatch measures per-element deletion cost through
-// DeleteMinBatch from a prefilled structure.
+// DeleteMinBatch from a structure kept near benchDepth.
 func BenchmarkHandleDeleteMinBatch(b *testing.B) {
 	for _, k := range batchSizes {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			mq := newBenchMQ(b)
 			h := mq.Handle()
 			rng := xrand.NewSource(5)
-			for i := 0; i < b.N+64; i++ {
+			for i := 0; i < benchDepth; i++ {
 				h.Insert(rng.Uint64()>>1, 0)
 			}
 			keys := make([]uint64, k)
 			vals := make([]int32, k)
+			popped := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += k {
-				if h.DeleteMinBatch(keys, vals, k) == 0 {
+				if popped+k > refillBlock {
+					refill(b, h, rng, popped)
+					popped = 0
+				}
+				n := h.DeleteMinBatch(keys, vals, k)
+				if n == 0 {
 					b.Fatal("drained early")
 				}
+				popped += n
 			}
 		})
 	}
@@ -135,7 +167,7 @@ func BenchmarkHandleMixedBatch(b *testing.B) {
 			mq := newBenchMQ(b)
 			h := mq.Handle()
 			rng := xrand.NewSource(9)
-			for i := 0; i < 4096; i++ {
+			for i := 0; i < benchDepth; i++ {
 				h.Insert(rng.Uint64()>>1, 0)
 			}
 			keys := make([]uint64, k)
@@ -201,7 +233,7 @@ func BenchmarkHandleDeleteMinBuffered(b *testing.B) {
 	mq := newBenchMQ(b)
 	h := mq.Handle()
 	rng := xrand.NewSource(11)
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < benchDepth; i++ {
 		h.Insert(rng.Uint64()>>1, 0)
 	}
 	b.ReportAllocs()

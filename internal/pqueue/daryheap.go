@@ -1,7 +1,7 @@
 package pqueue
 
 // daryDegree is the fan-out of DAryHeap. Four children per node keeps the
-// tree shallow and each child group inside one cache line of keys, the same
+// tree shallow and each child group to 32 contiguous bytes of keys, the same
 // trade-off as the boost d-ary heaps used by the paper's implementation.
 const daryDegree = 4
 
@@ -11,9 +11,11 @@ const daryDegree = 4
 //
 // Keys and values live in parallel slices rather than one []Item: the sift
 // loops compare only keys, and the split layout packs a full child group
-// into 32 contiguous bytes — one cache line holds two groups — where the
-// interleaved layout made every 4-child scan pull 64+ bytes. Values are
-// touched once per moved element, not per compared element.
+// into 32 contiguous bytes, where the interleaved layout made every 4-child
+// scan pull 64+ bytes. The group of node i starts at key 4i+1, byte 32i+8,
+// so on the allocator's 64-byte-aligned arrays every other group straddles
+// two cache lines. Values are touched once per moved element, not per
+// compared element.
 type DAryHeap[V any] struct {
 	keys []uint64
 	vals []V
@@ -94,19 +96,64 @@ func (h *DAryHeap[V]) siftUp(i int) {
 	keys[i], vals[i] = k, v
 }
 
+// hotParents bounds the parents whose child pick is branch-free: the top
+// five levels, (4^5-1)/3 nodes. Their children are keys 1..1364, about
+// 11 KB that every pop of the heap walks, so those loads hit cache and a
+// mispredicted compare jump would cost more than they do.
+const hotParents = 341
+
 // siftDown moves the hole at i down to the item's place. It is the dominant
 // cost of PopMin (one full-depth descent per pop), so the child scan is
 // tuned: slice headers are hoisted into locals (stores through them would
 // otherwise force reloads), the running minimum key lives in a register
-// instead of being re-read through keys[small] on every compare, and the
-// common full-degree child group is unrolled behind a single 4-element
-// window slicing so the four key loads carry one bounds check.
+// instead of being re-read through keys[small] on every compare, and a full
+// child group is read through a single 4-element window slicing so the four
+// key loads carry one bounds check.
+//
+// Parents below hotParents pick the smallest child without a branch: a min
+// tournament over the group plus 0/1 masks for its index, which amd64
+// lowers to CMOV and SETcc. There the loads hit cache, and random or tied
+// keys would mispredict a compare jump at almost every level. Deeper
+// parents keep the compare jumps: a correctly predicted jump lets the next
+// level's loads start before this level's compares resolve, which hides
+// more of a cache miss than the mispredictions cost (a sift branch-free at
+// every level measured 1.23x slower at 2^18 elements per heap,
+// EXPERIMENTS.md). Both picks take the first minimal child in index order.
 //
 //powervet:hotpath
 func (h *DAryHeap[V]) siftDown(i int) {
 	keys, vals := h.keys, h.vals
 	n := len(keys)
 	k, v := keys[i], vals[i]
+	for i < hotParents {
+		first := daryDegree*i + 1
+		if first+daryDegree > n {
+			break
+		}
+		ch := keys[first : first+daryDegree : first+daryDegree]
+		m01, m23 := min(ch[0], ch[1]), min(ch[2], ch[3])
+		smallKey := min(m01, m23)
+		if smallKey >= k {
+			keys[i], vals[i] = k, v
+			return
+		}
+		// The index from 0/1 values: each if sets one value, so each
+		// lowers to a SETcc. Strict compares keep a tie on the lower
+		// index, and the mask -right picks 2+b3 over b1.
+		var b1, b3, right int
+		if ch[1] < ch[0] {
+			b1 = 1
+		}
+		if ch[3] < ch[2] {
+			b3 = 1
+		}
+		if m23 < m01 {
+			right = 1
+		}
+		small := first + (b1 ^ (b1^(2+b3))&-right)
+		keys[i], vals[i] = smallKey, vals[small]
+		i = small
+	}
 	for {
 		first := daryDegree*i + 1
 		if first >= n {

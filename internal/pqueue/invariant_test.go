@@ -6,8 +6,8 @@ import (
 	"powerchoice/internal/xrand"
 )
 
-// checkBinaryHeapShape verifies the array heap property for both slice
-// heaps.
+// TestSliceHeapProperty verifies the array heap property for both slice
+// heaps after a random run of pushes and pops.
 func TestSliceHeapProperty(t *testing.T) {
 	rng := xrand.NewSource(7)
 	bh := NewBinaryHeap[int]()

@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"container/heap"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -250,18 +251,29 @@ func TestRefillAfterDrain(t *testing.T) {
 	})
 }
 
-func benchPushPop(b *testing.B, q seqHeap[struct{}]) {
+func benchPushPop(b *testing.B, q seqHeap[int32], depth int) {
 	rng := xrand.NewSource(1)
 	// Steady state: prefill, then alternate push/pop.
-	for i := 0; i < 1024; i++ {
-		q.Push(rng.Uint64(), struct{}{})
+	for i := 0; i < depth; i++ {
+		q.Push(rng.Uint64()>>1, int32(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(rng.Uint64(), struct{}{})
+		q.Push(rng.Uint64()>>1, int32(i))
 		q.PopMin()
 	}
 }
 
-func BenchmarkBinaryHeap(b *testing.B) { benchPushPop(b, NewBinaryHeap[struct{}]()) }
-func BenchmarkDAryHeap(b *testing.B)   { benchPushPop(b, NewDAryHeap[struct{}]()) }
+func BenchmarkBinaryHeap(b *testing.B) { benchPushPop(b, NewBinaryHeap[int32](), 1024) }
+
+// BenchmarkDAryHeap runs beside BenchmarkBinaryHeap at depth 1,024, and at
+// the per-queue depths of perfbench's pairs-shallow and pairs-deep: 2^12 and
+// 2^21 elements over eight queues. The depth decides how many levels a sift
+// descends below the branch-free top five.
+func BenchmarkDAryHeap(b *testing.B) {
+	for _, depth := range []int{512, 1024, 1 << 18} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			benchPushPop(b, NewDAryHeap[int32](), depth)
+		})
+	}
+}
