@@ -105,10 +105,13 @@ const hotParents = 341
 // siftDown moves the hole at i down to the item's place. It is the dominant
 // cost of PopMin (one full-depth descent per pop), so the child scan is
 // tuned: slice headers are hoisted into locals (stores through them would
-// otherwise force reloads), the running minimum key lives in a register
-// instead of being re-read through keys[small] on every compare, and a full
-// child group is read through a single 4-element window slicing so the four
-// key loads carry one bounds check.
+// otherwise force reloads) and cut to length n, keys to capacity n too, so
+// one bounds check covers keys[i] and vals[i] and no register holds
+// cap(keys) (holding it made the branch-free pick below spill two keys to
+// the stack); the running minimum key lives in a register instead of being
+// re-read through keys[small] on every compare; and a full child group is
+// read through a single 4-element window slicing so the four key loads
+// carry one bounds check.
 //
 // Parents below hotParents pick the smallest child without a branch: a min
 // tournament over the group plus 0/1 masks for its index, which amd64
@@ -117,13 +120,13 @@ const hotParents = 341
 // parents keep the compare jumps: a correctly predicted jump lets the next
 // level's loads start before this level's compares resolve, which hides
 // more of a cache miss than the mispredictions cost (a sift branch-free at
-// every level measured 1.23x slower at 2^18 elements per heap,
+// every level measured 1.23-1.29x slower at 2^18 elements per heap,
 // EXPERIMENTS.md). Both picks take the first minimal child in index order.
 //
 //powervet:hotpath
 func (h *DAryHeap[V]) siftDown(i int) {
-	keys, vals := h.keys, h.vals
-	n := len(keys)
+	n := len(h.keys)
+	keys, vals := h.keys[:n:n], h.vals[:n]
 	k, v := keys[i], vals[i]
 	for i < hotParents {
 		first := daryDegree*i + 1
