@@ -190,12 +190,16 @@ func ParallelBatch(g *Grid, q sched.Queue[int32], workers, batch int) (Result, e
 	if q == nil {
 		return Result{}, fmt.Errorf("astar: nil queue")
 	}
+	// gs is a plain slice so that filling it costs plain stores rather
+	// than one locked exchange per cell. The fill happens before
+	// sched.RunConfig's go statements, which order it before every worker;
+	// the workers then touch gs only atomically.
 	n := g.NumNodes()
-	gs := make([]atomic.Uint64, n)
+	gs := make([]uint64, n)
 	for i := range gs {
-		gs[i].Store(Inf)
+		gs[i] = Inf
 	}
-	gs[g.Start].Store(0)
+	gs[g.Start] = 0
 	// best is the incumbent goal cost; entries with f >= best cannot lead
 	// to an improvement (h admissible) and are pruned as stale.
 	var best atomic.Uint64
@@ -211,7 +215,7 @@ func ParallelBatch(g *Grid, q sched.Queue[int32], workers, batch int) (Result, e
 
 	task := func(key uint64, u int32, push func(uint64, int32)) bool {
 		gu := key - g.Heuristic(u)
-		if key >= best.Load() || gu > gs[u].Load() {
+		if key >= best.Load() || gu > atomic.LoadUint64(&gs[u]) {
 			return false // pruned or stale
 		}
 		g.neighbors(u, func(v int32, cost uint64) {
@@ -221,11 +225,11 @@ func ParallelBatch(g *Grid, q sched.Queue[int32], workers, batch int) (Result, e
 				return
 			}
 			for {
-				cur := gs[v].Load()
+				cur := atomic.LoadUint64(&gs[v])
 				if ng >= cur {
 					return
 				}
-				if gs[v].CompareAndSwap(cur, ng) {
+				if atomic.CompareAndSwapUint64(&gs[v], cur, ng) {
 					if v == g.Goal {
 						raiseBest(ng) // h(goal) = 0: nf is the path cost
 					} else {
@@ -239,5 +243,5 @@ func ParallelBatch(g *Grid, q sched.Queue[int32], workers, batch int) (Result, e
 	}
 	q.Insert(g.Heuristic(g.Start), g.Start)
 	st := sched.RunConfig(q, sched.Config{Workers: workers, Batch: batch}, task, 1)
-	return Result{Cost: gs[g.Goal].Load(), Stats: st}, nil
+	return Result{Cost: gs[g.Goal], Stats: st}, nil
 }

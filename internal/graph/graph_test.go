@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"powerchoice/internal/xrand"
@@ -178,8 +179,11 @@ func TestDijkstraValidatesSource(t *testing.T) {
 	if _, err := Dijkstra(g, 9); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, _, err := ParallelSSSP(g, 9, nil, 1); err == nil {
+	if _, _, err := ParallelSSSP(g, 9, newDumbPQ(), 1); err == nil {
 		t.Error("ParallelSSSP out-of-range source accepted")
+	}
+	if _, _, err := ParallelSSSPBatch(g, 0, nil, 1, 1); err == nil || !strings.Contains(err.Error(), "nil queue") {
+		t.Errorf("ParallelSSSPBatch with a nil queue: err = %v, want a nil-queue error", err)
 	}
 }
 

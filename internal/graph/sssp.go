@@ -86,30 +86,41 @@ func ParallelSSSP(g *Graph, src int, pq ConcurrentPQ, workers int) ([]uint64, SS
 // reason relaxation is: SSSP is label-correcting, so an entry delayed in a
 // worker-local buffer is at worst popped stale and discarded against the
 // atomic distance array — exactness is untouched, only WastedPops can grow.
+//
+// The returned slice is the distance array the workers wrote, not a copy.
+// It is a plain []uint64 so that filling it costs plain stores rather than
+// one locked exchange per node: the fill happens before sched.RunConfig
+// starts its goroutines (a go statement orders those writes before the
+// worker it starts), the workers touch it only through atomic loads and
+// compare-and-swaps, and it is handed back once RunConfig has waited for
+// all of them.
 func ParallelSSSPBatch(g *Graph, src int, pq ConcurrentPQ, workers, batch int) ([]uint64, SSSPStats, error) {
+	if pq == nil {
+		return nil, SSSPStats{}, fmt.Errorf("graph: nil queue")
+	}
 	n := g.NumNodes()
 	if src < 0 || src >= n {
 		return nil, SSSPStats{}, fmt.Errorf("graph: source %d outside [0,%d)", src, n)
 	}
-	dist := make([]atomic.Uint64, n)
+	dist := make([]uint64, n)
 	for i := range dist {
-		dist[i].Store(Inf)
+		dist[i] = Inf
 	}
-	dist[src].Store(0)
+	dist[src] = 0
 
 	task := func(key uint64, u int32, push func(uint64, int32)) bool {
-		if key > dist[u].Load() {
+		if key > atomic.LoadUint64(&dist[u]) {
 			return false // stale: a shorter path to u was already settled
 		}
 		tgts, ws := g.Neighbors(int(u))
 		for i, v := range tgts {
 			nd := key + uint64(ws[i])
 			for {
-				cur := dist[v].Load()
+				cur := atomic.LoadUint64(&dist[v])
 				if nd >= cur {
 					break
 				}
-				if dist[v].CompareAndSwap(cur, nd) {
+				if atomic.CompareAndSwapUint64(&dist[v], cur, nd) {
 					push(nd, v)
 					break
 				}
@@ -119,12 +130,7 @@ func ParallelSSSPBatch(g *Graph, src int, pq ConcurrentPQ, workers, batch int) (
 	}
 	pq.Insert(0, int32(src))
 	st := sched.RunConfig(pq, sched.Config{Workers: workers, Batch: batch}, task, 1)
-
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = dist[i].Load()
-	}
-	return out, SSSPStats{
+	return dist, SSSPStats{
 		Relaxations: st.Pushed,
 		WastedPops:  st.Stale,
 	}, nil

@@ -95,6 +95,9 @@ type OpenStats struct {
 	// batch-buffered item is lost at shutdown).
 	Injected int64
 	// QLen holds the pending-count samples (empty unless SampleEvery > 0).
+	// They are exact: RunOpen's workers hold no pending credits (see the
+	// package doc), so each sample is the count of items injected and not
+	// yet served at that instant.
 	QLen []int64
 	// Elastic-controller accounting, populated only when the controller was
 	// armed (Elastic.Enable on a Resizable queue with SampleEvery > 0):
@@ -125,7 +128,10 @@ type OpenStats struct {
 // incremented before each insert and decremented only after the popped item
 // is fully processed, so the drain-to-zero epilogue is exact even when
 // items sit in worker-local batch buffers: pending == 0 implies every
-// buffer is empty and every injected item was served.
+// buffer is empty and every injected item was served. Workers here run
+// with a credit cap of 0 (see the package doc): every push and every
+// finished item updates pending at once, so the pending count the sampler
+// and the elastic controller read is exact at any batch size.
 func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item[V], task Task[V]) OpenStats {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -259,7 +265,7 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item
 		workWG.Add(1)
 		go func() {
 			defer workWG.Done()
-			workerLoop(q, batch, task, &pending, &tot,
+			workerLoop(q, batch, 0, task, &pending, &tot,
 				func() bool { return producersDone.Load() && pending.Load() == 0 },
 				runtime.Gosched, func() {})
 		}()

@@ -6,6 +6,18 @@
 // workload reduces to a Task: pop a (key, item), possibly discard it as
 // stale, possibly push successors.
 //
+// Termination is decided by a shared pending counter, not by the queue
+// looking empty. To keep that counter's atomics off the per-item path, each
+// worker holds pending *credits*: a finished entry earns one instead of
+// decrementing pending, a push spends one instead of incrementing it, and a
+// worker returns its credits in one Add when it holds more than a cap, and
+// all of them whenever a pop fails. So pending never reads below the number
+// of entries pushed (or seeded) but not yet handled, reads 0 only when every
+// entry is handled, and over-counts by at most cap × workers: k−1 per worker
+// in RunConfig (0 when unbatched, where every push and finished entry
+// updates pending at once), and 0 in RunOpen, whose pending is sampled as
+// the queue length.
+//
 // This is the execution pattern the paper's Figure 3 argument rests on:
 // label-correcting workloads tolerate a relaxed pop order because stale
 // entries are re-checked against workload state, so a relaxed queue trades a
@@ -104,7 +116,10 @@ type Stats struct {
 	// Pushed counts successors pushed by tasks (excluding seeds).
 	Pushed int64
 	// EmptyPops counts failed pops while other workers still held pending
-	// entries (idle spinning, not completed work).
+	// entries (idle spinning, not completed work). Each worker's last pop
+	// of a run also fails, since the worker checks for termination only
+	// after a failed pop; that final pop is not counted here, though the
+	// queue's own counters (core.HandleStats.EmptyScans) see it.
 	EmptyPops int64
 	// BufferedPops counts entries served from a worker-local pop buffer
 	// rather than directly from the shared structure — the batching slack
@@ -132,6 +147,9 @@ func RunPrefilled[V any](q Queue[V], workers int, task Task[V], preloaded int64)
 }
 
 // RunConfig is RunPrefilled with explicit executor configuration (batching).
+// Each worker may hold up to k−1 pending credits (see the package doc), so
+// while the run is live the pending counter may exceed the unhandled entries
+// by (k−1) × workers; it still reaches 0 exactly when every entry is handled.
 func RunConfig[V any](q Queue[V], cfg Config, task Task[V], preloaded int64) Stats {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -141,10 +159,10 @@ func RunConfig[V any](q Queue[V], cfg Config, task Task[V], preloaded int64) Sta
 	if batch < 1 {
 		batch = 1
 	}
-	// pending counts queue entries not yet fully processed; the run is done
-	// when it reaches zero. Incremented before each push, decremented after
-	// the popped entry is handled. Entries sitting in worker-local insert or
-	// pop buffers are still pending, so batching cannot fake termination.
+	// pending counts queue entries not yet fully processed, plus the
+	// workers' credits; the run is done when it reaches zero. Entries
+	// sitting in worker-local insert or pop buffers are still pending, so
+	// batching cannot fake termination.
 	var pending atomic.Int64
 	pending.Add(preloaded)
 
@@ -155,7 +173,7 @@ func RunConfig[V any](q Queue[V], cfg Config, task Task[V], preloaded int64) Sta
 		go func() {
 			defer wg.Done()
 			var bo backoff.Spinner
-			workerLoop(q, batch, task, &pending, &tot,
+			workerLoop(q, batch, creditCap(batch), task, &pending, &tot,
 				func() bool { return pending.Load() == 0 },
 				bo.Spin, bo.Reset)
 		}()
@@ -163,6 +181,11 @@ func RunConfig[V any](q Queue[V], cfg Config, task Task[V], preloaded int64) Sta
 	wg.Wait()
 	return tot.stats()
 }
+
+// creditCap is the most pending credits a RunConfig worker at batch k holds
+// between entries: k−1, the slack its pop buffer already hides from other
+// workers, and 0 unbatched, where pending sees every push and finished entry.
+func creditCap(batch int) int64 { return int64(batch) - 1 }
 
 // workerTotals accumulates every worker's local counters into one shared
 // Stats (workers add once at exit, not per operation).
@@ -192,18 +215,28 @@ func resolveView[V any](q Queue[V]) Queue[V] {
 // workerLoop is the per-worker state machine shared by the closed-system
 // runners and the open-system RunOpen: resolve the goroutine's queue view
 // and (in batch mode) its local insert buffer and PopBuffer, then pop,
-// process, and account until done() reports termination. done is checked
-// before every pop; idle runs after an unproductive pop (local insert
-// buffers already flushed — they may hold the only pending work left);
-// progress runs after each productive pop (e.g. to reset a backoff ladder).
-// Must be called on the worker's own goroutine: the view and buffers it
-// resolves are goroutine-local.
-func workerLoop[V any](q Queue[V], batch int, task Task[V], pending *atomic.Int64,
+// process, and account until done() reports termination.
+//
+// pending is kept on credits (see the package doc), so it is always the
+// true outstanding count plus the credits the workers hold, at most
+// maxCredits each between entries.
+//
+// A successful pop proves pending ≥ 1, so done is consulted only after a
+// failed pop, and only once the local insert buffer is flushed (it may
+// hold the only pending work left) and every credit is returned (pending
+// cannot read 0 while any worker holds one). idle runs after an
+// unproductive pop that was not the last; progress runs on the first
+// productive pop after an idle (e.g. to reset a backoff ladder). Must be
+// called on the worker's own goroutine: the view and buffers it resolves
+// are goroutine-local.
+func workerLoop[V any](q Queue[V], batch int, maxCredits int64, task Task[V], pending *atomic.Int64,
 	tot *workerTotals, done func() bool, idle, progress func()) {
 	view := resolveView(q)
 	var bq Batched[V]
 	var popBuf *PopBuffer[V]
 	var localProc, localStale, localPush, localEmpty int64
+	// credits are finished entries whose pending.Add(-1) is still owed.
+	var credits int64
 	// Worker-local buffers (batch mode). Pushed successors accumulate in
 	// ins* and publish k at a time; pops come through a PopBuffer, drained
 	// before the shared structure is re-sampled.
@@ -224,7 +257,14 @@ func workerLoop[V any](q Queue[V], batch int, task Task[V], pending *atomic.Int6
 	}
 	push := func(key uint64, value V) {
 		localPush++
-		pending.Add(1)
+		// The entry must be pending before it is visible to any worker, or
+		// a fast pop could fake termination: a held credit already counts
+		// it.
+		if credits > 0 {
+			credits--
+		} else {
+			pending.Add(1)
+		}
 		if batch > 1 {
 			insKeys = append(insKeys, key)
 			insVals = append(insVals, value)
@@ -235,10 +275,8 @@ func workerLoop[V any](q Queue[V], batch int, task Task[V], pending *atomic.Int6
 		}
 		view.Insert(key, value)
 	}
+	idled := false
 	for {
-		if done() {
-			break
-		}
 		var key uint64
 		var v V
 		var ok bool
@@ -252,25 +290,39 @@ func workerLoop[V any](q Queue[V], batch int, task Task[V], pending *atomic.Int6
 			// still process entries that spawn new ones, the next
 			// open-system arrival may not have happened yet — or our own
 			// successors are still sitting in the local insert buffer.
-			// Publish them before idling: they may be the only pending work
-			// left.
+			// Publish them and return every credit before asking whether
+			// the run is done.
 			if batch > 1 {
 				flush()
 			}
+			if credits > 0 {
+				pending.Add(-credits)
+				credits = 0
+			}
+			if done() {
+				break
+			}
 			localEmpty++
 			idle()
+			idled = true
 			continue
 		}
-		progress()
+		if idled {
+			progress()
+			idled = false
+		}
 		if task(key, v, push) {
 			localProc++
 		} else {
 			localStale++
 		}
-		pending.Add(-1)
+		if credits++; credits > maxCredits {
+			pending.Add(-credits)
+			credits = 0
+		}
 	}
-	// done() implies both local buffers are empty for the closed system:
-	// every buffered entry is counted in pending until processed.
+	// done() followed a failed pop, so both local buffers are empty and no
+	// credit is held.
 	tot.processed.Add(localProc)
 	tot.stale.Add(localStale)
 	tot.pushed.Add(localPush)
