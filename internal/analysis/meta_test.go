@@ -36,11 +36,9 @@ var hotPathAllocCoverage = map[string]string{
 	"powerchoice/internal/core.lockedQueue.syncDary":        "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.emptyUnderLock":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.unlock":          "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.selector.flipLocal":          "powerchoice/internal/core.TestHandleOpsAllocationFreeSharded",
 	"powerchoice/internal/core.selector.flipBeta":           "powerchoice/internal/core.TestHandleOpsAllocationFreeBetaCoin",
 	"powerchoice/internal/core.selector.sampleInsertQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.sampleDeleteQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.selector.sampleScoped":       "powerchoice/internal/core.TestHandleOpsAllocationFreeSharded",
 	"powerchoice/internal/core.selector.lockForInsert":      "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.lockNonEmptyQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.lockNonEmptyAtomic": "powerchoice/internal/core.TestHandleOpsAllocationFree",

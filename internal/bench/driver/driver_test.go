@@ -183,66 +183,6 @@ func TestThroughputJSON(t *testing.T) {
 	}
 }
 
-// TestThroughputShardedJSON: the acceptance invocation `powerbench
-// throughput -shards 4 -localbias 0.9 -json` must emit the resolved shard
-// topology on every MultiQueue row.
-func TestThroughputShardedJSON(t *testing.T) {
-	stdout, _ := runMain(t, "throughput",
-		"-impls", "multiqueue", "-threads", "1", "-duration", "10ms",
-		"-prefill", "1024", "-queues", "8", "-shards", "4", "-localbias", "0.9",
-		"-reps", "1", "-seed", "3", "-json")
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("report: %+v", rep)
-	}
-	row := rep.Rows[0]
-	if row.Shards != 4 || row.LocalBias == nil || *row.LocalBias != 0.9 {
-		t.Errorf("shard topology missing from row: %+v", row)
-	}
-	if row.MOps <= 0 || row.Queues != 8 {
-		t.Errorf("throughput row: %+v", row)
-	}
-	// The sharded line-up entry carries its default topology without flags.
-	stdout, _ = runMain(t, "throughput",
-		"-impls", "sharded4x90", "-threads", "1", "-duration", "10ms",
-		"-prefill", "1024", "-queues", "8", "-reps", "1", "-seed", "3", "-json")
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if row := rep.Rows[0]; row.Impl != "sharded4x90" || row.Shards != 4 ||
-		row.LocalBias == nil || *row.LocalBias != 0.9 {
-		t.Errorf("sharded line-up row: %+v", row)
-	}
-}
-
-// TestServeShardedJSON: the acceptance invocation `powerbench serve
-// -shards 4 -localbias 0.9 -json` must carry the shard topology on the
-// summary and per-class sojourn rows.
-func TestServeShardedJSON(t *testing.T) {
-	stdout, _ := runMain(t, "serve", "-jobs", "2000", "-classes", "2",
-		"-service", "256", "-rho", "0.3", "-threads", "1", "-queues", "8",
-		"-shards", "4", "-localbias", "0.9",
-		"-impls", "multiqueue", "-seed", "9", "-json")
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if len(rep.Rows) != 1+2 {
-		t.Fatalf("want 1 summary + 2 class rows: %+v", rep.Rows)
-	}
-	for i, row := range rep.Rows {
-		if row.Shards != 4 || row.LocalBias == nil || *row.LocalBias != 0.9 {
-			t.Errorf("row %d missing shard topology: %+v", i, row)
-		}
-	}
-	if sum := rep.Rows[0]; sum.Jobs != 2000 || sum.Rho != 0.3 {
-		t.Errorf("summary row: %+v", sum)
-	}
-}
-
 func TestSSSPJSONAndCSV(t *testing.T) {
 	args := []string{"sssp",
 		"-impls", "onebeta75", "-threads", "1", "-grid", "20",

@@ -22,8 +22,6 @@ func runRank(args []string, stdout, stderr io.Writer) error {
 	// keep that tolerance so old invocations forwarded by the wrapper run.
 	fs.String("betas", "", "ignored (legacy rankbench flag; β is fixed by the named impl)")
 	queues := fs.Int("queues", 0, "MultiQueue queue count (0 = the paper's fixed 8)")
-	shards := fs.Int("shards", 0, "split MultiQueue queues into g contiguous shards with round-robin handle homes (0 = unsharded)")
-	localBias := fs.Float64("localbias", 0, "probability a sharded handle samples within its home shard")
 	threads := fs.Int("threads", 8, "concurrent worker count (paper: 8)")
 	prefill := fs.Int("prefill", 1<<18, "initially inserted labels")
 	ops := fs.Int("ops", 1<<15, "delete+insert pairs per thread")
@@ -50,8 +48,6 @@ func runRank(args []string, stdout, stderr io.Writer) error {
 		res, err := medianRun(bench.RankSpec{
 			Impl:         pqadapt.Impl(impl),
 			Queues:       *queues,
-			Shards:       *shards,
-			LocalBias:    *localBias,
 			Threads:      *threads,
 			Prefill:      *prefill,
 			OpsPerThread: *ops,

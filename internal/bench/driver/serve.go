@@ -36,8 +36,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	threadsFlag := fs.String("threads", defaultThreads(), "comma-separated serving worker counts")
 	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
 	queues := fs.Int("queues", 0, "pin the MultiQueue queue count (0 = derive from the host)")
-	shards := fs.Int("shards", 0, "split MultiQueue queues into g contiguous shards with round-robin handle homes (0 = unsharded)")
-	localBias := fs.Float64("localbias", 0, "probability a sharded handle samples within its home shard")
 	batch := fs.Int("batch", 0, "executor bulk-operation size k (0/1 = unbatched)")
 	elastic := fs.Bool("elastic", false, "arm the sampler-driven resize controller on MultiQueue implementations (grow/shrink the queue count with the sampled backlog)")
 	qmin := fs.Int("qmin", 0, "elastic: minimum queue count (0 = the initial count; shrinking disabled)")
@@ -76,8 +74,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 			res, err := bench.Serve(bench.ServeSpec{
 				Impl:        pqadapt.Impl(impl),
 				Queues:      *queues,
-				Shards:      *shards,
-				LocalBias:   *localBias,
 				Jobs:        *nJobs,
 				Classes:     *classes,
 				ServiceMean: *service,

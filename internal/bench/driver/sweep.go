@@ -18,8 +18,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	betaFlag := fs.String("beta", "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1", "comma-separated β values")
 	betasAlias := fs.String("betas", "", "alias for -beta (legacy rankbench flag)")
 	queues := fs.Int("queues", 8, "number of internal queues (paper: 8)")
-	shards := fs.Int("shards", 0, "split the queues into g contiguous shards with round-robin handle homes (0 = unsharded)")
-	localBias := fs.Float64("localbias", 0, "probability a sharded handle samples within its home shard")
 	threads := fs.Int("threads", 8, "concurrent worker count (paper: 8)")
 	prefill := fs.Int("prefill", 1<<18, "initially inserted labels")
 	ops := fs.Int("ops", 1<<15, "delete+insert pairs per thread")
@@ -46,8 +44,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		res, err := medianRun(bench.RankSpec{
 			Beta:         beta,
 			Queues:       *queues,
-			Shards:       *shards,
-			LocalBias:    *localBias,
 			Threads:      *threads,
 			Prefill:      *prefill,
 			OpsPerThread: *ops,

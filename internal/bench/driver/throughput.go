@@ -20,8 +20,6 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 	threadsFlag := fs.String("threads", defaultThreads(), "comma-separated thread counts")
 	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
 	queues := fs.Int("queues", 0, "pin the MultiQueue queue count (0 = derive from the host)")
-	shards := fs.Int("shards", 0, "split MultiQueue queues into g contiguous shards with round-robin handle homes (0 = unsharded)")
-	localBias := fs.Float64("localbias", 0, "probability a sharded handle samples within its home shard")
 	batch := fs.Int("batch", 0, "bulk-operation size k (0/1 = single-op loop; k elements move per lock acquisition)")
 	seed := fs.Uint64("seed", 42, "root random seed")
 	reps := fs.Int("reps", 3, "repetitions per configuration (best run reported)")
@@ -45,15 +43,13 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 			var best bench.ThroughputResult
 			for r := 0; r < *reps; r++ {
 				one, err := bench.Throughput(bench.ThroughputSpec{
-					Impl:      pqadapt.Impl(impl),
-					Queues:    *queues,
-					Shards:    *shards,
-					LocalBias: *localBias,
-					Threads:   th,
-					Duration:  *duration,
-					Prefill:   *prefill,
-					Batch:     *batch,
-					Seed:      *seed + uint64(r),
+					Impl:     pqadapt.Impl(impl),
+					Queues:   *queues,
+					Threads:  th,
+					Duration: *duration,
+					Prefill:  *prefill,
+					Batch:    *batch,
+					Seed:     *seed + uint64(r),
 				})
 				if err != nil {
 					return err

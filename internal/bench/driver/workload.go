@@ -91,8 +91,6 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	threadsFlag := fs.String("threads", defaultThreads(), "comma-separated serving worker counts")
 	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
 	queues := fs.Int("queues", 0, "pin the MultiQueue queue count (0 = derive from the host)")
-	shards := fs.Int("shards", 0, "split MultiQueue queues into g contiguous shards (0 = unsharded)")
-	localBias := fs.Float64("localbias", 0, "probability a sharded handle samples within its home shard")
 	batch := fs.Int("batch", 0, "executor bulk-operation size k (0/1 = unbatched)")
 	seed := fs.Uint64("seed", 42, "root random seed (queue internals; the workload comes from the trace)")
 	var out output
@@ -138,8 +136,6 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 			res, err := bench.Serve(bench.ServeSpec{
 				Impl:      pqadapt.Impl(impl),
 				Queues:    *queues,
-				Shards:    *shards,
-				LocalBias: *localBias,
 				Trace:     tr,
 				Producers: *producers,
 				Threads:   th,

@@ -47,13 +47,6 @@ type Row struct {
 	Beta    *float64 `json:"beta,omitempty"`
 	Queues  int      `json:"queues,omitempty"`
 	Choices int      `json:"choices,omitempty"`
-	// Shards and LocalBias are the resolved shard topology of shard-aware
-	// measurements; absent for unsharded runs, so pre-shard reports remain
-	// byte-comparable (see EXPERIMENTS.md). LocalBias is a pointer so that
-	// p = 0 — a legitimate sharded-but-unbiased configuration — survives
-	// serialisation, exactly like β = 0.
-	Shards    int      `json:"shards,omitempty"`
-	LocalBias *float64 `json:"local_bias,omitempty"`
 	// Threads is the worker count of the measurement.
 	Threads int `json:"threads,omitempty"`
 	// Batch is the bulk-operation size k the measurement ran with; absent
@@ -175,11 +168,6 @@ func (r *Row) SetTopology(top pqadapt.Topology) {
 	if top.Queues > 0 {
 		beta := top.Beta
 		r.Beta = &beta
-	}
-	if top.Shards > 0 {
-		r.Shards = top.Shards
-		bias := top.LocalBias
-		r.LocalBias = &bias
 	}
 }
 

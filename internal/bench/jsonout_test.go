@@ -60,14 +60,6 @@ func pinnedReport() *Report {
 				Threads: 4, Batch: 8, MOps: 12.75, Ops: 6_400_000,
 				EmptyPops: 3, BufferedPops: 2_800_000,
 			},
-			// A shard-aware throughput row: shards is the resolved shard
-			// count, local_bias the home-shard sampling probability (a
-			// pointer, so a sharded-but-unbiased p = 0 row survives).
-			{
-				Impl: "sharded4x90", Beta: floatPtr(1), Queues: 8, Choices: 2,
-				Shards: 4, LocalBias: floatPtr(0.9), Threads: 4, MOps: 10.5,
-				Ops: 5_250_000, EmptyPops: 5,
-			},
 			// An astar row: expansion counts vs the sequential baseline.
 			{
 				Impl: "onebeta75", Beta: floatPtr(0.75), Queues: 8, Choices: 2,
@@ -164,13 +156,6 @@ func TestReportGolden(t *testing.T) {
 
 func TestReportRoundTrip(t *testing.T) {
 	in := pinnedReport()
-	// A sharded row with local bias 0 must survive the trip: the pointer
-	// exists exactly so "sharded but unbiased" is distinguishable from
-	// unsharded.
-	in.Rows = append(in.Rows, Row{
-		Impl: "multiqueue", Beta: floatPtr(1), Queues: 8, Choices: 2,
-		Shards: 2, LocalBias: floatPtr(0), Threads: 4, MOps: 9,
-	})
 	// A β = 0 sweep row must survive the trip: beta is a pointer exactly so
 	// that zero is distinguishable from absent.
 	in.Rows = append(in.Rows, Row{
@@ -191,10 +176,6 @@ func TestReportRoundTrip(t *testing.T) {
 	last := out.Rows[len(out.Rows)-1]
 	if last.Beta == nil || *last.Beta != 0 {
 		t.Errorf("β = 0 did not survive the round trip: %+v", last)
-	}
-	shardRow := out.Rows[len(out.Rows)-2]
-	if shardRow.Shards != 2 || shardRow.LocalBias == nil || *shardRow.LocalBias != 0 {
-		t.Errorf("local_bias = 0 did not survive the round trip: %+v", shardRow)
 	}
 	// The class-0 rows must keep their class through the trip for the same
 	// reason β = 0 must.

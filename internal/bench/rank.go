@@ -29,12 +29,6 @@ type RankSpec struct {
 	// numbers are comparable across machines and never degenerate on small
 	// ones.
 	Queues int
-	// Shards partitions a MultiQueue's queues into contiguous shards with
-	// round-robin handle homes (0 = unsharded); LocalBias is the
-	// probability each handle samples within its home shard. Measured ranks
-	// then include the shard slack TestRankQualityShardedSlack pins.
-	Shards    int
-	LocalBias float64
 	// Threads is the number of concurrent deleters (the paper uses 8).
 	Threads int
 	// Prefill is the number of initially inserted elements; keys are the
@@ -98,18 +92,12 @@ func RankQuality(spec RankSpec) (RankResult, error) {
 			// GOMAXPROCS.
 			queues = pqadapt.PaperQueues
 		}
-		q, err = pqadapt.NewSpec(pqadapt.Spec{
-			Impl: spec.Impl, Queues: queues,
-			Shards: spec.Shards, LocalBias: spec.LocalBias, Seed: spec.Seed,
-		})
+		q, err = pqadapt.NewSpec(pqadapt.Spec{Impl: spec.Impl, Queues: queues, Seed: spec.Seed})
 	} else {
 		if spec.Queues < 1 {
 			return RankResult{}, fmt.Errorf("bench: invalid rank spec %+v", spec)
 		}
-		q, err = pqadapt.NewMultiQueueSpec(spec.Beta, pqadapt.Spec{
-			Queues: spec.Queues,
-			Shards: spec.Shards, LocalBias: spec.LocalBias, Seed: spec.Seed,
-		})
+		q, err = pqadapt.NewMultiQueueSpec(spec.Beta, pqadapt.Spec{Queues: spec.Queues, Seed: spec.Seed})
 	}
 	if err != nil {
 		return RankResult{}, err

@@ -17,14 +17,14 @@ import (
 // times the queue set was reconfigured mid-run. Liveness is implicit — the
 // run terminates only when the pending counter hits zero, so a lost element
 // (stranded in a retired queue) or a drain deadlock would hang the test,
-// not pass it. The sharded entry additionally exercises shard re-clamping
-// (4 shards cannot survive a shrink to 4 queues with d = 2).
+// not pass it. The β = 0.75 entry additionally runs the β coin's
+// single-queue draws across the epoch changes.
 func TestResizeStressLineup(t *testing.T) {
 	jobs := int64(120000)
 	if raceEnabled || testing.Short() {
 		jobs = 30000
 	}
-	impls := []pqadapt.Impl{pqadapt.ImplMultiQueue, pqadapt.ImplSharded}
+	impls := []pqadapt.Impl{pqadapt.ImplMultiQueue, pqadapt.ImplOneBeta75}
 	for _, impl := range impls {
 		impl := impl
 		t.Run(string(impl), func(t *testing.T) {
@@ -38,11 +38,9 @@ func TestResizeStressLineup(t *testing.T) {
 				t.Fatalf("%s adapter does not implement sched.Resizable", impl)
 			}
 
-			// The resizer cycles through grows and shrinks for the whole run,
-			// keeping the shard partition (shards <= 0); core re-clamps the
-			// sharded entry's 4 shards whenever the queue count cannot hold
-			// them. Unpaced injection (Rate 0) keeps the queue non-empty, so
-			// shrinks genuinely drain loaded retired queues into survivors.
+			// The resizer cycles through grows and shrinks for the whole run.
+			// Unpaced injection (Rate 0) keeps the queue non-empty, so shrinks
+			// genuinely drain loaded retired queues into survivors.
 			stop := make(chan struct{})
 			var resizerWG sync.WaitGroup
 			resizerWG.Add(1)

@@ -21,11 +21,6 @@ type ServeSpec struct {
 	// Queues fixes the internal queue count of MultiQueue implementations;
 	// 0 derives it from the host.
 	Queues int
-	// Shards partitions a MultiQueue's queues into contiguous shards with
-	// round-robin handle homes (0 = unsharded); LocalBias is the
-	// probability each handle samples within its home shard.
-	Shards    int
-	LocalBias float64
 	// Jobs is the total number of arrivals (the measurement's exact end).
 	Jobs int
 	// Classes is the number of priority classes (0 = most urgent).
@@ -153,10 +148,7 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 	if err != nil {
 		return ServeResult{}, err
 	}
-	q, err := pqadapt.NewSpec(pqadapt.Spec{
-		Impl: spec.Impl, Queues: spec.Queues,
-		Shards: spec.Shards, LocalBias: spec.LocalBias, Seed: spec.Seed,
-	})
+	q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: spec.Impl, Queues: spec.Queues, Seed: spec.Seed})
 	if err != nil {
 		return ServeResult{}, err
 	}

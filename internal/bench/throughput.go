@@ -34,12 +34,6 @@ type ThroughputSpec struct {
 	// 0 derives it from the host (the paper's throughput runs use n = 2·P,
 	// which is the derived default).
 	Queues int
-	// Shards partitions a MultiQueue's queues into contiguous shards with
-	// round-robin handle homes (0 = unsharded); LocalBias is the
-	// probability each worker samples within its home shard. See
-	// core.WithShards / core.WithLocalBias.
-	Shards    int
-	LocalBias float64
 	// Threads is the number of worker goroutines.
 	Threads int
 	// Duration bounds the run; the deadline is checked every 64 operations.
@@ -103,11 +97,7 @@ func Throughput(spec ThroughputSpec) (ThroughputResult, error) {
 	if spec.Duration <= 0 {
 		return ThroughputResult{}, fmt.Errorf("bench: non-positive duration %v", spec.Duration)
 	}
-	q, err := pqadapt.NewSpec(pqadapt.Spec{
-		Impl: spec.Impl, Queues: spec.Queues,
-		Shards: spec.Shards, LocalBias: spec.LocalBias,
-		Seed: spec.Seed,
-	})
+	q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: spec.Impl, Queues: spec.Queues, Seed: spec.Seed})
 	if err != nil {
 		return ThroughputResult{}, err
 	}

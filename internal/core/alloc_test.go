@@ -113,46 +113,6 @@ func TestHandleOpsAllocationFreeBetaCoin(t *testing.T) {
 	})
 }
 
-// TestHandleOpsAllocationFreeSharded covers the shard-scoped sampling path:
-// the locality coin, the home-scope index arithmetic and the global
-// fallback must all stay allocation-free (bias 0.5 exercises both scopes).
-func TestHandleOpsAllocationFreeSharded(t *testing.T) {
-	_, h := allocMQ(t, WithQueues(8), WithShards(4), WithLocalBias(0.5), WithSeed(81))
-	rng := xrand.NewSource(82)
-	assertZeroAllocs(t, "Insert(sharded)", func() {
-		h.Insert(rng.Uint64()>>1, 0)
-		h.DeleteMin()
-	})
-	assertZeroAllocs(t, "DeleteMin(sharded)", func() {
-		h.DeleteMin()
-		h.Insert(rng.Uint64()>>1, 0)
-	})
-}
-
-// TestBatchOpsAllocationFreeSharded: the shared selector keeps the batch
-// paths allocation-free under sharding too.
-func TestBatchOpsAllocationFreeSharded(t *testing.T) {
-	_, h := allocMQ(t, WithQueues(8), WithShards(4), WithLocalBias(0.9), WithSeed(85))
-	rng := xrand.NewSource(86)
-	const k = 8
-	keys := make([]uint64, k)
-	vals := make([]V32, k)
-	assertZeroAllocs(t, "InsertBatch+DeleteMinBatch(sharded)", func() {
-		for i := range keys {
-			keys[i] = rng.Uint64() >> 1
-		}
-		h.InsertBatch(keys, vals)
-		popped := 0
-		for popped < k {
-			n := h.DeleteMinBatch(keys[popped:], vals[popped:], k-popped)
-			if n == 0 {
-				t.Fatal("batch pop drained unexpectedly")
-			}
-			popped += n
-		}
-	})
-}
-
 func TestBatchOpsAllocationFree(t *testing.T) {
 	_, h := allocMQ(t, WithQueues(8), WithSeed(77))
 	rng := xrand.NewSource(78)

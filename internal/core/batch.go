@@ -4,9 +4,9 @@ package core
 // acquire/release, queue sampling, cached-top maintenance — over up to k
 // elements, the k-LSM-style trade the repository already adapts in pqadapt
 // (klsm256): one lock acquisition and one top refresh move k elements.
-// Queue selection — the β coin, two-choice sampling, shard scoping and
-// obstacle accounting — is the same selector the single-element operations
-// use, so the two paths cannot drift
+// Queue selection — the β coin, two-choice sampling and obstacle
+// accounting — is the same selector the single-element operations use, so
+// the two paths cannot drift
 // (TestSingleAndBatchObstacleAccountingParity).
 //
 // The cost is a documented extra rank relaxation with two parts.

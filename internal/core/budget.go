@@ -92,20 +92,16 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 			New: func() func(int) {
 				// The same coin flips and generator advances the sample probe
 				// performs per pair — the insert-side uniform draw and the
-				// delete-side (1+beta) draw through the snapshot's compiled
-				// plan — with the queue-array indexing and cached-top loads
-				// stripped, so sample − draw isolates the memory half (scan).
+				// delete-side (1+beta) draw through the compiled plan — with
+				// the queue-array indexing and cached-top loads stripped, so
+				// sample − draw isolates the memory half (scan).
 				// Mirrors d=2 (the probes' fixed configuration).
 				_, h, _ := prefilled()
 				s := &h.sel
 				return func(iters int) {
 					acc := 0
 					for i := 0; i < iters; i++ {
-						if s.flipLocal() {
-							acc += s.rng.Intn(s.homeN)
-						} else {
-							acc += s.rng.Intn(len(s.cur.queues))
-						}
+						acc += s.rng.Intn(len(s.cur.queues))
 						if s.flipBeta() {
 							a, b := s.rng.TwoDistinct32(len(s.cur.queues))
 							acc += a + b

@@ -43,15 +43,17 @@ const emptyTop = math.MaxUint64
 // emptiness — the structure deliberately has no global counter, which would
 // serialise all operations on one cache line).
 type MultiQueue[V any] struct {
-	// topo is the current topology snapshot: the queue set, shard count and
-	// epoch every operation resolves through (see topology). Replaced
-	// wholesale by Resize; hot paths load it once per operation.
-	topo      atomic.Pointer[topology[V]]
-	beta      float64
-	choices   int
-	localBias float64
-	atomic    bool
-	resolved  Config
+	// topo is the current topology snapshot: the queue set and epoch every
+	// operation resolves through (see topology). Replaced wholesale by
+	// Resize; hot paths load it once per operation.
+	topo     atomic.Pointer[topology[V]]
+	beta     float64
+	choices  int
+	atomic   bool
+	resolved Config
+	// plan is the sampling plan compiled from d and β at construction (see
+	// drawPlan); selectors copy it at init.
+	plan drawPlan
 
 	globalMu sync.Mutex // used only in atomic mode
 	handles  sync.Pool
@@ -66,35 +68,14 @@ type MultiQueue[V any] struct {
 }
 
 // topology is an immutable, versioned snapshot of the MultiQueue's queue
-// set: the queues themselves, the shard partition over them, the locality
-// bias, and the epoch that versions the whole tuple. A snapshot is never
-// mutated after publication — Resize builds a fresh one (surviving queues
-// keep their identity as pointers) and swaps the atomic pointer, so a hot
-// path that loaded a snapshot works against a consistent topology for the
-// whole operation, and an epoch comparison is one pointer compare.
+// set: the queues themselves and the epoch that versions them. A snapshot is
+// never mutated after publication — Resize builds a fresh one (surviving
+// queues keep their identity as pointers) and swaps the atomic pointer, so a
+// hot path that loaded a snapshot works against a consistent queue set for
+// the whole operation, and an epoch comparison is one pointer compare.
 type topology[V any] struct {
-	queues    []*lockedQueue[V]
-	shards    int
-	localBias float64
-	epoch     uint64
-	// plan is the snapshot's precompiled sampling plan (coin kinds, integer
-	// coin thresholds, bounded-draw fast paths); see drawPlan. Immutable with
-	// the rest of the snapshot, copied into selectors at repin.
-	plan drawPlan
-}
-
-// newTopology assembles and compiles a snapshot: the identity tuple plus the
-// draw plan derived from it and the MultiQueue's fixed sampling parameters.
-// Every published snapshot must come from here so no topology ever carries a
-// zero-value plan.
-func (mq *MultiQueue[V]) newTopology(queues []*lockedQueue[V], shards int, localBias float64, epoch uint64) *topology[V] {
-	return &topology[V]{
-		queues:    queues,
-		shards:    shards,
-		localBias: localBias,
-		epoch:     epoch,
-		plan:      buildDrawPlan(shards, mq.choices, mq.beta, localBias),
-	}
+	queues []*lockedQueue[V]
+	epoch  uint64
 }
 
 // anyNonEmpty sweeps the snapshot's cached tops for a non-empty queue.
@@ -164,14 +145,6 @@ type Config struct {
 	Choices int
 	// Beta is the two-choice probability β.
 	Beta float64
-	// Shards is the resolved shard count g: the queues are split into g
-	// contiguous ranges and each handle is pinned to one of them round-robin
-	// (1 = unsharded). The requested count is clamped so every shard keeps
-	// at least Choices queues (see WithShards).
-	Shards int
-	// LocalBias is p, the probability a sharded handle samples within its
-	// home shard instead of globally (see WithLocalBias).
-	LocalBias float64
 	// Seed is the root seed of the per-handle random streams.
 	Seed uint64
 	// Atomic reports the distributionally linearizable validation mode.
@@ -188,16 +161,14 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 		return nil, err
 	}
 	mq := &MultiQueue[V]{
-		beta:      cfg.beta,
-		choices:   cfg.choices,
-		localBias: cfg.localBias,
-		atomic:    cfg.atomicMode,
+		beta:    cfg.beta,
+		choices: cfg.choices,
+		atomic:  cfg.atomicMode,
+		plan:    buildDrawPlan(cfg.choices, cfg.beta),
 		resolved: Config{
 			Queues:       cfg.queues,
 			Choices:      cfg.choices,
 			Beta:         cfg.beta,
-			Shards:       cfg.shards,
-			LocalBias:    cfg.localBias,
 			Seed:         cfg.seed,
 			Atomic:       cfg.atomicMode,
 			QueuesPinned: cfg.queuesPinned,
@@ -205,7 +176,7 @@ func New[V any](opts ...Option) (*MultiQueue[V], error) {
 		//powervet:allow rngtag the MultiQueue is the designated owner of the raw root family at Config.Seed; harnesses must Tag away from it (tagging here would silently reseed every pinned stream)
 		sharded: xrand.NewSharded(cfg.seed),
 	}
-	mq.topo.Store(mq.newTopology(mq.makeQueues(cfg.queues), cfg.shards, cfg.localBias, 0))
+	mq.topo.Store(&topology[V]{queues: mq.makeQueues(cfg.queues)})
 	mq.handles.New = func() any { return mq.newHandle() }
 	return mq, nil
 }
@@ -233,25 +204,20 @@ func (mq *MultiQueue[V]) snapshot() *topology[V] { return mq.topo.Load() }
 func (mq *MultiQueue[V]) NumQueues() int { return len(mq.topo.Load().queues) }
 
 // Config returns the fully resolved configuration this MultiQueue runs
-// with, including values that were derived rather than requested. Queues and
-// Shards report the live snapshot, so after a Resize the Config reflects the
+// with, including values that were derived rather than requested. Queues
+// reports the live snapshot, so after a Resize the Config reflects the
 // topology operations actually run against, not the construction-time one.
 func (mq *MultiQueue[V]) Config() Config {
 	cfg := mq.resolved
-	t := mq.topo.Load()
-	cfg.Queues = len(t.queues)
-	cfg.Shards = t.shards
+	cfg.Queues = mq.NumQueues()
 	return cfg
 }
 
 // Beta returns the configured two-choice probability.
 func (mq *MultiQueue[V]) Beta() float64 { return mq.beta }
 
-// Shards returns the live snapshot's shard count g (1 = unsharded).
-func (mq *MultiQueue[V]) Shards() int { return mq.topo.Load().shards }
-
 // Epoch returns the live snapshot's epoch: 0 at construction, +1 per
-// completed Resize. Handles re-pin their home shards when they observe a new
+// completed Resize. Handles adopt the new snapshot when they observe a new
 // epoch.
 func (mq *MultiQueue[V]) Epoch() uint64 { return mq.topo.Load().epoch }
 
@@ -283,10 +249,8 @@ func (mq *MultiQueue[V]) Len() int {
 	return int(total)
 }
 
-// Resize installs a new topology snapshot with the given queue and shard
-// counts, online: operations keep running while the epoch turns over. shards
-// <= 0 keeps the current shard count; either way the count is re-clamped so
-// every shard keeps at least Choices queues (the WithShards rule). Growing
+// Resize installs a new topology snapshot with the given queue count,
+// online: operations keep running while the epoch turns over. Growing
 // appends fresh empty queues; shrinking retires the topology's tail —
 // retired queues are marked closed-for-insert under their own lock and
 // drained into surviving queues by the unlock hook, so every element an
@@ -302,7 +266,7 @@ func (mq *MultiQueue[V]) Len() int {
 // snapshot: inserts there are recovered by the drain, and a DeleteMin
 // sweeping a stale, fully-drained snapshot can report empty once — the same
 // relaxed-emptiness caveat concurrent inserts already carry.
-func (mq *MultiQueue[V]) Resize(queues, shards int) error {
+func (mq *MultiQueue[V]) Resize(queues int) error {
 	if queues < 1 {
 		return fmt.Errorf("core: resize to %d queues; need at least one", queues)
 	}
@@ -310,7 +274,7 @@ func (mq *MultiQueue[V]) Resize(queues, shards int) error {
 		return fmt.Errorf("core: resize to %d queues below choices %d", queues, mq.choices)
 	}
 	mq.resizeMu.Lock()
-	err := mq.resizeLocked(queues, shards)
+	err := mq.resizeLocked(queues)
 	mq.resizeMu.Unlock()
 	return err
 }
@@ -319,18 +283,9 @@ func (mq *MultiQueue[V]) Resize(queues, shards int) error {
 // function so the per-queue retire locking below is not nested inside a held
 // mutex scope — the drain's lock order is retired → live only, and resizeMu
 // serialises closers, so only the latest snapshot's queues are ever live).
-func (mq *MultiQueue[V]) resizeLocked(queues, shards int) error {
+func (mq *MultiQueue[V]) resizeLocked(queues int) error {
 	old := mq.topo.Load()
-	if shards <= 0 {
-		shards = old.shards
-	}
-	if maxShards := queues / mq.choices; shards > maxShards {
-		shards = maxShards
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if queues == len(old.queues) && shards == old.shards {
+	if queues == len(old.queues) {
 		return nil
 	}
 	keep := len(old.queues)
@@ -342,7 +297,7 @@ func (mq *MultiQueue[V]) resizeLocked(queues, shards int) error {
 	if queues > keep {
 		copy(nq[keep:], mq.makeQueues(queues-keep))
 	}
-	nt := mq.newTopology(nq, shards, old.localBias, old.epoch+1)
+	nt := &topology[V]{queues: nq, epoch: old.epoch + 1}
 	retired := old.queues[keep:]
 	if mq.atomic {
 		// Atomic mode: the global lock covers every queue, so the swap, the
@@ -475,8 +430,7 @@ func (q *lockedQueue[V]) syncDary() {
 
 // push inserts under the held lock. The cached top is maintained in O(1) —
 // the new top is min(top, key) and the count just increments — so the common
-// insert does no PeekMin at all (the pre-devirtualization code re-derived
-// the top from the heap after every Push). top is written only under q.lock,
+// insert does no PeekMin at all. top is written only under q.lock,
 // so a load and a store replace a CAS loop, and the store (an XCHG on amd64)
 // is rare: a random key is below the current minimum with probability
 // ~1/(count+1).
@@ -515,9 +469,8 @@ func (q *lockedQueue[V]) pushBatch(keys []uint64, vals []V) {
 // emptyUnderLock repairs the cached top of a queue found empty while its
 // lock is held (count is exact under the lock). In normal operation the top
 // cannot be stale at this point — every pop repairs it before unlocking —
-// but the pre-selector code repaired it here too (via a failed PopMin's
-// refresh), and anyNonEmpty must never be kept spinning by a stale
-// non-empty top on an empty queue.
+// but anyNonEmpty must never be kept spinning by a stale non-empty top on an
+// empty queue.
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) emptyUnderLock() {

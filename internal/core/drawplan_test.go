@@ -14,16 +14,16 @@ func TestChoicesValidation(t *testing.T) {
 	if d != 2 {
 		t.Fatalf("default Choices = %d", d)
 	}
-	if err := mq.Resize(d-1, 0); err == nil {
+	if err := mq.Resize(d - 1); err == nil {
 		t.Errorf("Resize to %d queues accepted below Choices %d", d-1, d)
 	}
-	if err := mq.Resize(d, 0); err != nil {
+	if err := mq.Resize(d); err != nil {
 		t.Errorf("Resize to exactly Choices queues: %v", err)
 	}
 }
 
 // TestDefaultConfigFlipsNoCoins pins the zero-coin claim of README and
-// drawplan.go: under the default β = 1, d = 2 and no shards, an Insert draws
+// drawplan.go: under the default β = 1 and d = 2, an Insert draws
 // one Intn(n) and a DeleteMin one TwoDistinct32(n), with no coin flip. A
 // clone of the handle's source replays exactly those draws, and the
 // handle's stream must end where the clone's does. β = 0.5 is the control:

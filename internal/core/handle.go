@@ -4,10 +4,6 @@ package core
 // random stream, the queue-selection state (see selector), and operation
 // counters, so hot loops pay no synchronisation beyond the queue locks
 // themselves. A Handle must not be shared between goroutines.
-//
-// On a sharded MultiQueue (WithShards) every handle is pinned to a home
-// shard, round-robin in creation order, and its samples stay within that
-// shard with probability WithLocalBias.
 type Handle[V any] struct {
 	mq  *MultiQueue[V]
 	sel selector[V]

@@ -21,8 +21,6 @@ type config struct {
 	queues     int
 	factor     int
 	beta       float64
-	shards     int
-	localBias  float64
 	seed       uint64
 	atomicMode bool
 
@@ -52,33 +50,6 @@ func WithQueueFactor(factor int) Option {
 // modest rank-quality cost. The default is 1.
 func WithBeta(beta float64) Option {
 	return func(c *config) { c.beta = beta }
-}
-
-// WithShards partitions the internal queues into g contiguous shards and
-// pins every handle to a home shard, round-robin in handle-creation order.
-// Shards only change behaviour together with WithLocalBias: a biased sample
-// draws all of its candidates (both queues of a two-choice deletion) from
-// the handle's home shard, touching one small slice of the topology instead
-// of random cache lines across all n queues.
-//
-// The requested g is clamped so that every shard keeps at least `choices`
-// queues — a smaller shard could not supply two distinct candidates — and
-// Config.Shards reports the resolved count, mirroring how derived queue
-// counts are floored and reported. g ≤ 1 (the default) is unsharded.
-func WithShards(g int) Option {
-	return func(c *config) { c.shards = g }
-}
-
-// WithLocalBias sets p, the probability that a sharded handle samples
-// within its home shard; with probability 1−p it samples globally, exactly
-// as an unsharded MultiQueue would. p = 0 (the default) disables locality
-// even when shards are configured; p = 1 samples home-only, with a global
-// fallback draw whenever the home shard is found empty (liveness: elements
-// in foreign shards must stay reachable). The locality is paid for in rank
-// quality — see the documented shard slack in bench's
-// TestRankQualityShardedSlack.
-func WithLocalBias(p float64) Option {
-	return func(c *config) { c.localBias = p }
 }
 
 // WithSeed fixes the root seed of the per-handle random streams.
@@ -125,25 +96,5 @@ func buildOptions(opts []Option) (config, error) {
 	// is exact. So d = min(2, n-1), floored at 1 (n = 1 is inherently exact —
 	// there is nothing to choose between).
 	c.choices = max(1, min(2, c.queues-1))
-	if c.shards < 0 {
-		return c, fmt.Errorf("core: shards %d < 0", c.shards)
-	}
-	if c.shards == 0 {
-		c.shards = 1
-	}
-	if c.localBias < 0 || c.localBias > 1 {
-		return c, fmt.Errorf("core: local bias %v outside [0,1]", c.localBias)
-	}
-	// Clamp the shard count so every shard keeps at least `choices` queues:
-	// shards are the contiguous ranges [i·n/g, (i+1)·n/g), whose minimum
-	// size is ⌊n/g⌋, and a scope-local two-choice draw needs two distinct
-	// candidates. Like the derived-queue floor, the resolved value is reported
-	// (Config.Shards) rather than silently acted on.
-	if maxShards := c.queues / c.choices; c.shards > maxShards {
-		c.shards = maxShards
-		if c.shards < 1 {
-			c.shards = 1
-		}
-	}
 	return c, nil
 }

@@ -201,21 +201,36 @@ func TestSingleAndBatchObstacleAccountingParity(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigPopSequencePinned pins the default configuration's exact
-// behaviour under a fixed seed: three single-handle workloads at
-// WithQueues(8), WithSeed(23), each checked against a constant FNV-1a digest
-// of its popped keys (little-endian) plus the final HandleStats and residual
-// Len. A single handle never loses a TryLock, so the run is deterministic;
-// any change to a random draw, the selection rule, the batch paths or the
-// obstacle accounting moves a constant. A change that means to keep
-// behaviour must keep every constant.
+// TestDefaultConfigPopSequencePinned pins the exact behaviour of the default
+// configuration and of the two non-default selection paths under a fixed
+// seed: three single-handle workloads at WithQueues(8), WithSeed(23), each
+// checked against a constant FNV-1a digest of its popped keys
+// (little-endian) plus the final HandleStats and residual Len. The default
+// rows run with no further option; the β = 0.75 rows draw the β coin per
+// deletion, and the atomic rows select under the global lock
+// (lockNonEmptyAtomic). A single handle never loses a TryLock, so every run
+// is deterministic; any change to a random draw, the selection rule, the
+// batch paths or the obstacle accounting moves a constant. A change that
+// means to keep behaviour must keep every constant.
 func TestDefaultConfigPopSequencePinned(t *testing.T) {
-	workloads := []struct {
-		name   string
-		run    func(t *testing.T, h *Handle[int]) []uint64
+	type pinned struct {
 		digest uint64
 		stats  HandleStats
 		len    int
+	}
+	configs := []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"beta 0.75", []Option{WithBeta(0.75)}},
+		{"atomic", []Option{WithAtomic(true)}},
+		{"atomic beta 0.75", []Option{WithAtomic(true), WithBeta(0.75)}},
+	}
+	workloads := []struct {
+		name string
+		run  func(t *testing.T, h *Handle[int]) []uint64
+		want map[string]pinned
 	}{
 		{
 			name: "alternating mixed",
@@ -235,9 +250,28 @@ func TestDefaultConfigPopSequencePinned(t *testing.T) {
 				}
 				return pops
 			},
-			digest: 0x01523dba354da726,
-			stats:  HandleStats{Inserts: 4096, Deletes: 2048},
-			len:    2048,
+			want: map[string]pinned{
+				"default": {
+					digest: 0x01523dba354da726,
+					stats:  HandleStats{Inserts: 4096, Deletes: 2048},
+					len:    2048,
+				},
+				"beta 0.75": {
+					digest: 0xbd80421b002a3204,
+					stats:  HandleStats{Inserts: 4096, Deletes: 2048},
+					len:    2048,
+				},
+				"atomic": {
+					digest: 0x01523dba354da726,
+					stats:  HandleStats{Inserts: 4096, Deletes: 2048},
+					len:    2048,
+				},
+				"atomic beta 0.75": {
+					digest: 0xbd80421b002a3204,
+					stats:  HandleStats{Inserts: 4096, Deletes: 2048},
+					len:    2048,
+				},
+			},
 		},
 		{
 			name: "fill then drain",
@@ -255,9 +289,28 @@ func TestDefaultConfigPopSequencePinned(t *testing.T) {
 					pops = append(pops, k)
 				}
 			},
-			digest: 0x212b2b806e333296,
-			stats:  HandleStats{Inserts: 4096, Deletes: 4096, EmptyScans: 15},
-			len:    0,
+			want: map[string]pinned{
+				"default": {
+					digest: 0x212b2b806e333296,
+					stats:  HandleStats{Inserts: 4096, Deletes: 4096, EmptyScans: 15},
+					len:    0,
+				},
+				"beta 0.75": {
+					digest: 0xf25bc3a1ef79e962,
+					stats:  HandleStats{Inserts: 4096, Deletes: 4096, EmptyScans: 19},
+					len:    0,
+				},
+				"atomic": {
+					digest: 0x212b2b806e333296,
+					stats:  HandleStats{Inserts: 4096, Deletes: 4096, EmptyScans: 15},
+					len:    0,
+				},
+				"atomic beta 0.75": {
+					digest: 0x460941970157906e,
+					stats:  HandleStats{Inserts: 4096, Deletes: 4096, EmptyScans: 21},
+					len:    0,
+				},
+			},
 		},
 		{
 			name: "batch and single mix",
@@ -281,31 +334,61 @@ func TestDefaultConfigPopSequencePinned(t *testing.T) {
 				}
 				return pops
 			},
-			digest: 0x8115f165861de71a,
-			stats:  HandleStats{Inserts: 2560, Deletes: 2420, EmptyScans: 54},
-			len:    140,
+			want: map[string]pinned{
+				"default": {
+					digest: 0x8115f165861de71a,
+					stats:  HandleStats{Inserts: 2560, Deletes: 2420, EmptyScans: 54},
+					len:    140,
+				},
+				"beta 0.75": {
+					digest: 0xdef0dadfdcd3d345,
+					stats:  HandleStats{Inserts: 2560, Deletes: 2451, EmptyScans: 64},
+					len:    109,
+				},
+				"atomic": {
+					digest: 0x8115f165861de71a,
+					stats:  HandleStats{Inserts: 2560, Deletes: 2420, EmptyScans: 54},
+					len:    140,
+				},
+				"atomic beta 0.75": {
+					digest: 0x463fd10233698c31,
+					stats:  HandleStats{Inserts: 2560, Deletes: 2428, EmptyScans: 59},
+					len:    132,
+				},
+			},
 		},
 	}
-	for _, w := range workloads {
-		t.Run(w.name, func(t *testing.T) {
-			mq := mustNew[int](t, WithQueues(8), WithSeed(23))
-			h := mq.Handle()
-			pops := w.run(t, h)
-			d := fnv.New64a()
-			var b [8]byte
-			for _, k := range pops {
-				binary.LittleEndian.PutUint64(b[:], k)
-				d.Write(b[:])
+	for _, c := range configs {
+		for _, w := range workloads {
+			// The default rows keep their unsuffixed subtest names.
+			name := w.name
+			if c.name != "default" {
+				name += " (" + c.name + ")"
 			}
-			if got := d.Sum64(); got != w.digest {
-				t.Errorf("pop-sequence digest = %#016x, want %#016x", got, w.digest)
-			}
-			if got := h.Stats(); got != w.stats {
-				t.Errorf("stats = %+v, want %+v", got, w.stats)
-			}
-			if got := mq.Len(); got != w.len {
-				t.Errorf("Len = %d, want %d", got, w.len)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				want, ok := w.want[c.name]
+				if !ok {
+					t.Fatalf("no pinned constants for config %q", c.name)
+				}
+				mq := mustNew[int](t, append([]Option{WithQueues(8), WithSeed(23)}, c.opts...)...)
+				h := mq.Handle()
+				pops := w.run(t, h)
+				d := fnv.New64a()
+				var b [8]byte
+				for _, k := range pops {
+					binary.LittleEndian.PutUint64(b[:], k)
+					d.Write(b[:])
+				}
+				if got := d.Sum64(); got != want.digest {
+					t.Errorf("pop-sequence digest = %#016x, want %#016x", got, want.digest)
+				}
+				if got := h.Stats(); got != want.stats {
+					t.Errorf("stats = %+v, want %+v", got, want.stats)
+				}
+				if got := mq.Len(); got != want.len {
+					t.Errorf("Len = %d, want %d", got, want.len)
+				}
+			})
+		}
 	}
 }

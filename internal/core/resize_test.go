@@ -7,55 +7,48 @@ import (
 )
 
 // TestResizeAccessorsTrackSnapshot pins the satellite contract: NumQueues,
-// Shards, Config and Epoch must report the *live* snapshot after a Resize,
-// not the construction-time values, and all of them must agree with the
-// snapshot pointer itself across epochs.
+// Config and Epoch must report the *live* snapshot after a Resize, not the
+// construction-time values, and all of them must agree with the snapshot
+// pointer itself across epochs.
 func TestResizeAccessorsTrackSnapshot(t *testing.T) {
-	mq, err := New[int](WithQueues(8), WithShards(2), WithSeed(1))
+	mq, err := New[int](WithQueues(8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(wantQ, wantS int, wantEpoch uint64) {
+	check := func(wantQ int, wantEpoch uint64) {
 		t.Helper()
 		snap := mq.snapshot()
 		if got := mq.NumQueues(); got != wantQ || got != len(snap.queues) {
 			t.Fatalf("NumQueues() = %d, want %d (snapshot has %d)", got, wantQ, len(snap.queues))
 		}
-		if got := mq.Shards(); got != wantS || got != snap.shards {
-			t.Fatalf("Shards() = %d, want %d (snapshot has %d)", got, wantS, snap.shards)
-		}
 		if got := mq.Epoch(); got != wantEpoch || got != snap.epoch {
 			t.Fatalf("Epoch() = %d, want %d (snapshot has %d)", got, wantEpoch, snap.epoch)
 		}
-		cfg := mq.Config()
-		if cfg.Queues != wantQ || cfg.Shards != wantS {
-			t.Fatalf("Config() = {Queues:%d Shards:%d}, want {%d %d}", cfg.Queues, cfg.Shards, wantQ, wantS)
+		if got := mq.Config().Queues; got != wantQ {
+			t.Fatalf("Config().Queues = %d, want %d", got, wantQ)
 		}
 	}
-	check(8, 2, 0)
-	if err := mq.Resize(16, 4); err != nil {
+	check(8, 0)
+	if err := mq.Resize(16); err != nil {
 		t.Fatal(err)
 	}
-	check(16, 4, 1)
+	check(16, 1)
 	if mq.Resizes() != 1 {
 		t.Fatalf("Resizes() = %d after one resize", mq.Resizes())
 	}
-	// shards <= 0 keeps the current shard count.
-	if err := mq.Resize(12, 0); err != nil {
+	if err := mq.Resize(12); err != nil {
 		t.Fatal(err)
 	}
-	check(12, 4, 2)
-	// A shard count that would leave a shard fewer than Choices queues is
-	// re-clamped, the WithShards rule.
-	if err := mq.Resize(4, 8); err != nil {
+	check(12, 2)
+	if err := mq.Resize(4); err != nil {
 		t.Fatal(err)
 	}
-	check(4, 2, 3)
+	check(4, 3)
 	// A no-op resize bumps neither epoch nor the resize counter.
-	if err := mq.Resize(4, 2); err != nil {
+	if err := mq.Resize(4); err != nil {
 		t.Fatal(err)
 	}
-	check(4, 2, 3)
+	check(4, 3)
 	if mq.Resizes() != 3 {
 		t.Fatalf("Resizes() = %d, want 3 (no-op must not count)", mq.Resizes())
 	}
@@ -66,10 +59,10 @@ func TestResizeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mq.Resize(0, 1); err == nil {
-		t.Fatal("Resize(0, 1) must fail")
+	if err := mq.Resize(0); err == nil {
+		t.Fatal("Resize(0) must fail")
 	}
-	if err := mq.Resize(1, 1); err == nil {
+	if err := mq.Resize(1); err == nil {
 		t.Fatal("Resize below Choices must fail (a two-choice draw needs two distinct queues)")
 	}
 	if mq.Epoch() != 0 || mq.Resizes() != 0 {
@@ -95,7 +88,7 @@ func resizePreservesMultiset(t *testing.T, from, to int, opts ...Option) {
 		want[k]++
 	}
 	old := mq.snapshot().queues
-	if err := mq.Resize(to, 0); err != nil {
+	if err := mq.Resize(to); err != nil {
 		t.Fatal(err)
 	}
 	// Every retired queue must be closed and hold nothing.
@@ -142,20 +135,15 @@ func TestResizeGrowPreservesElements(t *testing.T) {
 	resizePreservesMultiset(t, 4, 16)
 }
 
-func TestResizeShrinkSharded(t *testing.T) {
-	resizePreservesMultiset(t, 16, 4, WithShards(4), WithLocalBias(0.9))
-}
-
 func TestResizeAtomicMode(t *testing.T) {
 	resizePreservesMultiset(t, 16, 4, WithAtomic(true))
 	resizePreservesMultiset(t, 4, 16, WithAtomic(true))
 }
 
-// TestResizeRepinsHandles: a handle's selector must adopt the new snapshot,
-// with its home-shard scope re-derived, on its first operation after an
-// epoch change.
+// TestResizeRepinsHandles: a handle's selector must adopt the new snapshot
+// on its first operation after an epoch change.
 func TestResizeRepinsHandles(t *testing.T) {
-	mq, err := New[int](WithQueues(8), WithShards(2), WithLocalBias(1), WithSeed(3))
+	mq, err := New[int](WithQueues(8), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +152,7 @@ func TestResizeRepinsHandles(t *testing.T) {
 	if h.sel.cur.epoch != 0 {
 		t.Fatalf("selector pinned to epoch %d before any resize", h.sel.cur.epoch)
 	}
-	if err := mq.Resize(16, 4); err != nil {
+	if err := mq.Resize(16); err != nil {
 		t.Fatal(err)
 	}
 	h.Insert(2, 2)
@@ -173,14 +161,6 @@ func TestResizeRepinsHandles(t *testing.T) {
 	}
 	if h.sel.cur.epoch != 1 {
 		t.Fatalf("selector on epoch %d, want 1", h.sel.cur.epoch)
-	}
-	// Home scope must describe a shard of the new topology: 16 queues over 4
-	// shards is 4 queues per shard.
-	if h.sel.homeN != 4 {
-		t.Fatalf("home shard spans %d queues after resize, want 4", h.sel.homeN)
-	}
-	if lo := h.sel.homeLo; lo%4 != 0 || lo < 0 || lo >= 16 {
-		t.Fatalf("home shard starts at %d, not a shard boundary of the new topology", lo)
 	}
 }
 
@@ -194,7 +174,7 @@ func TestResizeConcurrentExactOnce(t *testing.T) {
 		opts []Option
 	}{
 		{"plain", nil},
-		{"sharded", []Option{WithShards(2), WithLocalBias(0.9)}},
+		{"beta75", []Option{WithBeta(0.75)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mq, err := New[int](append([]Option{WithQueues(8), WithSeed(11)}, tc.opts...)...)
@@ -234,7 +214,7 @@ func TestResizeConcurrentExactOnce(t *testing.T) {
 						return
 					default:
 					}
-					if err := mq.Resize(sizes[i%len(sizes)], 0); err != nil {
+					if err := mq.Resize(sizes[i%len(sizes)]); err != nil {
 						t.Error(err)
 						return
 					}

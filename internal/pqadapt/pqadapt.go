@@ -23,12 +23,6 @@ type Impl string
 const (
 	// ImplMultiQueue is the original MultiQueue (β = 1).
 	ImplMultiQueue Impl = "multiqueue"
-	// ImplSharded is the shard-aware MultiQueue (β = 1): the queues are
-	// split into ShardedShards contiguous shards, handles are pinned to
-	// home shards round-robin, and samples stay within-home with
-	// probability ShardedLocalBias. Core clamps the shard count on hosts
-	// whose derived queue count cannot hold 4 shards of ≥ d queues.
-	ImplSharded Impl = "sharded4x90"
 	// ImplOneBeta75 is the paper's (1+β) MultiQueue with β = 0.75.
 	ImplOneBeta75 Impl = "onebeta75"
 	// ImplOneBeta50 is the paper's (1+β) MultiQueue with β = 0.5.
@@ -44,18 +38,10 @@ const (
 // Impls lists the full benchmark line-up in presentation order.
 func Impls() []Impl {
 	return []Impl{
-		ImplOneBeta50, ImplOneBeta75, ImplMultiQueue, ImplSharded,
+		ImplOneBeta50, ImplOneBeta75, ImplMultiQueue,
 		ImplSkipList, ImplKLSM, ImplGlobalLock,
 	}
 }
-
-// ShardedShards and ShardedLocalBias are the topology of the sharded
-// line-up entry: four contiguous shards, 90% home-shard sampling. An
-// explicit Spec.Shards overrides them.
-const (
-	ShardedShards    = 4
-	ShardedLocalBias = 0.9
-)
 
 // PaperQueues is the fixed queue count of the paper's rank-quality
 // experiments (§5, Figure 2: n = 8 queues, 8 threads). Rank harnesses pin
@@ -73,7 +59,7 @@ func IsMultiQueue(impl Impl) bool {
 // mqBeta maps a MultiQueue line-up implementation to its β.
 func mqBeta(impl Impl) (float64, bool) {
 	switch impl {
-	case ImplMultiQueue, ImplSharded:
+	case ImplMultiQueue:
 		return 1, true
 	case ImplOneBeta75:
 		return 0.75, true
@@ -92,14 +78,6 @@ type Spec struct {
 	// 0 derives it from the host (factor × GOMAXPROCS with a floor). The
 	// field is ignored for implementations without internal queues.
 	Queues int
-	// Shards partitions a MultiQueue's queues into g contiguous shards with
-	// round-robin handle homes (0 = unsharded, except for ImplSharded whose
-	// default is ShardedShards). Core clamps g so every shard keeps at
-	// least d queues; ignored for implementations without internal queues.
-	Shards int
-	// LocalBias is the probability a sharded handle samples within its home
-	// shard (see core.WithLocalBias). Only meaningful with Shards > 1.
-	LocalBias float64
 	// Seed fixes all randomness.
 	Seed uint64
 }
@@ -112,11 +90,6 @@ type Topology struct {
 	Queues  int     `json:"queues,omitempty"`
 	Choices int     `json:"choices,omitempty"`
 	Beta    float64 `json:"beta,omitempty"`
-	// Shards and LocalBias describe the resolved shard topology; both are
-	// zero for unsharded queues (Shards = 1 in core reads as unsharded
-	// here, so pre-shard reports and unsharded rows stay byte-identical).
-	Shards    int     `json:"shards,omitempty"`
-	LocalBias float64 `json:"local_bias,omitempty"`
 }
 
 // MQConfigured is implemented by adapters backed by a core.MultiQueue and
@@ -133,10 +106,6 @@ func TopologyOf(impl Impl, q Queue) Topology {
 		top.Queues = cfg.Queues
 		top.Choices = cfg.Choices
 		top.Beta = cfg.Beta
-		if cfg.Shards > 1 {
-			top.Shards = cfg.Shards
-			top.LocalBias = cfg.LocalBias
-		}
 	}
 	return top
 }
@@ -161,10 +130,6 @@ func New(impl Impl, seed uint64) (Queue, error) {
 // deriving it from GOMAXPROCS.
 func NewSpec(spec Spec) (Queue, error) {
 	if beta, ok := mqBeta(spec.Impl); ok {
-		if spec.Impl == ImplSharded && spec.Shards == 0 {
-			spec.Shards = ShardedShards
-			spec.LocalBias = ShardedLocalBias
-		}
 		return NewMultiQueueSpec(beta, spec)
 	}
 	switch spec.Impl {
@@ -191,18 +156,11 @@ func NewMultiQueueBeta(beta float64, queues int, seed uint64) (Queue, error) {
 }
 
 // NewMultiQueueSpec constructs a (1+β) MultiQueue adapter with an arbitrary
-// β and the spec's full topology — queue count, shard count, local bias
-// (spec.Impl is not consulted).
+// β and the spec's queue count and seed (spec.Impl is not consulted).
 func NewMultiQueueSpec(beta float64, spec Spec) (Queue, error) {
 	opts := []core.Option{core.WithBeta(beta), core.WithSeed(spec.Seed)}
 	if spec.Queues > 0 {
 		opts = append(opts, core.WithQueues(spec.Queues))
-	}
-	if spec.Shards > 0 {
-		opts = append(opts, core.WithShards(spec.Shards))
-	}
-	if spec.LocalBias > 0 {
-		opts = append(opts, core.WithLocalBias(spec.LocalBias))
 	}
 	mq, err := core.New[int32](opts...)
 	if err != nil {
@@ -233,10 +191,19 @@ func (a *mqAdapter) Len() int { return a.mq.Len() }
 // Resizable (see sched.Resizable): the MultiQueue's epoch-based online
 // resize, exposed so the open-system executor's elastic controller can
 // reconfigure the line-up's MultiQueue entries under live traffic.
-func (a *mqAdapter) NumQueues() int                  { return a.mq.NumQueues() }
-func (a *mqAdapter) Resize(queues, shards int) error { return a.mq.Resize(queues, shards) }
-func (a *mqAdapter) Epoch() uint64                   { return a.mq.Epoch() }
-func (a *mqAdapter) Resizes() int64                  { return a.mq.Resizes() }
+func (a *mqAdapter) NumQueues() int { return a.mq.NumQueues() }
+func (a *mqAdapter) Epoch() uint64  { return a.mq.Epoch() }
+func (a *mqAdapter) Resizes() int64 { return a.mq.Resizes() }
+
+// Resize resizes the MultiQueue to queues. The MultiQueue has no shard
+// partition, so a request for shards > 1 is an error rather than silently
+// dropped; 0 and 1 both mean unsharded.
+func (a *mqAdapter) Resize(queues, shards int) error {
+	if shards > 1 {
+		return fmt.Errorf("pqadapt: resize to %d shards; the MultiQueue is unsharded", shards)
+	}
+	return a.mq.Resize(queues)
+}
 
 // Local returns a handle-backed per-goroutine view.
 func (a *mqAdapter) Local() graph.ConcurrentPQ {

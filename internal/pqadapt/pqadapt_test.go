@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"powerchoice/internal/graph"
+	"powerchoice/internal/sched"
 	"powerchoice/internal/xrand"
 )
 
@@ -24,46 +25,35 @@ func TestImplsConstructible(t *testing.T) {
 	}
 }
 
-// TestShardedSpecTopology: the sharded line-up entry resolves to its
-// default shard topology, an explicit Spec overrides it, and unsharded
-// MultiQueues report no shard fields (so pre-shard JSON stays identical).
-func TestShardedSpecTopology(t *testing.T) {
-	q, err := NewSpec(Spec{Impl: ImplSharded, Queues: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestResizableRejectsShards pins the sched.Resizable seam: the MultiQueue
+// adapter has no shard partition, so a shard request fails without touching
+// the topology instead of being silently dropped, while 0 and 1 (unsharded)
+// resize as asked.
+func TestResizableRejectsShards(t *testing.T) {
+	resizable := func() sched.Resizable {
+		q, err := NewSpec(Spec{Impl: ImplMultiQueue, Queues: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.(sched.Resizable)
 	}
-	top := TopologyOf(ImplSharded, q)
-	if top.Shards != ShardedShards || top.LocalBias != ShardedLocalBias {
-		t.Errorf("default sharded topology: %+v", top)
+	r := resizable()
+	if err := r.Resize(16, 2); err == nil {
+		t.Error("Resize(16, 2) accepted a shard request")
 	}
-	if top.Queues != 8 || top.Beta != 1 {
-		t.Errorf("sharded base topology: %+v", top)
+	if r.Epoch() != 0 || r.Resizes() != 0 || r.NumQueues() != 8 {
+		t.Errorf("rejected resize changed the topology: epoch %d, resizes %d, queues %d",
+			r.Epoch(), r.Resizes(), r.NumQueues())
 	}
-
-	q, err = NewSpec(Spec{Impl: ImplSharded, Queues: 8, Shards: 2, LocalBias: 0.5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top := TopologyOf(ImplSharded, q); top.Shards != 2 || top.LocalBias != 0.5 {
-		t.Errorf("explicit shard override ignored: %+v", top)
-	}
-
-	q, err = NewSpec(Spec{Impl: ImplMultiQueue, Queues: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top := TopologyOf(ImplMultiQueue, q); top.Shards != 0 || top.LocalBias != 0 {
-		t.Errorf("unsharded queue reports shard fields: %+v", top)
-	}
-
-	// A host too small for 4 shards of d=2 queues resolves to a clamped
-	// count instead of failing construction.
-	q, err = NewSpec(Spec{Impl: ImplSharded, Queues: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top := TopologyOf(ImplSharded, q); top.Shards != 2 {
-		t.Errorf("clamped sharded topology: %+v", top)
+	for _, shards := range []int{0, 1} {
+		r := resizable()
+		if err := r.Resize(16, shards); err != nil {
+			t.Fatalf("Resize(16, %d): %v", shards, err)
+		}
+		if r.Epoch() != 1 || r.Resizes() != 1 || r.NumQueues() != 16 {
+			t.Errorf("after Resize(16, %d): epoch %d, resizes %d, queues %d; want 1, 1, 16",
+				shards, r.Epoch(), r.Resizes(), r.NumQueues())
+		}
 	}
 }
 

@@ -15,9 +15,11 @@ package sched
 type Resizable interface {
 	// NumQueues reports the live internal queue count.
 	NumQueues() int
-	// Resize reconfigures to the given queue count; shards <= 0 keeps the
-	// current shard partition. Implementations must be safe to call
-	// concurrently with queue operations.
+	// Resize reconfigures to the given queue count. Callers pass shards = 0:
+	// the MultiQueue has no shard partition, and its adapter rejects
+	// shards > 1 with an error rather than drop the request.
+	// Implementations must be safe to call concurrently with queue
+	// operations.
 	Resize(queues, shards int) error
 	// Epoch is the live topology version: 0 at construction, +1 per
 	// completed resize.

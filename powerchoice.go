@@ -38,14 +38,6 @@ var (
 	WithQueueFactor = core.WithQueueFactor
 	// WithBeta sets the two-choice probability β (default 1).
 	WithBeta = core.WithBeta
-	// WithShards partitions the queues into g contiguous shards with
-	// round-robin handle homes (g is clamped so every shard keeps at
-	// least Config().Choices queues; Config.Shards reports the resolved
-	// count).
-	WithShards = core.WithShards
-	// WithLocalBias sets the probability a sharded handle samples within
-	// its home shard instead of globally (default 0 = always global).
-	WithLocalBias = core.WithLocalBias
 	// WithSeed fixes the random seed.
 	WithSeed = core.WithSeed
 	// WithAtomic enables the distributionally linearizable mode.
@@ -83,14 +75,13 @@ func (q *MultiQueue[V]) Len() int { return q.inner.Len() }
 // tracks Resize).
 func (q *MultiQueue[V]) NumQueues() int { return q.inner.NumQueues() }
 
-// Resize reconfigures the internal topology online to the given queue and
-// shard counts (shards ≤ 0 keeps the current shard partition): operations
-// keep running while the queue set grows or shrinks, retired queues drain
-// their elements into survivors exactly once, and handles adopt the new
-// topology on their next operation. The queue count must stay at or above
-// Config().Choices, the two queues a choice-deletion samples (one on a
-// structure built with fewer than three queues).
-func (q *MultiQueue[V]) Resize(queues, shards int) error { return q.inner.Resize(queues, shards) }
+// Resize reconfigures the internal topology online to the given queue
+// count: operations keep running while the queue set grows or shrinks,
+// retired queues drain their elements into survivors exactly once, and
+// handles adopt the new topology on their next operation. The queue count
+// must stay at or above Config().Choices, the two queues a choice-deletion
+// samples (one on a structure built with fewer than three queues).
+func (q *MultiQueue[V]) Resize(queues int) error { return q.inner.Resize(queues) }
 
 // Epoch returns the live topology version: 0 at construction, +1 per
 // completed Resize.

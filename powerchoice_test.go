@@ -117,22 +117,6 @@ func TestFacadeBatchOps(t *testing.T) {
 	}
 }
 
-// TestFacadeShardOptions: the shard topology is configurable and reported
-// through the public facade.
-func TestFacadeShardOptions(t *testing.T) {
-	q, err := New[int](WithQueues(8), WithShards(4), WithLocalBias(0.9), WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := q.Config()
-	if cfg.Shards != 4 || cfg.LocalBias != 0.9 {
-		t.Errorf("shard config not reported: %+v", cfg)
-	}
-	if _, err := New[int](WithLocalBias(1.5)); err == nil {
-		t.Error("local bias > 1 accepted")
-	}
-}
-
 func TestFacadeHandlesConcurrent(t *testing.T) {
 	q, err := New[uint64](WithQueueFactor(2), WithSeed(7))
 	if err != nil {
