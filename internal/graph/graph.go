@@ -1,41 +1,49 @@
 // Package graph provides the graph substrate for the paper's single-source
 // shortest-path benchmark (§5, Figure 3): compact CSR graphs, synthetic
 // generators (including a road-network surrogate for the California road
-// graph used by the paper — see DESIGN.md for the substitution), a
-// sequential Dijkstra reference, and a parallel label-correcting SSSP driver
-// that runs over any relaxed concurrent priority queue.
+// graph used by the paper — EXPERIMENTS.md, "Figure 3", explains the
+// substitution), a sequential Dijkstra reference, and a parallel
+// label-correcting SSSP driver that runs over any relaxed concurrent
+// priority queue.
 package graph
 
 import (
 	"fmt"
+	"math"
 
 	"powerchoice/internal/xrand"
 )
 
+// Edge is one out-edge of a Graph: its target node and its weight.
+type Edge struct {
+	To int32
+	W  uint32
+}
+
 // Graph is a directed weighted graph in compressed sparse row form.
-// Node IDs are 0..NumNodes-1; weights are positive.
+// Node IDs are 0..NumNodes-1; weights are positive. Each edge's target and
+// weight sit side by side, so a relaxation scan of one node's out-edges
+// reads one contiguous run of memory.
 type Graph struct {
-	offsets []int32  // len = n+1
-	targets []int32  // len = m
-	weights []uint32 // len = m
+	offsets []int32 // len = n+1
+	edges   []Edge  // len = m; u's out-edges are edges[offsets[u]:offsets[u+1]]
 }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.offsets) - 1 }
 
 // NumEdges returns the directed edge count.
-func (g *Graph) NumEdges() int { return len(g.targets) }
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Degree returns the out-degree of node u.
 func (g *Graph) Degree(u int) int {
 	return int(g.offsets[u+1] - g.offsets[u])
 }
 
-// Neighbors returns the targets and weights of u's out-edges. The returned
-// slices alias internal storage and must not be modified.
-func (g *Graph) Neighbors(u int) ([]int32, []uint32) {
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	return g.targets[lo:hi], g.weights[lo:hi]
+// Neighbors returns u's out-edges in insertion order. The returned slice
+// aliases internal storage and must not be modified.
+func (g *Graph) Neighbors(u int) []Edge {
+	return g.edges[g.offsets[u]:g.offsets[u+1]]
 }
 
 // edge is a builder-side directed edge.
@@ -53,6 +61,14 @@ type Builder struct {
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
+}
+
+// newBuilder returns a builder for n nodes whose edge list holds m edges
+// before it has to grow: a generator that knows its edge count, or a tight
+// bound on it, fills the list without copying it. The caller has checked
+// that n and m fit the CSR's int32 node IDs and offsets.
+func newBuilder(n, m int) *Builder {
+	return &Builder{n: n, edges: make([]edge, 0, m)}
 }
 
 // AddEdge adds the directed edge u→v with weight w (clamped up to 1: zero
@@ -76,28 +92,25 @@ func (b *Builder) AddBoth(u, v int, w uint32) error {
 	return b.AddEdge(v, u, w)
 }
 
-// Build produces the CSR graph. The builder remains usable.
+// Build produces the CSR graph: a stable counting sort of the edges by
+// source, so each node's out-edges keep the order they were added in. The
+// builder remains usable.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		offsets: make([]int32, b.n+1),
-		targets: make([]int32, len(b.edges)),
-		weights: make([]uint32, len(b.edges)),
-	}
-	counts := make([]int32, b.n)
+	offsets := make([]int32, b.n+1)
+	edges := make([]Edge, len(b.edges))
 	for _, e := range b.edges {
-		counts[e.from]++
+		offsets[e.from+1]++
 	}
 	for i := 0; i < b.n; i++ {
-		g.offsets[i+1] = g.offsets[i] + counts[i]
+		offsets[i+1] += offsets[i]
 	}
 	cursor := make([]int32, b.n)
-	copy(cursor, g.offsets[:b.n])
+	copy(cursor, offsets[:b.n])
 	for _, e := range b.edges {
-		g.targets[cursor[e.from]] = e.to
-		g.weights[cursor[e.from]] = e.w
+		edges[cursor[e.from]] = Edge{To: e.to, W: e.w}
 		cursor[e.from]++
 	}
-	return g
+	return &Graph{offsets: offsets, edges: edges}
 }
 
 // RoadNetwork generates a synthetic road-network surrogate: a W×H grid of
@@ -112,8 +125,16 @@ func RoadNetwork(w, h int, diagFrac float64, seed uint64) (*Graph, error) {
 	if diagFrac < 0 || diagFrac > 1 {
 		return nil, fmt.Errorf("graph: diagFrac %v outside [0,1]", diagFrac)
 	}
+	// Compare before multiplying: w·h itself may overflow an int.
+	if w > math.MaxInt32/h {
+		return nil, fmt.Errorf("graph: a %dx%d grid has more nodes than int32 node IDs can number", w, h)
+	}
+	m := roadEdgeBound(w, h, diagFrac > 0)
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: a %dx%d grid has up to %d edges, more than int32 offsets can index", w, h, m)
+	}
 	rng := xrand.NewSource(seed)
-	b := NewBuilder(w * h)
+	b := newBuilder(w*h, int(m))
 	id := func(x, y int) int { return y*w + x }
 	// Street weights: ~100 units per block with ±30% jitter.
 	jitter := func(base float64) uint32 {
@@ -139,6 +160,20 @@ func RoadNetwork(w, h int, diagFrac float64, seed uint64) (*Graph, error) {
 		}
 	}
 	return b.Build(), nil
+}
+
+// roadEdgeBound is the most directed edges RoadNetwork(w, h, …) can add:
+// both directions of every horizontal and vertical street, plus both
+// directions of every cell's diagonal when diagonals are on at all. It is
+// exact when diagFrac is 0 or 1. The caller has checked that w·h fits an
+// int32, so the int64 arithmetic cannot overflow.
+func roadEdgeBound(w, h int, diagonals bool) int64 {
+	w64, h64 := int64(w), int64(h)
+	streets := (w64-1)*h64 + w64*(h64-1)
+	if diagonals {
+		streets += (w64 - 1) * (h64 - 1)
+	}
+	return 2 * streets
 }
 
 // RandomGeometric generates a random geometric-like graph: n nodes on a unit
@@ -204,8 +239,11 @@ func Gnm(n, m int, maxW uint32, seed uint64) (*Graph, error) {
 	if maxW == 0 {
 		maxW = 1
 	}
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: Gnm with %d nodes and %d edges exceeds the int32 node IDs and offsets", n, m)
+	}
 	rng := xrand.NewSource(seed)
-	b := NewBuilder(n)
+	b := newBuilder(n, m)
 	for i := 0; i < m; i++ {
 		u, v := rng.TwoDistinct(n)
 		if err := b.AddEdge(u, v, uint32(rng.Intn(int(maxW)))+1); err != nil {

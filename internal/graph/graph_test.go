@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -23,9 +24,8 @@ func TestBuilderZeroWeightClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Build()
-	_, ws := g.Neighbors(0)
-	if ws[0] != 1 {
-		t.Fatalf("zero weight not clamped: %d", ws[0])
+	if w := g.Neighbors(0)[0].W; w != 1 {
+		t.Fatalf("zero weight not clamped: %d", w)
 	}
 }
 
@@ -44,10 +44,9 @@ func TestCSRStructure(t *testing.T) {
 	if g.Degree(0) != 2 || g.Degree(1) != 1 || g.Degree(3) != 1 {
 		t.Fatal("degrees wrong")
 	}
-	tgts, ws := g.Neighbors(0)
 	found := map[int32]uint32{}
-	for i := range tgts {
-		found[tgts[i]] = ws[i]
+	for _, e := range g.Neighbors(0) {
+		found[e.To] = e.W
 	}
 	if found[1] != 5 || found[2] != 3 {
 		t.Fatalf("neighbors of 0 = %v", found)
@@ -93,6 +92,73 @@ func TestRoadNetworkValidates(t *testing.T) {
 	}
 }
 
+// TestRoadEdgeBoundExact: the reservation RoadNetwork makes is its exact
+// edge count when no cell's diagonal is a coin flip, so the grid is built
+// into one edge list that never regrows.
+func TestRoadEdgeBoundExact(t *testing.T) {
+	for _, tc := range []struct {
+		w, h     int
+		diagFrac float64
+	}{{2, 2, 0}, {2, 2, 1}, {7, 3, 0}, {7, 3, 1}, {20, 15, 0}, {20, 15, 1}} {
+		g, err := RoadNetwork(tc.w, tc.h, tc.diagFrac, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := roadEdgeBound(tc.w, tc.h, tc.diagFrac > 0); int64(g.NumEdges()) != bound {
+			t.Errorf("RoadNetwork(%d, %d, %v): %d edges, bound %d", tc.w, tc.h, tc.diagFrac, g.NumEdges(), bound)
+		}
+	}
+	g, err := RoadNetwork(20, 15, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := roadEdgeBound(20, 15, true); int64(g.NumEdges()) > bound {
+		t.Errorf("RoadNetwork(20, 15, 0.2): %d edges above the bound %d", g.NumEdges(), bound)
+	}
+}
+
+// TestGeneratorsReserveEdgeList: RoadNetwork and Gnm size the builder's edge
+// list once, so a build costs the same few allocations however many edges it
+// adds. An edge list grown by append costs one more per growth step: dozens
+// at these sizes.
+func TestGeneratorsReserveEdgeList(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*Graph, error)
+	}{
+		{"RoadNetwork(100,100,0.15)", func() (*Graph, error) { return RoadNetwork(100, 100, 0.15, 1) }},
+		{"Gnm(1000,20000,100)", func() (*Graph, error) { return Gnm(1000, 20000, 100, 1) }},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(3, func() { _, err = tc.build() })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if allocs > 8 {
+			t.Errorf("%s: %v allocations per build, want at most 8", tc.name, allocs)
+		}
+	}
+}
+
+// TestGeneratorsRejectOversize: node IDs and offsets are int32, so a graph
+// whose node count or edge bound is past math.MaxInt32 is an error, not a
+// silent truncation. Every size here is also too large for make to accept,
+// so a missing check panics rather than allocating.
+func TestGeneratorsRejectOversize(t *testing.T) {
+	if _, err := RoadNetwork(1<<24, 1<<24, 0.15, 1); err == nil {
+		t.Error("RoadNetwork with 2^48 nodes accepted")
+	}
+	if _, err := RoadNetwork(math.MaxInt, 2, 0, 1); err == nil {
+		t.Error("RoadNetwork whose w·h overflows an int accepted")
+	}
+	if _, err := Gnm(1<<47, 5, 10, 1); err == nil {
+		t.Error("Gnm with 2^47 nodes accepted")
+	}
+	if _, err := Gnm(10, 1<<46, 10, 1); err == nil {
+		t.Error("Gnm with 2^46 edges accepted")
+	}
+}
+
 func TestRandomGeometric(t *testing.T) {
 	g, err := RandomGeometric(500, 0.1, 2)
 	if err != nil {
@@ -121,10 +187,9 @@ func TestGnm(t *testing.T) {
 		t.Fatalf("edges = %d", g.NumEdges())
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		_, ws := g.Neighbors(u)
-		for _, w := range ws {
-			if w < 1 || w > 10 {
-				t.Fatalf("weight %d outside [1,10]", w)
+		for _, e := range g.Neighbors(u) {
+			if e.W < 1 || e.W > 10 {
+				t.Fatalf("weight %d outside [1,10]", e.W)
 			}
 		}
 	}
@@ -272,6 +337,17 @@ func TestParallelSSSPRandomGraphs(t *testing.T) {
 			if got[u] != want[u] {
 				t.Fatalf("trial %d: dist[%d] = %d, want %d", trial, u, got[u], want[u])
 			}
+		}
+	}
+}
+
+// BenchmarkRoadNetwork builds powerbench sssp's default 300×300 grid, the
+// set-up every SSSP run pays before its first solve.
+func BenchmarkRoadNetwork(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RoadNetwork(300, 300, 0.15, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -19,10 +19,9 @@ func csrDigest(g *Graph) uint64 {
 	}
 	for u := 0; u < g.NumNodes(); u++ {
 		put(uint32(g.Degree(u)))
-		tgts, ws := g.Neighbors(u)
-		for i, v := range tgts {
-			put(uint32(v))
-			put(ws[i])
+		for _, e := range g.Neighbors(u) {
+			put(uint32(e.To))
+			put(e.W)
 		}
 	}
 	return h.Sum64()

@@ -35,12 +35,11 @@ func Dijkstra(g *Graph, src int) ([]uint64, error) {
 		if it.Key > dist[u] {
 			continue // stale entry
 		}
-		tgts, ws := g.Neighbors(u)
-		for i, v := range tgts {
-			nd := it.Key + uint64(ws[i])
-			if nd < dist[v] {
-				dist[v] = nd
-				pq.Push(nd, v)
+		for _, e := range g.Neighbors(u) {
+			nd := it.Key + uint64(e.W)
+			if nd < dist[e.To] {
+				dist[e.To] = nd
+				pq.Push(nd, e.To)
 			}
 		}
 	}
@@ -112,16 +111,15 @@ func ParallelSSSPBatch(g *Graph, src int, pq ConcurrentPQ, workers, batch int) (
 		if key > atomic.LoadUint64(&dist[u]) {
 			return false // stale: a shorter path to u was already settled
 		}
-		tgts, ws := g.Neighbors(int(u))
-		for i, v := range tgts {
-			nd := key + uint64(ws[i])
+		for _, e := range g.Neighbors(int(u)) {
+			nd := key + uint64(e.W)
 			for {
-				cur := atomic.LoadUint64(&dist[v])
+				cur := atomic.LoadUint64(&dist[e.To])
 				if nd >= cur {
 					break
 				}
-				if atomic.CompareAndSwapUint64(&dist[v], cur, nd) {
-					push(nd, v)
+				if atomic.CompareAndSwapUint64(&dist[e.To], cur, nd) {
+					push(nd, e.To)
 					break
 				}
 			}
