@@ -1,5 +1,7 @@
 // Benchmarks regenerating every figure of the paper's evaluation (§5) plus
-// the theory validations and the design ablations indexed in DESIGN.md.
+// two theory validations (EXPERIMENTS.md, "Theory validations") and the
+// design ablations A1–A3, each of which states its question where it is
+// defined.
 //
 // Figure benchmarks report the paper's metric via b.ReportMetric:
 //
@@ -194,7 +196,7 @@ func BenchmarkTheorem3Potential(b *testing.B) {
 }
 
 // BenchmarkAblationQueueFactor sweeps the queue-count multiplier c
-// (n = c·P): more queues cut contention but raise rank error (DESIGN.md A1).
+// (n = c·P), ablation A1: more queues cut contention but raise rank error.
 func BenchmarkAblationQueueFactor(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
 	for _, factor := range []int{1, 2, 4} {
@@ -212,7 +214,7 @@ func BenchmarkAblationQueueFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBeta sweeps β for throughput (DESIGN.md A2): the paper
+// BenchmarkAblationBeta sweeps β for throughput, ablation A2: the paper
 // reports β<1 gains up to 20%, with β=0 fastest at low thread counts only.
 func BenchmarkAblationBeta(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
@@ -232,7 +234,8 @@ func BenchmarkAblationBeta(b *testing.B) {
 }
 
 // BenchmarkAblationAtomicMode compares try-lock deletion against the
-// distributionally linearizable global-lock mode (DESIGN.md A3).
+// distributionally linearizable global-lock mode, ablation A3: the price of
+// the mode in which the paper's rank bounds hold under concurrency.
 func BenchmarkAblationAtomicMode(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
 	for _, atomicMode := range []bool{false, true} {

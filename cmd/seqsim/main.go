@@ -1,5 +1,6 @@
-// Command seqsim runs the theory-validation experiments T1–T5 of DESIGN.md
-// on the paper's sequential processes:
+// Command seqsim runs the theory-validation experiments T1–T8
+// (EXPERIMENTS.md, "Theory validations") on the paper's sequential
+// processes:
 //
 //	t1  Theorem 1   — avg rank O(n/β²) and max rank O(n log n / β) at every t
 //	t2  Theorem 2   — rank-distribution equivalence of the exponential process

@@ -13,8 +13,8 @@ import (
 
 // runSSSP regenerates Figure 3: running time of a parallel single-source
 // shortest-path computation over the line-up. The paper's California road
-// network is replaced by a synthetic road-network surrogate (see DESIGN.md,
-// substitutions).
+// network is replaced by a synthetic road-network surrogate (EXPERIMENTS.md,
+// "Figure 3", gives the reason).
 func runSSSP(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench sssp", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -16,9 +16,8 @@
 // buffers and stashes, so a DeleteMin returns one of the (P·k + P·B)
 // smallest elements — the same bounded-relaxation contract as the k-LSM
 // (with B the insert-buffer bound). It is built with locks rather than the
-// original's lock-free multi-level merging; DESIGN.md documents the
-// substitution and why the relaxation semantics and scaling mechanism are
-// preserved.
+// original's lock-free multi-level merging; the bound above comes from the
+// per-handle buffers and stashes, not from how the shared part is merged.
 package klsm
 
 import (

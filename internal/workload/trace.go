@@ -92,6 +92,10 @@ type traceHeader struct {
 // traceFormat is the header's format marker.
 const traceFormat = "powerchoice-trace"
 
+// maxTracePrealloc is the most job records ReadTrace reserves room for on
+// the header's word alone.
+const maxTracePrealloc = 1 << 16
+
 // traceRecord is one job line: virtual arrival time (ns), class, service
 // (spin units). Short keys keep multi-million-job traces tractable.
 type traceRecord struct {
@@ -151,11 +155,15 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if hdr.Jobs < 1 {
 		return nil, fmt.Errorf("workload: trace declares %d jobs", hdr.Jobs)
 	}
+	// The header's count is unchecked until the records are read, so it
+	// sizes at most maxTracePrealloc records up front and append grows the
+	// rest: a forged count must fail at the records, not in make.
+	prealloc := min(hdr.Jobs, maxTracePrealloc)
 	tr := &Trace{
 		Spec: hdr.Spec, Seed: hdr.Seed, Rate: hdr.Rate,
-		ArrivalNs: make([]int64, 0, hdr.Jobs),
-		Class:     make([]uint8, 0, hdr.Jobs),
-		Service:   make([]uint32, 0, hdr.Jobs),
+		ArrivalNs: make([]int64, 0, prealloc),
+		Class:     make([]uint8, 0, prealloc),
+		Service:   make([]uint32, 0, prealloc),
 	}
 	classes := tr.NumClasses()
 	var prev int64
