@@ -60,13 +60,13 @@ type Builder struct {
 
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n}
+	return newBuilder(n, 0)
 }
 
 // newBuilder returns a builder for n nodes whose edge list holds m edges
 // before it has to grow: a generator that knows its edge count, or a tight
-// bound on it, fills the list without copying it. The caller has checked
-// that n and m fit the CSR's int32 node IDs and offsets.
+// bound on it, fills the list without copying it. The generators that
+// reserve check n and m against the CSR's int32 node IDs and offsets first.
 func newBuilder(n, m int) *Builder {
 	return &Builder{n: n, edges: make([]edge, 0, m)}
 }
@@ -162,18 +162,18 @@ func RoadNetwork(w, h int, diagFrac float64, seed uint64) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// roadEdgeBound is the most directed edges RoadNetwork(w, h, …) can add:
-// both directions of every horizontal and vertical street, plus both
-// directions of every cell's diagonal when diagonals are on at all. It is
-// exact when diagFrac is 0 or 1. The caller has checked that w·h fits an
+// roadEdgeBound is the largest number of directed edges RoadNetwork(w, h, …)
+// can add: both directions of every horizontal and vertical street, plus
+// both directions of every cell's diagonal when diagonals are on at all. It
+// is exact when diagFrac is 0 or 1. The caller has checked that w·h fits an
 // int32, so the int64 arithmetic cannot overflow.
 func roadEdgeBound(w, h int, diagonals bool) int64 {
 	w64, h64 := int64(w), int64(h)
-	streets := (w64-1)*h64 + w64*(h64-1)
+	undirected := (w64-1)*h64 + w64*(h64-1)
 	if diagonals {
-		streets += (w64 - 1) * (h64 - 1)
+		undirected += (w64 - 1) * (h64 - 1)
 	}
-	return 2 * streets
+	return 2 * undirected
 }
 
 // RandomGeometric generates a random geometric-like graph: n nodes on a unit

@@ -108,13 +108,6 @@ func TestRoadEdgeBoundExact(t *testing.T) {
 			t.Errorf("RoadNetwork(%d, %d, %v): %d edges, bound %d", tc.w, tc.h, tc.diagFrac, g.NumEdges(), bound)
 		}
 	}
-	g, err := RoadNetwork(20, 15, 0.2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound := roadEdgeBound(20, 15, true); int64(g.NumEdges()) > bound {
-		t.Errorf("RoadNetwork(20, 15, 0.2): %d edges above the bound %d", g.NumEdges(), bound)
-	}
 }
 
 // TestGeneratorsReserveEdgeList: RoadNetwork and Gnm size the builder's edge
