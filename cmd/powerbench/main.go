@@ -7,8 +7,8 @@
 //	powerbench sssp         Figure 3: parallel SSSP timing
 //	powerbench astar        parallel A* on implicit obstacle grids
 //	powerbench jobs         closed-system priority job-server drain
-//	powerbench serve        open-system job server: sojourn latency at
-//	                        a target utilization ρ (Poisson arrivals)
+//	powerbench serve        open-system job server: sojourn latency of a
+//	                        workload trace at a target utilization ρ
 //
 // — and emits aligned tables, CSV (-csv), or JSON reports (-json, or -out
 // FILE alongside the table) that carry host metadata and the resolved

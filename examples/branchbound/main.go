@@ -178,7 +178,8 @@ func parallelBB(items []item, capacity int64, workers int) (best int64, explored
 	}
 
 	root := node{}
-	st := sched.Run[node](bbQueue{q: q}, workers, task,
-		sched.Item[node]{Key: keyOf(fractionalBound(items, root, capacity)), Value: root})
+	bq := bbQueue{q: q}
+	bq.Insert(keyOf(fractionalBound(items, root, capacity)), root)
+	st := sched.RunConfig[node](bq, sched.Config{Workers: workers}, task, 1)
 	return incumbent.Load(), st.Processed + st.Stale, nil
 }

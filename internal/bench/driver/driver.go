@@ -33,10 +33,11 @@ Subcommands:
   sssp         parallel single-source shortest paths timing (Figure 3)
   astar        parallel A* on an implicit obstacle grid (non-monotone keys)
   jobs         priority job-server drain: inversions + per-class latency
-  serve        open-system job server: Poisson arrivals at target utilization
+  serve        open-system job server: a workload trace at target utilization
                rho, per-class sojourn p50/p99 + queue-length timeseries
-               (-workload runs a declarative spec: bursty/onoff/diurnal
-               arrivals, heavy-tailed service laws)
+               (-workload picks the spec, default the 4-class poisson
+               preset: bursty/onoff/diurnal arrivals, heavy-tailed service
+               laws)
   record       compile a workload spec into a replayable trace file
   replay       re-run a recorded trace through any implementation line-up
   plan         binary-search the worker count meeting a p99-sojourn SLO

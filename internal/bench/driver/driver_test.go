@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"powerchoice/internal/bench"
+	"powerchoice/internal/jobs"
 	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/workload"
 )
 
 // shortRankArgs keeps rank runs -test.short friendly and, with one thread,
@@ -257,32 +259,47 @@ func TestJobsJSONPerClassRows(t *testing.T) {
 
 // TestServeJSONPerClassRows: powerbench serve emits one open-system summary
 // row (rho, offered rate, mean queue length) plus one sojourn row per
-// priority class, for every configured implementation.
+// priority class, for every configured implementation. With no -workload it
+// serves the poisson preset's 4 classes, and every row's rho is the load
+// the generated trace offers: rate × mean realized service ×
+// SpinNsPerUnit / 1e9 / threads.
 func TestServeJSONPerClassRows(t *testing.T) {
-	stdout, _ := runMain(t, "serve", "-jobs", "4000", "-classes", "3",
-		"-service", "256", "-rho", "0.3", "-threads", "1",
+	stdout, _ := runMain(t, "serve", "-jobs", "4000", "-rho", "0.3", "-threads", "1",
 		"-impls", "multiqueue,globallock", "-seed", "9", "-json")
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
 	}
-	if rep.Command != "serve" || len(rep.Rows) != 2*(1+3) {
-		t.Fatalf("want 2×(1 summary + 3 class rows): %+v", rep.Rows)
+	if rep.Command != "serve" || len(rep.Rows) != 2*(1+4) {
+		t.Fatalf("want 2×(1 summary + 4 class rows): %+v", rep.Rows)
 	}
+	spec, err := workload.Preset("poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(spec, 9, 4000, rep.Rows[0].Rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var services float64
+	for _, s := range tr.Service {
+		services += float64(s)
+	}
+	rho := tr.Rate * (services / 4000) * jobs.SpinNsPerUnit() / 1e9 / 1
 	for impl := 0; impl < 2; impl++ {
-		sum := rep.Rows[impl*4]
+		sum := rep.Rows[impl*5]
 		if sum.Class != nil || sum.Jobs != 4000 || sum.Millis <= 0 {
 			t.Errorf("summary row: %+v", sum)
 		}
-		if sum.Rho != 0.3 || sum.Rate <= 0 || sum.QLenMean < 0 {
-			t.Errorf("summary open-system fields: %+v", sum)
+		if sum.Rho != rho || sum.Rate != tr.Rate || sum.QLenMean < 0 || sum.Workload != "poisson" {
+			t.Errorf("summary open-system fields: %+v (trace rho %v)", sum, rho)
 		}
 		var classJobs int64
-		for i, row := range rep.Rows[impl*4+1 : impl*4+4] {
+		for i, row := range rep.Rows[impl*5+1 : impl*5+5] {
 			if row.Class == nil || *row.Class != i {
 				t.Fatalf("class row %d: %+v", i, row)
 			}
-			if row.Jobs <= 0 || row.SojournP99Ms < row.SojournP50Ms || row.Rho != 0.3 {
+			if row.Jobs <= 0 || row.SojournP99Ms < row.SojournP50Ms || row.Rho != rho {
 				t.Errorf("class row %d sojourns: %+v", i, row)
 			}
 			// The closed-system drain percentiles must stay absent: sojourn
@@ -298,8 +315,9 @@ func TestServeJSONPerClassRows(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadFlags: a zero-load spec (rate and rho both 0) and an
-// unknown implementation both fail rather than silently measuring nothing.
+// TestServeRejectsBadFlags: a zero-load spec (rate and rho both 0), an
+// unknown implementation and the retired -classes flag all fail rather than
+// silently measuring something else.
 func TestServeRejectsBadFlags(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := Main([]string{"serve", "-jobs", "100", "-rho", "0", "-threads", "1",
@@ -309,6 +327,10 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	if err := Main([]string{"serve", "-jobs", "100", "-threads", "1",
 		"-impls", "bogus"}, &out, &errBuf); err == nil {
 		t.Error("bogus impl accepted")
+	}
+	if err := Main([]string{"serve", "-jobs", "100", "-threads", "1",
+		"-classes", "4"}, &out, &errBuf); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-classes: want an unknown-flag error, got %v", err)
 	}
 }
 

@@ -12,26 +12,25 @@ import (
 	"powerchoice/internal/workload"
 )
 
-// runServe measures the open-system job server: Poisson arrivals at a
-// target utilization ρ (or an explicit -rate) while the line-up serves —
-// or, with -workload, arrivals and services compiled from a declarative
-// workload spec (bursty MMPP, on/off, diurnal pacing; heavy-tailed service
-// laws). The product is per-class sojourn (wait + service) percentiles at
-// fixed load — relaxation read as a latency penalty rather than a
-// drain-time delta. The JSON report carries one summary row per
-// (impl, threads) — rho, offered rate, inversions, mean queue length, and
-// for workload runs the spec name and trace hash — plus one sojourn row per
-// class (with the class's offered rate for workload runs).
+// runServe measures the open-system job server: a workload trace, compiled
+// from a declarative spec (-workload: a preset or a JSON file; the 4-class
+// poisson preset by default) at a target utilization ρ or an explicit
+// -rate, is replayed while the line-up serves it. The spec sets the arrival
+// shape (Poisson, bursty MMPP, on/off, diurnal) and the per-class service
+// laws (uniform, heavy-tailed). The product is per-class sojourn (wait +
+// service) percentiles at fixed load — relaxation read as a latency penalty
+// rather than a drain-time delta. The JSON report carries one summary row
+// per (impl, threads) — rho, offered rate, inversions, mean queue length,
+// the spec name and the trace hash — plus one sojourn row per class, with
+// the class's offered rate.
 func runServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	nJobs := fs.Int("jobs", 500_000, "arrivals injected per configuration")
-	classes := fs.Int("classes", 8, "priority classes (0 = most urgent)")
-	service := fs.Int("service", 256, "mean service time in spin units")
-	workloadFlag := fs.String("workload", "", "workload spec: preset name or JSON file (replaces -classes/-service with the spec's classes and service laws)")
+	workloadFlag := fs.String("workload", "poisson", "workload spec: preset name or JSON file")
 	rate := fs.Float64("rate", 0, "arrival rate λ in jobs/second (0 = derive from -rho)")
 	rho := fs.Float64("rho", 0.8, "target utilization λ·E[S]/threads (ignored when -rate is set)")
-	producers := fs.Int("producers", 1, "arrival goroutines (their Poisson streams superpose to λ)")
+	producers := fs.Int("producers", 1, "arrival goroutines pacing the trace schedule")
 	deadline := fs.Duration("deadline", 0, "optional cap on the injection window (0 = none)")
 	threadsFlag := fs.String("threads", defaultThreads(), "comma-separated serving worker counts")
 	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
@@ -54,17 +53,12 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var wspec *workload.Spec
-	if *workloadFlag != "" {
-		if wspec, err = workload.LoadSpec(*workloadFlag); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "open system: %d arrivals, workload %q (%s arrivals, %d classes)\n",
-			*nJobs, wspec.Name, wspec.Arrival.Process, len(wspec.Classes))
-	} else {
-		fmt.Fprintf(stderr, "open system: %d arrivals, %d classes, mean service %d spin units\n",
-			*nJobs, *classes, *service)
+	wspec, err := workload.LoadSpec(*workloadFlag)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(stderr, "open system: %d arrivals, workload %q (%s arrivals, %d classes)\n",
+		*nJobs, wspec.Name, wspec.Arrival.Process, len(wspec.Classes))
 
 	tb := bench.NewTable("impl", "threads", "rho", "class", "jobs",
 		"sojourn_p50_ms", "sojourn_p99_ms", "qlen_mean")
@@ -72,18 +66,16 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	for _, impl := range splitList(*implsFlag) {
 		for _, th := range threads {
 			res, err := bench.Serve(bench.ServeSpec{
-				Impl:        pqadapt.Impl(impl),
-				Queues:      *queues,
-				Jobs:        *nJobs,
-				Classes:     *classes,
-				ServiceMean: *service,
-				Workload:    wspec,
-				Rate:        *rate,
-				Rho:         *rho,
-				Producers:   *producers,
-				Threads:     th,
-				Batch:       *batch,
-				Deadline:    *deadline,
+				Impl:      pqadapt.Impl(impl),
+				Queues:    *queues,
+				Jobs:      *nJobs,
+				Workload:  wspec,
+				Rate:      *rate,
+				Rho:       *rho,
+				Producers: *producers,
+				Threads:   th,
+				Batch:     *batch,
+				Deadline:  *deadline,
 				Elastic: sched.ElasticConfig{
 					Enable:    *elastic,
 					MinQueues: *qmin,
@@ -97,34 +89,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			ms := float64(res.Elapsed.Microseconds()) / 1000
-			tb.AddRow(impl, th, fmt.Sprintf("%.3f", res.Rho), "all", res.Injected,
-				"", "", fmt.Sprintf("%.1f", res.QLenMean))
-			sum := bench.Row{
-				Impl: impl, Threads: th, Batch: *batch, Millis: ms,
-				Jobs: res.Injected, Inversions: res.Inversions,
-				InvWaiting: res.InvWaiting, BufferedPops: res.BufferedPops,
-				Rho: res.Rho, Rate: res.OfferedRate, QLenMean: res.QLenMean,
-				Workload: res.Workload, TraceHash: res.TraceHash,
-				Epochs: res.Epochs, Resizes: res.Resizes, FinalQueues: res.FinalQueues,
-			}
-			sum.SetTopology(res.Topology)
-			rep.Add(sum)
-			for _, cs := range res.PerClass {
-				cs := cs
-				tb.AddRow(impl, th, fmt.Sprintf("%.3f", res.Rho), cs.Class, cs.Jobs,
-					cs.P50Ms, cs.P99Ms, "")
-				row := bench.Row{
-					Impl: impl, Threads: th, Class: &cs.Class, Jobs: cs.Jobs,
-					Rho: res.Rho, SojournP50Ms: cs.P50Ms, SojournP99Ms: cs.P99Ms,
-					Workload: res.Workload,
-				}
-				if res.ClassRates != nil {
-					row.ClassRate = res.ClassRates[cs.Class]
-				}
-				row.SetTopology(res.Topology)
-				rep.Add(row)
-			}
+			addServeRows(tb, rep, impl, th, *batch, res)
 			elasticNote := ""
 			if res.FinalQueues > 0 {
 				elasticNote = fmt.Sprintf(", elastic: %d resizes -> %d queues", res.Resizes, res.FinalQueues)
@@ -134,4 +99,31 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return out.emit(stdout, tb, rep)
+}
+
+// addServeRows adds one serve or replay measurement to the table and the
+// report: a summary row, then one sojourn row per class.
+func addServeRows(tb *bench.Table, rep *bench.Report, impl string, th, batch int, res bench.ServeResult) {
+	rho := fmt.Sprintf("%.3f", res.Rho)
+	tb.AddRow(impl, th, rho, "all", res.Injected, "", "", fmt.Sprintf("%.1f", res.QLenMean))
+	sum := bench.Row{
+		Impl: impl, Threads: th, Batch: batch, Millis: float64(res.Elapsed.Microseconds()) / 1000,
+		Jobs: res.Injected, Inversions: res.Inversions,
+		InvWaiting: res.InvWaiting, BufferedPops: res.BufferedPops,
+		Rho: res.Rho, Rate: res.OfferedRate, QLenMean: res.QLenMean,
+		Workload: res.Workload, TraceHash: res.TraceHash,
+		Epochs: res.Epochs, Resizes: res.Resizes, FinalQueues: res.FinalQueues,
+	}
+	sum.SetTopology(res.Topology)
+	rep.Add(sum)
+	for _, cs := range res.PerClass {
+		tb.AddRow(impl, th, rho, cs.Class, cs.Jobs, cs.P50Ms, cs.P99Ms, "")
+		row := bench.Row{
+			Impl: impl, Threads: th, Class: &cs.Class, Jobs: cs.Jobs,
+			Rho: res.Rho, SojournP50Ms: cs.P50Ms, SojournP99Ms: cs.P99Ms,
+			Workload: res.Workload, ClassRate: res.ClassRates[cs.Class],
+		}
+		row.SetTopology(res.Topology)
+		rep.Add(row)
+	}
 }

@@ -145,33 +145,7 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			ms := float64(res.Elapsed.Microseconds()) / 1000
-			tb.AddRow(impl, th, fmt.Sprintf("%.3f", res.Rho), "all", res.Injected,
-				"", "", fmt.Sprintf("%.1f", res.QLenMean))
-			sum := bench.Row{
-				Impl: impl, Threads: th, Batch: *batch, Millis: ms,
-				Jobs: res.Injected, Inversions: res.Inversions,
-				InvWaiting: res.InvWaiting, BufferedPops: res.BufferedPops,
-				Rho: res.Rho, Rate: res.OfferedRate, QLenMean: res.QLenMean,
-				Workload: res.Workload, TraceHash: res.TraceHash,
-			}
-			sum.SetTopology(res.Topology)
-			rep.Add(sum)
-			for _, cs := range res.PerClass {
-				cs := cs
-				tb.AddRow(impl, th, fmt.Sprintf("%.3f", res.Rho), cs.Class, cs.Jobs,
-					cs.P50Ms, cs.P99Ms, "")
-				row := bench.Row{
-					Impl: impl, Threads: th, Class: &cs.Class, Jobs: cs.Jobs,
-					Rho: res.Rho, SojournP50Ms: cs.P50Ms, SojournP99Ms: cs.P99Ms,
-					Workload: res.Workload,
-				}
-				if res.ClassRates != nil {
-					row.ClassRate = res.ClassRates[cs.Class]
-				}
-				row.SetTopology(res.Topology)
-				rep.Add(row)
-			}
+			addServeRows(tb, rep, impl, th, *batch, res)
 			fmt.Fprintf(stderr, "done: %-12s threads=%-3d rho=%.2f %v (%d injected)\n",
 				impl, th, res.Rho, res.Elapsed.Round(time.Millisecond), res.Injected)
 		}

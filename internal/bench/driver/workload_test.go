@@ -46,19 +46,6 @@ func TestServeWorkloadJSON(t *testing.T) {
 	}
 }
 
-// TestServeImplicitModelCarriesNoWorkloadFields: default (pre-workload)
-// serve rows must not grow workload fields — the byte-comparability promise
-// for existing BENCH_*.json trajectories.
-func TestServeImplicitModelCarriesNoWorkloadFields(t *testing.T) {
-	stdout, _ := runMain(t, "serve", "-jobs", "2000", "-classes", "2",
-		"-service", "256", "-rho", "0.3", "-threads", "1",
-		"-impls", "multiqueue", "-seed", "9", "-json")
-	if strings.Contains(stdout, "workload") || strings.Contains(stdout, "trace_hash") ||
-		strings.Contains(stdout, "class_rate") {
-		t.Errorf("implicit-model serve emitted workload fields:\n%s", stdout)
-	}
-}
-
 // TestRecordReplayDeterministic: record writes a trace whose hash the
 // replays of two different queue implementations both report back, with
 // per-class job counts identical across all three — the determinism

@@ -106,13 +106,13 @@ type Row struct {
 	SojournP99Ms float64 `json:"sojourn_p99_ms,omitempty"`
 	QLenMean     float64 `json:"qlen_mean,omitempty"`
 
-	// Workload provenance (powerbench serve -workload / record / replay).
+	// Workload provenance (powerbench serve / record / replay / plan).
 	// Workload names the spec ("bursty", a file's spec name, …), TraceHash
 	// the sha256 content identity of the generated or replayed trace —
 	// record→replay determinism compares it. ClassRate is a per-class row's
 	// offered arrival rate in jobs/second (total rate × the class's weight
-	// share). All absent on pre-workload Poisson rows, which therefore stay
-	// byte-comparable with earlier BENCH_*.json files (EXPERIMENTS.md).
+	// share). Every serve row carries them; older serve rows without them
+	// come from a traffic model serve no longer has (EXPERIMENTS.md).
 	Workload  string  `json:"workload,omitempty"`
 	TraceHash string  `json:"trace_hash,omitempty"`
 	ClassRate float64 `json:"class_rate,omitempty"`

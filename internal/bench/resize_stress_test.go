@@ -7,6 +7,7 @@ import (
 
 	"powerchoice/internal/pqadapt"
 	"powerchoice/internal/sched"
+	"powerchoice/internal/workload"
 )
 
 // TestResizeStressLineup hammers every resizable line-up entry with the
@@ -39,8 +40,9 @@ func TestResizeStressLineup(t *testing.T) {
 			}
 
 			// The resizer cycles through grows and shrinks for the whole run.
-			// Unpaced injection (Rate 0) keeps the queue non-empty, so shrinks
-			// genuinely drain loaded retired queues into survivors.
+			// Unpaced injection (an all-zero schedule) keeps the queue
+			// non-empty, so shrinks genuinely drain loaded retired queues into
+			// survivors.
 			stop := make(chan struct{})
 			var resizerWG sync.WaitGroup
 			resizerWG.Add(1)
@@ -66,9 +68,8 @@ func TestResizeStressLineup(t *testing.T) {
 			st := sched.RunOpen[int32](q, sched.OpenConfig{
 				Workers:   4,
 				Producers: 2,
-				Jobs:      jobs,
-				Seed:      977,
-			}, func(p, seq int) sched.Item[int32] {
+				Schedule:  make([]int64, jobs),
+			}, func(seq int) sched.Item[int32] {
 				return sched.Item[int32]{Key: uint64(seq), Value: int32(seq)}
 			}, func(key uint64, value int32, push func(uint64, int32)) bool {
 				servedMu.Lock()
@@ -108,14 +109,18 @@ func TestResizeStressLineup(t *testing.T) {
 // reach the result populated (FinalQueues is non-zero exactly when the
 // controller was armed) and the final size respects the configured range.
 func TestServeElasticEndToEnd(t *testing.T) {
+	spec, err := workload.Preset("poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Serve(ServeSpec{
-		Impl:    pqadapt.ImplMultiQueue,
-		Queues:  4,
-		Threads: 4,
-		Jobs:    4000,
-		Classes: 4,
-		Rho:     0.6,
-		Seed:    31,
+		Impl:     pqadapt.ImplMultiQueue,
+		Queues:   4,
+		Threads:  4,
+		Jobs:     4000,
+		Workload: spec,
+		Rho:      0.6,
+		Seed:     31,
 		Elastic: sched.ElasticConfig{
 			Enable:    true,
 			MinQueues: 2,

@@ -11,29 +11,22 @@ import (
 )
 
 // ServeSpec configures one open-system job-server measurement (powerbench
-// serve): Poisson arrivals at a target utilization ρ (or an explicit rate)
-// served by Threads workers through the chosen queue implementation — or,
-// with Workload/Trace set, arrivals and services from the declarative
-// workload subsystem.
+// serve): a workload trace — generated from a declarative spec at a target
+// utilization ρ (or an explicit rate), or loaded — served by Threads
+// workers through the chosen queue implementation.
 type ServeSpec struct {
 	// Impl selects the queue implementation serving as the scheduler.
 	Impl pqadapt.Impl
 	// Queues fixes the internal queue count of MultiQueue implementations;
 	// 0 derives it from the host.
 	Queues int
-	// Jobs is the total number of arrivals (the measurement's exact end).
+	// Jobs is the length of the trace generated from Workload.
 	Jobs int
-	// Classes is the number of priority classes (0 = most urgent).
-	Classes int
-	// ServiceMean is the exact mean service time in spin units. Ignored when
-	// Workload or Trace is set (the spec's service laws win).
-	ServiceMean int
-	// Workload, when non-nil, generates the job stream from a declarative
-	// spec (arrival shape + per-class service laws) instead of the implicit
-	// Poisson/uniform model: a deterministic trace is compiled at the
-	// resolved rate (explicit Rate, or derived from Rho via the spec's
-	// analytic mean service time) and replayed. Classes and ServiceMean are
-	// ignored; Jobs is the trace length.
+	// Workload generates the job stream from a declarative spec (arrival
+	// shape + per-class service laws): a deterministic trace is compiled at
+	// the resolved rate (explicit Rate, or derived from Rho via the spec's
+	// analytic mean service time) and replayed. One of Workload and Trace
+	// is required.
 	Workload *workload.Spec
 	// Trace, when non-nil, replays a pre-generated trace verbatim (its
 	// recorded rate and spec win over everything above) — powerbench replay.
@@ -57,17 +50,17 @@ type ServeSpec struct {
 	// backlog between MinQueues and MaxQueues. MultiQueue implementations
 	// only — Serve rejects the combination otherwise.
 	Elastic sched.ElasticConfig
-	// Seed fixes workload and interarrival randomness.
+	// Seed fixes the generated trace and the queue's internal randomness.
 	Seed uint64
 }
 
 // ServeResult reports one open-system measurement.
 type ServeResult struct {
 	Elapsed time.Duration
-	// OfferedRate / AchievedRate are the configured λ and Injected/Elapsed.
+	// OfferedRate / AchievedRate are the trace's λ and Injected/Elapsed.
 	OfferedRate  float64
 	AchievedRate float64
-	// Rho is the target utilization the run was configured for.
+	// Rho is the utilization the trace offered (see jobs.OpenResult.Rho).
 	Rho float64
 	// Injected counts jobs actually injected (== Jobs unless the deadline
 	// cut injection); every injected job was served before return.
@@ -86,17 +79,14 @@ type ServeResult struct {
 	SojournP99Ms float64
 	// PerClass holds per-class sojourn (wait + service) percentiles.
 	PerClass []jobs.ClassStats
-	// Workload and TraceHash identify a workload-driven run: the spec name
-	// and the trace's sha256 content identity. Empty for the implicit
-	// Poisson/uniform model.
+	// Workload and TraceHash identify the run's workload: the spec name and
+	// the trace's sha256 content identity.
 	Workload  string
 	TraceHash string
 	// ClassRates are per-class offered arrival rates (jobs/second, the total
-	// rate split by class weight share); nil for the implicit model, whose
-	// classes are uniform.
+	// rate split by class weight share).
 	ClassRates []float64
-	// Trace is the trace the run generated (Workload) or replayed (Trace) —
-	// powerbench record writes it out. Nil for the implicit model.
+	// Trace is the trace the run generated (Workload) or replayed (Trace).
 	Trace *workload.Trace
 	// SpinNsPerUnit is the calibrated spin-unit cost used for ρ↔λ.
 	SpinNsPerUnit float64
@@ -116,19 +106,19 @@ type ServeResult struct {
 // ResolveTrace compiles the spec's workload into the trace Serve would run:
 // a loaded Trace verbatim, or a Workload spec generated at the resolved rate
 // (explicit Rate, or derived from Rho through the spec's analytic mean
-// service time and the host's spin calibration). It returns nil for the
-// implicit Poisson/uniform model. powerbench record uses it directly.
+// service time and the host's spin calibration — the one place a target ρ
+// becomes a rate λ). powerbench record uses it directly.
 func (spec *ServeSpec) ResolveTrace() (*workload.Trace, error) {
 	if spec.Trace != nil {
 		return spec.Trace, nil
 	}
 	if spec.Workload == nil {
-		return nil, nil
+		return nil, fmt.Errorf("bench: serve needs a Workload spec or a Trace")
 	}
 	rate := spec.Rate
 	if rate <= 0 {
 		if spec.Rho <= 0 {
-			return nil, fmt.Errorf("bench: workload run needs Rate or Rho")
+			return nil, fmt.Errorf("bench: serve needs Rate or Rho")
 		}
 		if spec.Threads < 1 {
 			return nil, fmt.Errorf("bench: threads %d < 1", spec.Threads)
@@ -154,21 +144,24 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 	}
 	topology := pqadapt.TopologyOf(spec.Impl, q)
 	res, err := jobs.RunOpen(jobs.OpenSpec{
-		Jobs:        spec.Jobs,
-		Classes:     spec.Classes,
-		ServiceMean: spec.ServiceMean,
-		Workload:    tr,
-		Rate:        spec.Rate,
-		Rho:         spec.Rho,
-		Producers:   spec.Producers,
-		Deadline:    spec.Deadline,
-		Elastic:     spec.Elastic,
-		Seed:        spec.Seed,
+		Workload:  tr,
+		Producers: spec.Producers,
+		Deadline:  spec.Deadline,
+		Elastic:   spec.Elastic,
 	}, q, spec.Threads, spec.Batch)
 	if err != nil {
 		return ServeResult{}, err
 	}
-	out := ServeResult{
+	hash, err := tr.Hash()
+	if err != nil {
+		return ServeResult{}, err
+	}
+	shares := tr.Spec.ClassShares()
+	classRates := make([]float64, len(shares))
+	for i, s := range shares {
+		classRates[i] = res.OfferedRate * s
+	}
+	return ServeResult{
 		Elapsed:       res.Elapsed,
 		OfferedRate:   res.OfferedRate,
 		AchievedRate:  res.AchievedRate,
@@ -181,25 +174,14 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 		SojournP50Ms:  res.SojournP50Ms,
 		SojournP99Ms:  res.SojournP99Ms,
 		PerClass:      res.PerClass,
+		Workload:      tr.Spec.Name,
+		TraceHash:     hash,
+		ClassRates:    classRates,
+		Trace:         tr,
 		SpinNsPerUnit: res.SpinNsPerUnit,
 		Topology:      topology,
 		Resizes:       res.Stats.Resizes,
 		Epochs:        res.Stats.Epochs,
 		FinalQueues:   res.Stats.FinalQueues,
-	}
-	if tr != nil {
-		out.Workload = tr.Spec.Name
-		out.Trace = tr
-		hash, err := tr.Hash()
-		if err != nil {
-			return ServeResult{}, err
-		}
-		out.TraceHash = hash
-		shares := tr.Spec.ClassShares()
-		out.ClassRates = make([]float64, len(shares))
-		for i, s := range shares {
-			out.ClassRates[i] = res.OfferedRate * s
-		}
-	}
-	return out, nil
+	}, nil
 }

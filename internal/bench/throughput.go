@@ -4,7 +4,7 @@
 // post-processing (Figure 2 — the paper's timestamp methodology with a
 // strictly stronger ordering), an SSSP timing runner (Figure 3), workload
 // runners beyond the paper (A*, closed-system job drain, and the
-// open-system serve runner measuring sojourn latency under Poisson load),
+// open-system serve runner measuring sojourn latency of a workload trace),
 // and ASCII table / CSV emitters for regenerating the figures as text.
 package bench
 

@@ -34,8 +34,7 @@ type Spec struct {
 	// ServiceMean is the exact mean simulated service time in spin units (a
 	// unit is one iteration of a cheap arithmetic loop); service times are
 	// uniform on the integers [1, 2·ServiceMean), whose mean is exactly
-	// ServiceMean — the open-system ρ computation depends on that
-	// (TestGenerateServiceMeanExact pins it).
+	// ServiceMean (TestGenerateServiceMeanExact pins it).
 	ServiceMean int
 	// Seed fixes class and service-time randomness.
 	Seed uint64
@@ -80,17 +79,6 @@ func Generate(spec Spec) (*Workload, error) {
 		w.Service[i] = uint32(rng.Intn(2*spec.ServiceMean-1)) + 1
 	}
 	return w, nil
-}
-
-// ExpectedService returns the exact mean service time E[S], in spin units,
-// of the workload Generate draws for the spec — the value open-system
-// utilization targets are computed from.
-func (spec Spec) ExpectedService() float64 {
-	m := spec.ServiceMean
-	if m < 1 {
-		m = 1
-	}
-	return float64(m)
 }
 
 // Key returns job i's queue key: class in the high bits, submission order

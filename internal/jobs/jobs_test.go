@@ -56,9 +56,6 @@ func TestGenerateServiceMeanExact(t *testing.T) {
 		if math.Abs(mean-float64(m)) > tol {
 			t.Errorf("m=%d: empirical mean %.4f differs from %d by more than %.4f", m, mean, m, tol)
 		}
-		if got := w.Spec.ExpectedService(); got != float64(m) {
-			t.Errorf("ExpectedService = %v, want %d", got, m)
-		}
 	}
 }
 

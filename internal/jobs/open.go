@@ -1,14 +1,16 @@
 package jobs
 
-// Open-system job server: jobs arrive continuously (Poisson) while P
-// workers serve them from the shared (relaxed) priority queue. Where the
-// closed-system Run asks "how fast does a prefilled queue drain", this asks
-// the question a serving system asks: at a sustained utilization
-// ρ = λ·E[S]/P, what sojourn time (wait + service) does each priority class
-// see, and what does relaxation cost the urgent classes? This is the
-// real-world-constraints framing of Scully & Harchol-Balter (PAPERS.md):
-// the rank bound becomes a latency penalty at a given load, not a
-// drain-time delta.
+// Open-system job server: the jobs of a workload trace arrive on the
+// trace's schedule while P workers serve them from the shared (relaxed)
+// priority queue. Where the closed-system Run asks "how fast does a
+// prefilled queue drain", this asks the question a serving system asks: at
+// a sustained utilization ρ = λ·E[S]/P, what sojourn time (wait + service)
+// does each priority class see, and what does relaxation cost the urgent
+// classes? This is the real-world-constraints framing of Scully &
+// Harchol-Balter (PAPERS.md): the rank bound becomes a latency penalty at a
+// given load, not a drain-time delta. The trace (internal/workload) fixes
+// the load: its arrival law, rate and service laws are chosen when it is
+// generated, so this file only replays it and reports the ρ it offered.
 
 import (
 	"fmt"
@@ -24,35 +26,14 @@ import (
 
 // OpenSpec configures an open-system job-server run.
 type OpenSpec struct {
-	// Jobs is the total number of arrivals injected (the run serves all of
-	// them to completion, so the measurement has an exact end). Ignored when
-	// Workload is set — the trace's length wins.
-	Jobs int
-	// Classes is the number of priority classes (class 0 most urgent).
-	// Ignored when Workload is set.
-	Classes int
-	// ServiceMean is the exact mean service time in spin units (see
-	// Spec.ServiceMean); the job population is drawn by Generate, so open
-	// and closed runs with equal (Jobs, Classes, ServiceMean, Seed) serve
-	// the identical job multiset. Ignored when Workload is set.
-	ServiceMean int
-	// Workload, when non-nil, replaces the Generate-drawn population AND the
-	// Poisson pacing: jobs (class, service, arrival instant) come verbatim
-	// from the pre-generated trace, producers pace its fixed schedule
-	// (producer p owns arrivals p, p+Producers, …), and Rate/Rho are ignored
-	// in favor of the trace's recorded rate. Two runs of the same trace on
-	// any queue implementation serve the identical job multiset on the
-	// identical schedule — the record→replay determinism contract.
+	// Workload is the trace to serve (required): each job's class, service
+	// time and arrival instant, and the rate it was generated at. Two runs
+	// of the same trace on any queue implementation serve the identical job
+	// multiset on the identical schedule — the record→replay determinism
+	// contract.
 	Workload *workload.Trace
-	// Rate is the total arrival rate λ in jobs per second. Leave 0 to
-	// derive it from Rho.
-	Rate float64
-	// Rho is the target utilization ρ = λ·E[S]/P. When Rate is 0, λ is
-	// derived as ρ·P/E[S] with E[S] converted to seconds through the spin
-	// calibration (SpinNsPerUnit). ρ ≥ 1 deliberately configures overload.
-	Rho float64
-	// Producers is the number of arrival goroutines (default 1). Their
-	// independent Poisson streams superpose to rate λ.
+	// Producers is the number of arrival goroutines (default 1); producer p
+	// paces the trace's arrivals p, p+Producers, ….
 	Producers int
 	// Deadline optionally stops injection early (see sched.OpenConfig).
 	Deadline time.Duration
@@ -65,8 +46,6 @@ type OpenSpec struct {
 	// (sched.Resizable — the MultiQueue adapters); RunOpen rejects the
 	// combination otherwise rather than silently running fixed-topology.
 	Elastic sched.ElasticConfig
-	// Seed fixes workload and interarrival randomness.
-	Seed uint64
 }
 
 // OpenResult reports one open-system run.
@@ -74,21 +53,21 @@ type OpenResult struct {
 	// Elapsed is the full wall time: injection window plus the
 	// drain-to-zero epilogue.
 	Elapsed time.Duration
-	// OfferedRate is the configured λ in jobs/second; AchievedRate is
+	// OfferedRate is the trace's λ in jobs/second; AchievedRate is
 	// Injected/Elapsed, which sags below OfferedRate when the system is
 	// overloaded (the epilogue drains a standing queue) or the host cannot
 	// pace that fast.
 	OfferedRate  float64
 	AchievedRate float64
-	// Rho is the target utilization λ·E[S]/P the run was configured for,
-	// computed from the exact E[S] and the spin calibration. The spin loop
+	// Rho is the utilization λ·E[S]/P the trace offers, with E[S] the mean
+	// of its realized service times and the spin calibration. The spin loop
 	// is the only work rho accounts for; queue operations and measurement
 	// overhead add load on top, so effective utilization is somewhat
 	// higher — comparisons across implementations at equal Rho remain
 	// apples-to-apples.
 	Rho float64
-	// SpinNsPerUnit is the calibrated wall-time cost of one spin unit used
-	// for the ρ↔λ conversion.
+	// SpinNsPerUnit is the calibrated wall-time cost of one spin unit Rho
+	// was computed with.
 	SpinNsPerUnit float64
 	// SampleEvery is the queue-length sampling period the run actually used:
 	// the configured value, or the derived one (see deriveSampleEvery) when
@@ -169,17 +148,19 @@ func deriveSampleEvery(jobs int64, rate float64, deadline time.Duration) time.Du
 	return sampleEvery
 }
 
-// RunOpen generates the job population from the spec — or takes it verbatim
-// from spec.Workload's trace — and serves it as an open system:
-// spec.Producers goroutines inject arrivals (Poisson at λ, or the trace's
-// fixed schedule) while `workers` goroutines serve, through the sched
-// executor with bulk size `batch` (0 or 1 = unbatched). It returns when
-// every injected job has been served — the executor's drain-to-zero
-// epilogue guarantees none is lost in shared queues or worker-local batch
-// buffers at shutdown.
+// RunOpen serves spec.Workload's trace as an open system: spec.Producers
+// goroutines inject its jobs on its schedule while `workers` goroutines
+// serve, through the sched executor with bulk size `batch` (0 or 1 =
+// unbatched). It returns when every injected job has been served — the
+// executor's drain-to-zero epilogue guarantees none is lost in shared
+// queues or worker-local batch buffers at shutdown.
 func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResult, error) {
 	if q == nil {
 		return OpenResult{}, fmt.Errorf("jobs: nil queue")
+	}
+	tr := spec.Workload
+	if tr == nil || tr.Jobs() < 1 {
+		return OpenResult{}, fmt.Errorf("jobs: open run needs a non-empty workload trace")
 	}
 	if spec.Elastic.Enable {
 		if _, ok := q.(sched.Resizable); !ok {
@@ -189,88 +170,28 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 	if workers < 1 {
 		workers = 1
 	}
-	producers := spec.Producers
-	if producers < 1 {
-		producers = 1
-	}
+	n := tr.Jobs()
 
-	// Resolve the job source: per-job (key, class, service), the population
-	// size, and the mean service time E[S] the ρ↔λ conversion uses.
-	var (
-		n          int
-		classes    int
-		classOf    func(id int) uint8
-		serviceOf  func(id int) uint32
-		keyOf      func(id int) uint64
-		meanSvc    float64
-		openCfgFns func(cfg *sched.OpenConfig)
-	)
-	tr := spec.Workload
-	if tr != nil {
-		if tr.Jobs() < 1 {
-			return OpenResult{}, fmt.Errorf("jobs: empty workload trace")
-		}
-		n = tr.Jobs()
-		classes = tr.NumClasses()
-		classOf = func(id int) uint8 { return tr.Class[id] }
-		serviceOf = func(id int) uint32 { return tr.Service[id] }
-		keyOf = tr.Key
-		// The empirical mean of the realized services, not the spec's
-		// analytic mean: ρ reports the load this trace actually offers.
-		var sum float64
-		for _, s := range tr.Service {
-			sum += float64(s)
-		}
-		meanSvc = sum / float64(n)
-		nProducers := producers
-		openCfgFns = func(cfg *sched.OpenConfig) {
-			cfg.Arrivals = func(p int) sched.ArrivalProcess { return tr.Arrivals(p, nProducers) }
-			cfg.Strided = true
-		}
-	} else {
-		w, err := Generate(Spec{
-			Jobs: spec.Jobs, Classes: spec.Classes,
-			ServiceMean: spec.ServiceMean, Seed: spec.Seed,
-		})
-		if err != nil {
-			return OpenResult{}, err
-		}
-		n = spec.Jobs
-		classes = spec.Classes
-		classOf = func(id int) uint8 { return w.Class[id] }
-		serviceOf = func(id int) uint32 { return w.Service[id] }
-		keyOf = w.Key
-		meanSvc = w.Spec.ExpectedService()
+	// The trace's recorded rate, or its realized one when the header
+	// carries none; ρ uses the empirical mean of the realized services, not
+	// the spec's analytic mean, so it reports the load this trace offers.
+	rate := tr.Rate
+	if rate <= 0 && tr.ArrivalNs[n-1] > 0 {
+		rate = float64(n) / (float64(tr.ArrivalNs[n-1]) / 1e9)
 	}
-
+	var services float64
+	for _, s := range tr.Service {
+		services += float64(s)
+	}
+	meanSvc := services / float64(n)
 	nsPerUnit := SpinNsPerUnit()
-	serviceSec := meanSvc * nsPerUnit / 1e9
-	rate := spec.Rate
-	rho := spec.Rho
-	if tr != nil {
-		// A trace's schedule is fixed at generation time; its recorded rate
-		// is the only one the replay can honor.
-		rate = tr.Rate
-		if rate <= 0 && tr.ArrivalNs[n-1] > 0 {
-			rate = float64(n) / (float64(tr.ArrivalNs[n-1]) / 1e9)
-		}
-		rho = rate * serviceSec / float64(workers)
-	} else {
-		switch {
-		case rate > 0:
-			rho = rate * serviceSec / float64(workers)
-		case rho > 0:
-			rate = rho * float64(workers) / serviceSec
-		default:
-			return OpenResult{}, fmt.Errorf("jobs: open run needs Rate, Rho, or Workload")
-		}
-	}
+	rho := rate * meanSvc * nsPerUnit / 1e9 / float64(workers)
 	sampleEvery := spec.SampleEvery
 	if sampleEvery <= 0 {
 		sampleEvery = deriveSampleEvery(int64(n), rate, spec.Deadline)
 	}
 
-	classPending := make([]atomic.Int64, classes)
+	classPending := make([]atomic.Int64, tr.NumClasses())
 	arrivedAt := make([]int64, n)   // ns since start; -1 = never injected
 	completedAt := make([]int64, n) // ns since start; one writer per job
 	for i := range arrivedAt {
@@ -279,49 +200,39 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 	var inversions, invWaiting atomic.Int64
 
 	start := time.Now()
-	// seq is RunOpen's global injection sequence, so it doubles as the job
-	// id. In the default (dense) mode the jobs actually injected are always
-	// a prefix of the generated workload, whichever producer's pacing stream
-	// delivered each one; in trace mode seq is the strided trace index, so
-	// each job keeps its recorded identity.
-	gen := func(_, seq int) sched.Item[int32] {
-		id := seq
-		classPending[classOf(id)].Add(1)
+	// The executor's arrival index is the trace index, so each job keeps
+	// its recorded identity whichever producer injects it.
+	gen := func(id int) sched.Item[int32] {
+		classPending[tr.Class[id]].Add(1)
 		arrivedAt[id] = time.Since(start).Nanoseconds()
-		return sched.Item[int32]{Key: keyOf(id), Value: int32(id)}
+		return sched.Item[int32]{Key: tr.Key(id), Value: int32(id)}
 	}
 	task := func(_ uint64, id int32, _ func(uint64, int32)) bool {
 		// Same serving path as the closed-system runs; here "pending" only
 		// counts jobs that have *arrived* but not yet been dequeued.
-		serveJob(int(classOf(int(id))), serviceOf(int(id)), id, classPending, &inversions, &invWaiting)
+		serveJob(int(tr.Class[id]), tr.Service[id], id, classPending, &inversions, &invWaiting)
 		completedAt[id] = time.Since(start).Nanoseconds()
 		return true
 	}
-	openCfg := sched.OpenConfig{
+	st := sched.RunOpen(q, sched.OpenConfig{
 		Workers:     workers,
 		Batch:       batch,
-		Producers:   producers,
-		Rate:        rate,
-		Jobs:        int64(n),
+		Producers:   spec.Producers,
+		Schedule:    tr.ArrivalNs,
 		Deadline:    spec.Deadline,
 		SampleEvery: sampleEvery,
 		Elastic:     spec.Elastic,
-		Seed:        spec.Seed,
-	}
-	if openCfgFns != nil {
-		openCfgFns(&openCfg)
-	}
-	st := sched.RunOpen(q, openCfg, gen, task)
+	}, gen, task)
 	elapsed := time.Since(start)
 
-	perClass := make([][]float64, classes)
+	perClass := make([][]float64, tr.NumClasses())
 	all := make([]float64, 0, n)
 	for id := 0; id < n; id++ {
 		if arrivedAt[id] < 0 {
 			continue // deadline cut injection before this job arrived
 		}
 		sojournMs := float64(completedAt[id]-arrivedAt[id]) / 1e6
-		perClass[classOf(id)] = append(perClass[classOf(id)], sojournMs)
+		perClass[tr.Class[id]] = append(perClass[tr.Class[id]], sojournMs)
 		all = append(all, sojournMs)
 	}
 	res := OpenResult{

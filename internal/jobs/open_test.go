@@ -5,7 +5,35 @@ import (
 	"time"
 
 	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/workload"
 )
+
+// poissonTrace generates n jobs of the poisson preset (4 classes of mean
+// service 256) at the rate whose analytic load is rho on `workers` workers.
+func poissonTrace(t *testing.T, n int, rho float64, workers int, seed uint64) *workload.Trace {
+	t.Helper()
+	spec, err := workload.Preset("poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := rho * float64(workers) / (spec.MeanService() * SpinNsPerUnit() / 1e9)
+	tr, err := workload.Generate(spec, seed, n, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// traceRho is the utilization a trace offers `workers` workers: rate × mean
+// realized service × SpinNsPerUnit / 1e9 / workers, evaluated in the order
+// RunOpen evaluates it.
+func traceRho(tr *workload.Trace, workers int) float64 {
+	var services float64
+	for _, s := range tr.Service {
+		services += float64(s)
+	}
+	return tr.Rate * (services / float64(tr.Jobs())) * SpinNsPerUnit() / 1e9 / float64(workers)
+}
 
 // TestRunOpenServesEveryArrival: the open-system server must serve every
 // injected job exactly once (none lost in shared queues or batch buffers at
@@ -16,6 +44,7 @@ func TestRunOpenServesEveryArrival(t *testing.T) {
 	if testing.Short() {
 		n = 1500
 	}
+	tr := poissonTrace(t, n, 0.5, 2, 11)
 	for _, impl := range []pqadapt.Impl{
 		pqadapt.ImplMultiQueue, pqadapt.ImplOneBeta75,
 		pqadapt.ImplKLSM, pqadapt.ImplGlobalLock,
@@ -27,10 +56,7 @@ func TestRunOpenServesEveryArrival(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunOpen(OpenSpec{
-					Jobs: n, Classes: 4, ServiceMean: 256,
-					Rho: 0.5, Producers: 2, Seed: 11,
-				}, q, 2, batch)
+				res, err := RunOpen(OpenSpec{Workload: tr, Producers: 2}, q, 2, batch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +80,7 @@ func TestRunOpenServesEveryArrival(t *testing.T) {
 				if total != int64(n) {
 					t.Fatalf("batch=%d: per-class jobs sum %d, want %d", batch, total, n)
 				}
-				if res.Rho != 0.5 || res.OfferedRate <= 0 || res.SpinNsPerUnit <= 0 {
+				if res.Rho != traceRho(tr, 2) || res.OfferedRate <= 0 || res.SpinNsPerUnit <= 0 {
 					t.Errorf("batch=%d: load parameters: %+v", batch, res)
 				}
 				if len(res.QLen) == 0 {
@@ -65,62 +91,56 @@ func TestRunOpenServesEveryArrival(t *testing.T) {
 	}
 }
 
-// TestRunOpenRateRhoConversion: Rate and Rho are two views of the same load
-// through E[S] and the calibration: configuring either must report both
-// consistently.
+// TestRunOpenRateRhoConversion: the rate and ρ a run reports are two views
+// of the trace's load through its realized mean service and the spin
+// calibration. A trace generated at the rate whose analytic load is 0.4
+// offers 0.4 scaled by its realized over its analytic mean service, and
+// the run reports the trace's own rate.
 func TestRunOpenRateRhoConversion(t *testing.T) {
 	const workers = 2
+	tr := poissonTrace(t, 500, 0.4, workers, 3)
 	q, err := pqadapt.New(pqadapt.ImplGlobalLock, 47)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRho, err := RunOpen(OpenSpec{
-		Jobs: 500, Classes: 2, ServiceMean: 256, Rho: 0.4, Seed: 3,
-	}, q, workers, 0)
+	res, err := RunOpen(OpenSpec{Workload: tr}, q, workers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := byRho.SpinNsPerUnit * 256 / 1e9
-	if got := byRho.OfferedRate * es / workers; !approxEq(got, 0.4) {
-		t.Errorf("rho-configured run: rate %.0f implies rho %.3f, want 0.4", byRho.OfferedRate, got)
+	if res.OfferedRate != tr.Rate {
+		t.Errorf("offered rate %g, trace rate %g", res.OfferedRate, tr.Rate)
 	}
-	q2, err := pqadapt.New(pqadapt.ImplGlobalLock, 47)
-	if err != nil {
-		t.Fatal(err)
+	if res.Rho != traceRho(tr, workers) {
+		t.Errorf("rho %v, the trace offers %v", res.Rho, traceRho(tr, workers))
 	}
-	byRate, err := RunOpen(OpenSpec{
-		Jobs: 500, Classes: 2, ServiceMean: 256, Rate: byRho.OfferedRate, Seed: 3,
-	}, q2, workers, 0)
-	if err != nil {
-		t.Fatal(err)
+	var services float64
+	for _, s := range tr.Service {
+		services += float64(s)
 	}
-	if !approxEq(byRate.Rho, byRho.Rho) {
-		t.Errorf("rate-configured run reports rho %.4f, rho-configured %.4f", byRate.Rho, byRho.Rho)
+	want := 0.4 * services / float64(tr.Jobs()) / tr.Spec.MeanService()
+	if d := res.Rho/want - 1; d > 1e-9 || d < -1e-9 {
+		t.Errorf("rho %v, want %v: 0.4 scaled by the realized mean service", res.Rho, want)
 	}
 }
 
-func approxEq(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
-}
-
-// TestRunOpenValidates: bad specs are rejected up front.
+// TestRunOpenValidates: a nil queue and a nil or empty trace are rejected
+// up front. The load's own checks live where the load is built: rate or ρ
+// in bench.ServeSpec.ResolveTrace, the job count in workload.Generate and
+// the classes in workload.Spec.Validate.
 func TestRunOpenValidates(t *testing.T) {
 	q, err := pqadapt.New(pqadapt.ImplGlobalLock, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunOpen(OpenSpec{Jobs: 10, Classes: 2, Rho: 0.5}, nil, 1, 0); err == nil {
+	tr := poissonTrace(t, 10, 0.5, 1, 1)
+	if _, err := RunOpen(OpenSpec{Workload: tr}, nil, 1, 0); err == nil {
 		t.Error("nil queue accepted")
 	}
-	if _, err := RunOpen(OpenSpec{Jobs: 10, Classes: 2}, q, 1, 0); err == nil {
-		t.Error("spec without Rate or Rho accepted")
+	if _, err := RunOpen(OpenSpec{}, q, 1, 0); err == nil {
+		t.Error("spec without a trace accepted")
 	}
-	if _, err := RunOpen(OpenSpec{Jobs: 0, Classes: 2, Rho: 0.5}, q, 1, 0); err == nil {
-		t.Error("0 jobs accepted")
-	}
-	if _, err := RunOpen(OpenSpec{Jobs: 10, Classes: 0, Rho: 0.5}, q, 1, 0); err == nil {
-		t.Error("0 classes accepted")
+	if _, err := RunOpen(OpenSpec{Workload: &workload.Trace{Spec: tr.Spec}}, q, 1, 0); err == nil {
+		t.Error("empty trace accepted")
 	}
 }
 
@@ -131,15 +151,20 @@ func TestRunOpenDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOpen(OpenSpec{
-		// 1e6 jobs at ~20k/s would run ~50s; the 40ms deadline cuts it.
-		Jobs: 1_000_000, Classes: 3, ServiceMean: 64, Rate: 20000,
-		Deadline: 40 * time.Millisecond, Seed: 17,
-	}, q, 2, 0)
+	spec, err := workload.Preset("poisson")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Injected == 0 || res.Injected >= 1_000_000 {
+	// 100,000 jobs at 20k/s would run ~5s; the 40ms deadline cuts it.
+	tr, err := workload.Generate(spec, 17, 100_000, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunOpen(OpenSpec{Workload: tr, Deadline: 40 * time.Millisecond}, q, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Injected == 0 || res.Injected >= 100_000 {
 		t.Fatalf("deadline did not bound injection: %d", res.Injected)
 	}
 	if res.Stats.Processed != res.Injected {

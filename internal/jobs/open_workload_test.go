@@ -42,13 +42,19 @@ func TestDeriveSampleEveryDeadlineBounded(t *testing.T) {
 // TestRunOpenResultRecordsSampleEvery: the derived period must surface in
 // OpenResult so reports can interpret the QLen timeseries' time axis.
 func TestRunOpenResultRecordsSampleEvery(t *testing.T) {
+	spec, err := workload.Preset("poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(spec, 5, 2000, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q, err := pqadapt.New(pqadapt.ImplMultiQueue, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOpen(OpenSpec{
-		Jobs: 2000, Classes: 2, ServiceMean: 64, Rate: 1e6, Seed: 5,
-	}, q, 2, 1)
+	res, err := RunOpen(OpenSpec{Workload: tr}, q, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +65,7 @@ func TestRunOpenResultRecordsSampleEvery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := RunOpen(OpenSpec{
-		Jobs: 2000, Classes: 2, ServiceMean: 64, Rate: 1e6, Seed: 5,
-		SampleEvery: 7 * time.Millisecond,
-	}, q2, 2, 1)
+	res2, err := RunOpen(OpenSpec{Workload: tr, SampleEvery: 7 * time.Millisecond}, q2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestRunOpenWorkloadTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunOpen(OpenSpec{Workload: tr, Producers: 2, Seed: 9}, q, 2, 1)
+		res, err := RunOpen(OpenSpec{Workload: tr, Producers: 2}, q, 2, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", impl, err)
 		}

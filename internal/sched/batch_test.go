@@ -108,7 +108,7 @@ func TestBatchedStatsUnbatchedZero(t *testing.T) {
 		q.Insert(scrambleKey(i), i)
 	}
 	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
-	st := sched.RunPrefilled[int32](q, 2, task, 100)
+	st := sched.RunConfig[int32](q, sched.Config{Workers: 2}, task, 100)
 	if st.BufferedPops != 0 {
 		t.Errorf("unbatched BufferedPops = %d", st.BufferedPops)
 	}

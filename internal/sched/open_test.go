@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,6 +9,18 @@ import (
 	"powerchoice/internal/pqadapt"
 	"powerchoice/internal/sched"
 )
+
+// evenSchedule returns n arrival instants spaced evenly at rate arrivals per
+// second, or n zeros — the unpaced stress mode — when rate is 0.
+func evenSchedule(n int, rate float64) []int64 {
+	s := make([]int64, n)
+	if rate > 0 {
+		for i := range s {
+			s[i] = int64(float64(i) * 1e9 / rate)
+		}
+	}
+	return s
+}
 
 // TestRunOpenServesEveryInjectedJob: the open-system run must serve every
 // injected item exactly once on every implementation, across producer and
@@ -18,23 +31,22 @@ func TestRunOpenServesEveryInjectedJob(t *testing.T) {
 	if testing.Short() {
 		jobs = 4000
 	}
+	paced := evenSchedule(int(jobs), 4e6)
 	for _, impl := range pqadapt.Impls() {
 		impl := impl
 		t.Run(string(impl), func(t *testing.T) {
 			for _, cfg := range []sched.OpenConfig{
-				{Workers: 2, Producers: 1, Jobs: jobs, Rate: 4e6, Seed: 3},
-				{Workers: 4, Producers: 3, Jobs: jobs, Rate: 4e6, Seed: 3},
-				{Workers: 4, Producers: 2, Jobs: jobs, Rate: 4e6, Batch: 8, Seed: 3},
-				{Workers: 2, Producers: 2, Jobs: jobs, Seed: 3}, // unpaced stress
+				{Workers: 2, Producers: 1, Schedule: paced},
+				{Workers: 4, Producers: 3, Schedule: paced},
+				{Workers: 4, Producers: 2, Schedule: paced, Batch: 8},
+				{Workers: 2, Producers: 2, Schedule: evenSchedule(int(jobs), 0)}, // unpaced stress
 			} {
 				q, err := pqadapt.New(impl, 19)
 				if err != nil {
 					t.Fatal(err)
 				}
 				seen := make([]atomic.Int32, jobs)
-				gen := func(_, seq int) sched.Item[int32] {
-					// seq is the dense global injection sequence: it must
-					// cover exactly 0..jobs-1 across all producers.
+				gen := func(seq int) sched.Item[int32] {
 					id := int32(seq)
 					return sched.Item[int32]{Key: scrambleKey(id), Value: id}
 				}
@@ -43,29 +55,31 @@ func TestRunOpenServesEveryInjectedJob(t *testing.T) {
 					return true
 				}
 				st := sched.RunOpen[int32](q, cfg, gen, task)
+				name := fmt.Sprintf("workers=%d producers=%d batch=%d paced=%v",
+					cfg.Workers, cfg.Producers, cfg.Batch, cfg.Schedule[1] > 0)
 				if st.Injected != jobs {
-					t.Fatalf("cfg %+v: injected %d of %d", cfg, st.Injected, jobs)
+					t.Fatalf("%s: injected %d of %d", name, st.Injected, jobs)
 				}
 				if st.Processed != jobs || st.Stale != 0 {
-					t.Fatalf("cfg %+v: processed %d stale %d, want %d / 0",
-						cfg, st.Processed, st.Stale, jobs)
+					t.Fatalf("%s: processed %d stale %d, want %d / 0",
+						name, st.Processed, st.Stale, jobs)
 				}
 				var served int64
 				for i := range seen {
 					if n := seen[i].Load(); n > 1 {
-						t.Fatalf("cfg %+v: item %d served %d times", cfg, i, n)
+						t.Fatalf("%s: item %d served %d times", name, i, n)
 					} else if n == 1 {
 						served++
 					}
 				}
 				if served != jobs {
-					t.Fatalf("cfg %+v: served %d distinct of %d", cfg, served, jobs)
+					t.Fatalf("%s: served %d distinct of %d", name, served, jobs)
 				}
 				if cfg.Batch > 1 && st.BufferedPops == 0 {
-					t.Errorf("cfg %+v: batched run reported no buffered pops", cfg)
+					t.Errorf("%s: batched run reported no buffered pops", name)
 				}
 				if _, _, ok := q.DeleteMin(); ok {
-					t.Fatalf("cfg %+v: queue not empty after drain-to-zero epilogue", cfg)
+					t.Fatalf("%s: queue not empty after drain-to-zero epilogue", name)
 				}
 			}
 		})
@@ -82,7 +96,7 @@ func TestRunOpenTaskPushes(t *testing.T) {
 	}
 	const jobs = 2000
 	var followUps atomic.Int64
-	gen := func(p, i int) sched.Item[int32] {
+	gen := func(i int) sched.Item[int32] {
 		return sched.Item[int32]{Key: scrambleKey(int32(i)), Value: int32(i)}
 	}
 	task := func(_ uint64, id int32, push func(uint64, int32)) bool {
@@ -95,7 +109,7 @@ func TestRunOpenTaskPushes(t *testing.T) {
 		return true
 	}
 	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 3, Producers: 1, Jobs: jobs, Rate: 2e6, Batch: 4, Seed: 5,
+		Workers: 3, Producers: 1, Schedule: evenSchedule(jobs, 2e6), Batch: 4,
 	}, gen, task)
 	if st.Injected != jobs || st.Pushed != jobs || followUps.Load() != jobs {
 		t.Fatalf("injected %d pushed %d followUps %d, want %d each",
@@ -114,18 +128,17 @@ func TestRunOpenDeadlineCutsInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var generated atomic.Int64
-	gen := func(p, i int) sched.Item[int32] {
-		n := generated.Add(1)
-		return sched.Item[int32]{Key: uint64(n), Value: int32(n)}
+	gen := func(i int) sched.Item[int32] {
+		return sched.Item[int32]{Key: uint64(i), Value: int32(i)}
 	}
 	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
-	// 1e9 jobs at 50k/s would take hours; the 50ms deadline must cut it.
+	// 100,000 jobs at 50k/s would take 2s; the 50ms deadline must cut it.
+	const jobs = 100_000
 	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 2, Producers: 2, Jobs: 1 << 30, Rate: 50000,
-		Deadline: 50 * time.Millisecond, Seed: 7,
+		Workers: 2, Producers: 2, Schedule: evenSchedule(jobs, 50000),
+		Deadline: 50 * time.Millisecond,
 	}, gen, task)
-	if st.Injected >= 1<<30 || st.Injected == 0 {
+	if st.Injected >= jobs || st.Injected == 0 {
 		t.Fatalf("deadline did not bound injection: %d", st.Injected)
 	}
 	if st.Processed != st.Injected {
@@ -143,23 +156,23 @@ func TestRunOpenDeadlineNotOvershotAtLowRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func(p, i int) sched.Item[int32] {
+	gen := func(i int) sched.Item[int32] {
 		return sched.Item[int32]{Key: uint64(i), Value: int32(i)}
 	}
 	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
 	start := time.Now()
-	// Mean interarrival gap 500ms vs a 30ms deadline: with high probability
-	// not even the first arrival lands, and the old post-sleep-only check
-	// would block ~500ms before noticing the deadline.
+	// Interarrival gap 500ms vs a 30ms deadline: only the first arrival
+	// lands, and a post-sleep-only check would block 500ms before noticing
+	// the deadline.
 	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 1, Producers: 1, Jobs: 100, Rate: 2,
-		Deadline: 30 * time.Millisecond, Seed: 19,
+		Workers: 1, Producers: 1, Schedule: evenSchedule(100, 2),
+		Deadline: 30 * time.Millisecond,
 	}, gen, task)
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Errorf("low-rate deadline run took %v, deadline overshot", elapsed)
 	}
-	if st.Processed != st.Injected {
-		t.Errorf("processed %d != injected %d", st.Processed, st.Injected)
+	if st.Injected != 1 || st.Processed != st.Injected {
+		t.Errorf("injected %d processed %d, want 1 / 1", st.Injected, st.Processed)
 	}
 }
 
@@ -170,13 +183,13 @@ func TestRunOpenSamplesQueueLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func(p, i int) sched.Item[int32] {
+	gen := func(i int) sched.Item[int32] {
 		return sched.Item[int32]{Key: uint64(i), Value: int32(i)}
 	}
 	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
 	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 1, Producers: 1, Jobs: 3000, Rate: 100000,
-		SampleEvery: time.Millisecond, Seed: 11,
+		Workers: 1, Producers: 1, Schedule: evenSchedule(3000, 100000),
+		SampleEvery: time.Millisecond,
 	}, gen, task)
 	// 3000 jobs at 100k/s is a ≥30ms run: at least a handful of 1ms ticks.
 	if len(st.QLen) < 3 {
@@ -191,7 +204,7 @@ func TestRunOpenSamplesQueueLength(t *testing.T) {
 
 // TestRunOpenPacingRoughlyMatchesRate: over a run long enough to average
 // out, the achieved injection rate must be within a factor of two of the
-// configured Poisson rate (scheduling jitter allowed; systematic error not).
+// schedule's rate (scheduling jitter allowed; systematic error not).
 func TestRunOpenPacingRoughlyMatchesRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
@@ -203,7 +216,7 @@ func TestRunOpenPacingRoughlyMatchesRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func(p, i int) sched.Item[int32] {
+	gen := func(i int) sched.Item[int32] {
 		return sched.Item[int32]{Key: uint64(i), Value: int32(i)}
 	}
 	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
@@ -211,7 +224,7 @@ func TestRunOpenPacingRoughlyMatchesRate(t *testing.T) {
 	const jobs = 2000
 	start := time.Now()
 	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 1, Producers: 2, Jobs: jobs, Rate: rate, Seed: 13,
+		Workers: 1, Producers: 2, Schedule: evenSchedule(jobs, rate),
 	}, gen, task)
 	elapsed := time.Since(start).Seconds()
 	if st.Injected != jobs {
@@ -220,5 +233,43 @@ func TestRunOpenPacingRoughlyMatchesRate(t *testing.T) {
 	achieved := float64(jobs) / elapsed
 	if achieved > 2*rate || achieved < rate/2 {
 		t.Errorf("achieved rate %.0f/s, configured %.0f/s", achieved, rate)
+	}
+}
+
+// TestRunOpenStridedIdentities: producers must jointly inject every index of
+// the schedule exactly once — P producers striding over it, whatever their
+// interleaving — and none before its due instant.
+func TestRunOpenStridedIdentities(t *testing.T) {
+	const jobs = 4000
+	const producers = 3
+	q, err := pqadapt.New(pqadapt.ImplGlobalLock, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := evenSchedule(jobs, 1e6)
+	seen := make([]atomic.Int32, jobs)
+	var early atomic.Int64
+	start := time.Now() // no later than RunOpen's own start
+	gen := func(seq int) sched.Item[int32] {
+		seen[seq].Add(1)
+		if time.Since(start).Nanoseconds() < schedule[seq] {
+			early.Add(1)
+		}
+		return sched.Item[int32]{Key: uint64(seq), Value: int32(seq)}
+	}
+	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
+	st := sched.RunOpen[int32](q, sched.OpenConfig{
+		Workers: 2, Producers: producers, Schedule: schedule,
+	}, gen, task)
+	if st.Injected != jobs || st.Processed != jobs {
+		t.Fatalf("injected %d processed %d, want %d", st.Injected, st.Processed, jobs)
+	}
+	for seq := range seen {
+		if n := seen[seq].Load(); n != 1 {
+			t.Fatalf("seq %d injected %d times", seq, n)
+		}
+	}
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d arrivals injected before their due instant", n)
 	}
 }

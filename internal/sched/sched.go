@@ -66,8 +66,8 @@ type Batched[V any] interface {
 }
 
 // WorkerLocal is implemented by queues whose hot paths want a per-goroutine
-// view (e.g. MultiQueue handles and k-LSM handles). Run calls Local once in
-// each worker goroutine when available.
+// view (e.g. MultiQueue handles and k-LSM handles). The executor calls Local
+// once in each worker and producer goroutine when available.
 type WorkerLocal[V any] interface {
 	Local() Queue[V]
 }
@@ -128,28 +128,15 @@ type Stats struct {
 	BufferedPops int64
 }
 
-// Run seeds the queue with the given items and executes the task across
-// `workers` goroutines until every entry — seeds and pushed successors —
-// has been handled. It returns when the pending counter reaches zero, which
-// is exact regardless of the queue's relaxed emptiness.
-func Run[V any](q Queue[V], workers int, task Task[V], seeds ...Item[V]) Stats {
-	for _, s := range seeds {
-		q.Insert(s.Key, s.Value)
-	}
-	return RunPrefilled(q, workers, task, int64(len(seeds)))
-}
-
-// RunPrefilled is Run for a queue the caller already loaded with `preloaded`
-// entries, so that seeding (e.g. millions of job-server inserts) can happen
-// outside the caller's timed region.
-func RunPrefilled[V any](q Queue[V], workers int, task Task[V], preloaded int64) Stats {
-	return RunConfig(q, Config{Workers: workers}, task, preloaded)
-}
-
-// RunConfig is RunPrefilled with explicit executor configuration (batching).
-// Each worker may hold up to k−1 pending credits (see the package doc), so
-// while the run is live the pending counter may exceed the unhandled entries
-// by (k−1) × workers; it still reaches 0 exactly when every entry is handled.
+// RunConfig executes the task across cfg.Workers goroutines on a queue the
+// caller already loaded with `preloaded` entries (so that seeding, e.g.
+// millions of job-server inserts, can happen outside the caller's timed
+// region) until every entry — preloaded and pushed successors — has been
+// handled. It returns when the pending counter reaches zero, which is exact
+// regardless of the queue's relaxed emptiness. Each worker may hold up to
+// k−1 pending credits (see the package doc), so while the run is live the
+// pending counter may exceed the unhandled entries by (k−1) × workers; it
+// still reaches 0 exactly when every entry is handled.
 func RunConfig[V any](q Queue[V], cfg Config, task Task[V], preloaded int64) Stats {
 	workers := cfg.Workers
 	if workers < 1 {

@@ -44,8 +44,8 @@ func TestRunExpandsImplicitTreeExactlyOnce(t *testing.T) {
 					}
 					return true
 				}
-				st := sched.Run(q, workers, task,
-					sched.Item[int32]{Key: scrambleKey(0), Value: 0})
+				q.Insert(scrambleKey(0), 0)
+				st := sched.RunConfig(q, sched.Config{Workers: workers}, task, 1)
 				if st.Processed != int64(nodes) {
 					t.Fatalf("workers=%d: processed %d of %d nodes", workers, st.Processed, nodes)
 				}
@@ -100,8 +100,8 @@ func TestRunSSSPEquivalenceAllImpls(t *testing.T) {
 	}
 }
 
-// TestRunPrefilledDrains: RunPrefilled must drain exactly the preloaded
-// count and honour the stale verdict in the stats.
+// TestRunPrefilledDrains: RunConfig must drain exactly the preloaded count
+// and honour the stale verdict in the stats.
 func TestRunPrefilledDrains(t *testing.T) {
 	const n = 5000
 	q, err := pqadapt.New(pqadapt.ImplOneBeta75, 31)
@@ -114,7 +114,7 @@ func TestRunPrefilledDrains(t *testing.T) {
 	task := func(_ uint64, u int32, _ func(uint64, int32)) bool {
 		return u%3 != 0 // discard a third as "stale"
 	}
-	st := sched.RunPrefilled[int32](q, 3, task, n)
+	st := sched.RunConfig[int32](q, sched.Config{Workers: 3}, task, n)
 	if st.Processed+st.Stale != n || st.Pushed != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -137,7 +137,8 @@ func TestRunClampsWorkers(t *testing.T) {
 		count.Add(1)
 		return true
 	}
-	st := sched.Run(q, 0, task, sched.Item[int32]{Key: 1, Value: 1})
+	q.Insert(1, 1)
+	st := sched.RunConfig(q, sched.Config{Workers: 0}, task, 1)
 	if st.Processed != 1 || count.Load() != 1 {
 		t.Fatalf("stats: %+v, count %d", st, count.Load())
 	}

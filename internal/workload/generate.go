@@ -19,9 +19,10 @@ const (
 )
 
 // arrivalProcess yields successive interarrival gaps of the merged (global)
-// arrival stream. Implementations satisfy sched.ArrivalProcess structurally;
-// here they run offline, in virtual time, so the realization is
-// replay-deterministic regardless of producer scheduling at serve time.
+// arrival stream. It runs offline, in virtual time, and Generate sums the
+// gaps into the trace's absolute schedule (Trace.ArrivalNs), which
+// sched.RunOpen paces as is, so the realization is replay-deterministic
+// regardless of producer scheduling at serve time.
 type arrivalProcess interface {
 	Next() time.Duration
 }

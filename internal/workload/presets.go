@@ -45,9 +45,9 @@ var presets = []Spec{
 			{Weight: 1, Service: ServiceSpec{Law: ServiceLognormal, Mean: 512, Sigma: 1.5}},
 		},
 	},
-	// poisson: the implicit pre-workload model made explicit — Poisson
-	// arrivals, one uniform service law per class. Serve runs with this
-	// preset are the spec-carrying equivalent of PR 4–6 serve rows.
+	// poisson: homogeneous Poisson arrivals and four equally weighted
+	// classes of uniform service — powerbench serve's, record's and plan's
+	// default workload.
 	{
 		Name:    "poisson",
 		Arrival: ArrivalSpec{Process: ArrivalPoisson},

@@ -20,12 +20,24 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
 // SchemaVersion is the trace/spec schema this package reads and writes.
 // Readers reject other versions rather than misinterpreting fields.
 const SchemaVersion = 1
+
+// maxUniformMean is the largest uniform-law mean whose draws, integers on
+// [1, 2·Mean), fit a trace's uint32 service field: 2·Mean − 1 ≤ 2^32 − 1.
+const maxUniformMean = 1 << 31
+
+// minPhaseS is the shortest MMPP phase and on/off cycle, in seconds.
+// Generate steps through every phase switch, so a phase much shorter than
+// the gap between arrivals costs one loop iteration per switch: at 1 µs a
+// trace at 10^6 jobs/s takes about two per arrival, and at 10^-12 s a
+// 256-job trace would take 10^8.
+const minPhaseS = 1e-6
 
 // Spec declares a workload: how arrivals are paced and what each priority
 // class's jobs cost. The total offered rate is NOT part of the spec — it is
@@ -54,8 +66,7 @@ type ClassSpec struct {
 // Arrival process names.
 const (
 	// ArrivalPoisson paces arrivals by a homogeneous Poisson process —
-	// exponential interarrivals at the configured rate, the implicit shape
-	// of every pre-workload serve run.
+	// exponential interarrivals at the configured rate.
 	ArrivalPoisson = "poisson"
 	// ArrivalMMPP is a two-phase Markov-modulated Poisson process: the rate
 	// alternates between a calm and a burst phase (burst = Burst × calm),
@@ -134,13 +145,20 @@ func (s *Spec) Validate() error {
 	if len(s.Classes) < 1 || len(s.Classes) > 256 {
 		return fmt.Errorf("workload: %d classes outside [1,256]", len(s.Classes))
 	}
+	var wsum float64
 	for i, c := range s.Classes {
 		if !(c.Weight > 0) {
 			return fmt.Errorf("workload: class %d weight %v must be > 0", i, c.Weight)
 		}
+		wsum += c.Weight
 		if err := c.Service.validate(); err != nil {
 			return fmt.Errorf("workload: class %d: %w", i, err)
 		}
+	}
+	// An infinite sum makes every share 0 (or NaN): the class draw would
+	// put every job in the last class.
+	if math.IsInf(wsum, 0) {
+		return fmt.Errorf("workload: class weights sum to %v, must be finite", wsum)
 	}
 	a := s.Arrival
 	switch a.Process {
@@ -149,15 +167,15 @@ func (s *Spec) Validate() error {
 		if !(a.Burst > 1) {
 			return fmt.Errorf("workload: mmpp burst %v must be > 1", a.Burst)
 		}
-		if !(a.PhaseS > 0) {
-			return fmt.Errorf("workload: mmpp phase_s %v must be > 0", a.PhaseS)
+		if !(a.PhaseS >= minPhaseS) {
+			return fmt.Errorf("workload: mmpp phase_s %v must be >= %v", a.PhaseS, minPhaseS)
 		}
 	case ArrivalOnOff:
 		if !(a.OnFraction > 0 && a.OnFraction < 1) {
 			return fmt.Errorf("workload: onoff on_fraction %v outside (0,1)", a.OnFraction)
 		}
-		if !(a.CycleS > 0) {
-			return fmt.Errorf("workload: onoff cycle_s %v must be > 0", a.CycleS)
+		if !(a.CycleS >= minPhaseS) {
+			return fmt.Errorf("workload: onoff cycle_s %v must be >= %v", a.CycleS, minPhaseS)
 		}
 	case ArrivalDiurnal:
 		if !(a.PeriodS > 0) {
@@ -176,8 +194,15 @@ func (sv ServiceSpec) validate() error {
 	if !(sv.Mean >= 1) {
 		return fmt.Errorf("service mean %v must be >= 1 spin unit", sv.Mean)
 	}
+	// Each law must fit the trace's uint32 service field: a uniform draw past
+	// it would wrap, and a Pareto cutoff or lognormal mean past it cannot be
+	// realized by draws clamped to it, so the trace's mean service would fall
+	// short of Mean, the E[S] every ρ is computed from.
 	switch sv.Law {
 	case ServiceUniform:
+		if sv.Mean > maxUniformMean {
+			return fmt.Errorf("uniform mean %v exceeds %d: draws on [1, 2·mean) would not fit 32 bits", sv.Mean, maxUniformMean)
+		}
 	case ServicePareto:
 		if !(sv.Alpha > 0) {
 			return fmt.Errorf("pareto alpha %v must be > 0", sv.Alpha)
@@ -185,9 +210,15 @@ func (sv ServiceSpec) validate() error {
 		if !(sv.Max > sv.Mean) {
 			return fmt.Errorf("pareto max %v must exceed mean %v", sv.Max, sv.Mean)
 		}
+		if sv.Max > math.MaxUint32 {
+			return fmt.Errorf("pareto max %v exceeds %d, the largest service time", sv.Max, uint32(math.MaxUint32))
+		}
 	case ServiceLognormal:
 		if !(sv.Sigma > 0) {
 			return fmt.Errorf("lognormal sigma %v must be > 0", sv.Sigma)
+		}
+		if sv.Mean > math.MaxUint32 {
+			return fmt.Errorf("lognormal mean %v exceeds %d, the largest service time", sv.Mean, uint32(math.MaxUint32))
 		}
 	default:
 		return fmt.Errorf("unknown service law %q", sv.Law)
@@ -196,16 +227,16 @@ func (sv ServiceSpec) validate() error {
 }
 
 // MeanService returns the spec's analytic overall mean service time E[S] in
-// spin units — the weight-averaged per-class means. Open-system utilization
-// targets (ρ = λ·E[S]/P) are computed from it, exactly as the implicit
-// uniform law's mean was used before this package existed.
+// spin units — the per-class means averaged by class share. Open-system
+// utilization targets (ρ = λ·E[S]/P) are converted to rates with it.
+// Averaging by share rather than by raw weight keeps every term finite
+// whatever the weights' scale.
 func (s *Spec) MeanService() float64 {
-	var wsum, msum float64
-	for _, c := range s.Classes {
-		wsum += c.Weight
-		msum += c.Weight * c.Service.Mean
+	var mean float64
+	for i, share := range s.ClassShares() {
+		mean += share * s.Classes[i].Service.Mean
 	}
-	return msum / wsum
+	return mean
 }
 
 // ClassShares returns each class's fraction of total arrivals.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 )
 
 // Trace is a compiled workload realization: the merged virtual arrival
@@ -214,37 +213,4 @@ func ReadTraceFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	return ReadTrace(f)
-}
-
-// ScheduleCursor paces one producer over its strided share of a trace's
-// merged schedule: producer p of n owns global arrivals p, p+n, p+2n, … and
-// Next returns the gap from its previous arrival's virtual time to the next
-// one. It satisfies sched.ArrivalProcess structurally.
-type ScheduleCursor struct {
-	times  []int64
-	idx    int
-	stride int
-	prevNs int64
-}
-
-// Arrivals returns producer p of n's pacing cursor over the trace.
-func (tr *Trace) Arrivals(p, n int) *ScheduleCursor {
-	if n < 1 {
-		n = 1
-	}
-	return &ScheduleCursor{times: tr.ArrivalNs, idx: p, stride: n}
-}
-
-// Next returns the gap to the producer's next scheduled arrival; once the
-// schedule is exhausted it returns 0 (the executor never asks past the
-// producer's quota).
-func (c *ScheduleCursor) Next() time.Duration {
-	if c.idx >= len(c.times) {
-		return 0
-	}
-	t := c.times[c.idx]
-	c.idx += c.stride
-	gap := t - c.prevNs
-	c.prevNs = t
-	return time.Duration(gap)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,6 +41,16 @@ func TestSpecValidate(t *testing.T) {
 		{"lognormal-no-sigma", func(s *Spec) {
 			s.Classes[0].Service = ServiceSpec{Law: ServiceLognormal, Mean: 100}
 		}},
+		{"pareto-max-past-uint32", func(s *Spec) {
+			s.Classes[0].Service = ServiceSpec{Law: ServicePareto, Mean: 100, Alpha: 1.5, Max: 1 << 32}
+		}},
+		{"lognormal-mean-past-uint32", func(s *Spec) {
+			s.Classes[0].Service = ServiceSpec{Law: ServiceLognormal, Mean: 1 << 32, Sigma: 1}
+		}},
+		{"sub-microsecond-phase", func(s *Spec) { s.Arrival.PhaseS = 1e-7 }},
+		{"sub-microsecond-cycle", func(s *Spec) {
+			s.Arrival = ArrivalSpec{Process: ArrivalOnOff, OnFraction: 0.5, CycleS: 1e-7}
+		}},
 	}
 	for _, tc := range cases {
 		s := good()
@@ -48,6 +59,86 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("%s: invalid spec accepted", tc.name)
 		}
 	}
+}
+
+// TestParseSpecRejectsWhatGenerateCannotHonour pins three specs ParseSpec
+// used to accept. A uniform mean of 5e18 made Generate panic in Intn; one of
+// 3e9 wrapped its draws at 2^32, so a 2,000-job trace had a mean service of
+// 1.78e9 while MeanService, and so ρ, used 3e9; two classes of weight 1e308
+// made MeanService NaN and put every job in class 1. The uniform bound is
+// exact: a mean of 2^31 draws up to 2^32 − 1 and is accepted, 2^31 + 1 is
+// not.
+func TestParseSpecRejectsWhatGenerateCannotHonour(t *testing.T) {
+	uniform := func(mean string) string {
+		return `{"name":"u","arrival":{"process":"poisson"},"classes":[{"weight":1,"service":{"law":"uniform","mean":` + mean + `}}]}`
+	}
+	for name, body := range map[string]string{
+		"uniform mean 5e18":     uniform("5e18"),
+		"uniform mean 3e9":      uniform("3e9"),
+		"uniform mean 2^31 + 1": uniform("2147483649"),
+		"weights 1e308": `{"name":"w","arrival":{"process":"poisson"},"classes":[` +
+			`{"weight":1e308,"service":{"law":"uniform","mean":256}},` +
+			`{"weight":1e308,"service":{"law":"uniform","mean":256}}]}`,
+	} {
+		if s, err := ParseSpec([]byte(body)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, s)
+		}
+	}
+	s, err := ParseSpec([]byte(uniform("2147483648")))
+	if err != nil {
+		t.Fatalf("uniform mean 2^31 rejected: %v", err)
+	}
+	law := newServiceSampler(s.Classes[0].Service).(uniformLaw)
+	if got := 2*law.mean - 1; got != math.MaxUint32 {
+		t.Fatalf("uniform mean 2^31 draws up to %d, want %d", got, uint32(math.MaxUint32))
+	}
+}
+
+// TestGenerateValidatesJobsAndRate: Generate rejects a trace of no jobs and
+// a non-positive rate before drawing anything.
+func TestGenerateValidatesJobsAndRate(t *testing.T) {
+	spec, err := Preset("poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(spec, 1, 0, 1e5); err == nil {
+		t.Error("0 jobs accepted")
+	}
+	if _, err := Generate(spec, 1, 10, 0); err == nil {
+		t.Error("rate 0 accepted")
+	}
+}
+
+// FuzzParseSpec feeds ParseSpec arbitrary bytes. Every input must either be
+// rejected with an error or give a spec that Generate honours: 256 jobs
+// generate, MeanService and every class share are finite, and every service
+// time is at least 1. The checked-in corpus holds the poisson preset and
+// the three specs TestParseSpecRejectsWhatGenerateCannotHonour pins, and
+// runs as plain subtests in every go test.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		tr, err := Generate(s, 1, 256, 1e6)
+		if err != nil {
+			t.Fatalf("accepted spec does not generate: %v", err)
+		}
+		if m := s.MeanService(); math.IsNaN(m) || math.IsInf(m, 0) {
+			t.Fatalf("accepted spec has mean service %v", m)
+		}
+		for c, share := range s.ClassShares() {
+			if math.IsNaN(share) || math.IsInf(share, 0) {
+				t.Fatalf("accepted spec gives class %d share %v", c, share)
+			}
+		}
+		for i, sv := range tr.Service {
+			if sv < 1 {
+				t.Fatalf("job %d has service %d", i, sv)
+			}
+		}
+	})
 }
 
 // TestPresetsAllValid: every built-in preset must validate and generate.
@@ -185,35 +276,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if h3, _ := got2.Hash(); h3 != h1 {
 		t.Fatalf("file round-trip changed hash")
-	}
-}
-
-// TestScheduleCursorCoversTraceExactly: the per-producer strided cursors
-// must jointly pace every arrival exactly once, with per-producer gaps that
-// telescope back to the absolute schedule.
-func TestScheduleCursorCoversTraceExactly(t *testing.T) {
-	spec, err := Preset("onoff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Generate(spec, 31, 1000, 3e5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const producers = 3
-	for p := 0; p < producers; p++ {
-		cur := tr.Arrivals(p, producers)
-		var at int64
-		for i := p; i < tr.Jobs(); i += producers {
-			at += int64(cur.Next())
-			if at != tr.ArrivalNs[i] {
-				t.Fatalf("producer %d arrival %d paced to %dns, schedule says %dns", p, i, at, tr.ArrivalNs[i])
-			}
-		}
-		// Past the quota the cursor parks at zero gaps.
-		if g := cur.Next(); g != 0 {
-			t.Fatalf("exhausted cursor returned %v", g)
-		}
 	}
 }
 
