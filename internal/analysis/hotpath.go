@@ -26,8 +26,8 @@ import (
 // Static calls to ordinary functions are allowed without annotation:
 // transitive behavior stays pinned by the AllocsPerRun tests, and the
 // hotpath meta-test ties every annotation to one of those tests. Amortized
-// or cold allocations on an annotated path (a pop buffer growing to its
-// working size once) are waived per line with //powervet:allow hotpath and
+// or cold allocations on an annotated path (a heap's append growth up to
+// its working size) are waived per line with //powervet:allow hotpath and
 // a reason. panic arguments are exempt: a panicking path is cold by
 // definition.
 var HotPath = &Analyzer{

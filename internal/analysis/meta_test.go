@@ -26,7 +26,6 @@ var hotPathAllocCoverage = map[string]string{
 	"powerchoice/internal/core.Handle.DeleteMin":            "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.Handle.InsertBatch":          "powerchoice/internal/core.TestBatchOpsAllocationFree",
 	"powerchoice/internal/core.Handle.DeleteMinBatch":       "powerchoice/internal/core.TestBatchOpsAllocationFree",
-	"powerchoice/internal/core.Handle.DeleteMinBuffered":    "powerchoice/internal/core.TestBatchOpsAllocationFree",
 	"powerchoice/internal/core.topology.anyNonEmpty":        "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.refresh":            "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.push":            "powerchoice/internal/core.TestHandleOpsAllocationFree",

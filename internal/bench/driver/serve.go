@@ -60,18 +60,29 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "open system: %d arrivals, workload %q (%s arrivals, %d classes)\n",
 		*nJobs, wspec.Name, wspec.Arrival.Process, len(wspec.Classes))
 
+	// A trace depends on the thread count (a -rho target scales the rate
+	// with it) but not on the implementation, so each thread count's trace
+	// is generated once and replayed on every implementation.
+	traces := make([]*workload.Trace, len(threads))
+	for i, th := range threads {
+		spec := bench.ServeSpec{
+			Workload: wspec, Jobs: *nJobs, Rate: *rate, Rho: *rho,
+			Threads: th, Seed: *seed,
+		}
+		if traces[i], err = spec.ResolveTrace(); err != nil {
+			return err
+		}
+	}
+
 	tb := bench.NewTable("impl", "threads", "rho", "class", "jobs",
 		"sojourn_p50_ms", "sojourn_p99_ms", "qlen_mean")
 	rep := bench.NewReport("serve", *seed)
 	for _, impl := range splitList(*implsFlag) {
-		for _, th := range threads {
+		for i, th := range threads {
 			res, err := bench.Serve(bench.ServeSpec{
 				Impl:      pqadapt.Impl(impl),
 				Queues:    *queues,
-				Jobs:      *nJobs,
-				Workload:  wspec,
-				Rate:      *rate,
-				Rho:       *rho,
+				Trace:     traces[i],
 				Producers: *producers,
 				Threads:   th,
 				Batch:     *batch,

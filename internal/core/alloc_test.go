@@ -2,12 +2,11 @@ package core
 
 // Steady-state allocation regression tests: every Handle hot-path operation
 // must allocate zero bytes once the structure has reached its working
-// capacity. The local pop buffer is allocated at first use exactly so these
-// hold. A regression (a lazy make on the hot path, a closure capture, an
+// capacity. A regression (a lazy make on the hot path, a closure capture, an
 // interface box) shows up only if it allocates at least once per measured
 // run: testing.AllocsPerRun divides as integers, so an allocation on a path
 // that runs every few calls averages to 0. Each run therefore covers every
-// path it claims — the buffered-pop run pops k times, one full refill.
+// path it claims.
 
 import (
 	"strings"
@@ -18,8 +17,8 @@ import (
 )
 
 // allocMQ builds a warmed-up MultiQueue and handle: prefilled so heap slices
-// have grown to their working capacity and drained/refilled once so every
-// lazily-grown buffer exists.
+// have grown to their working capacity, then cycled through 2,048
+// insert/delete pairs.
 func allocMQ(t *testing.T, opts ...Option) (*MultiQueue[int32], *Handle[V32]) {
 	t.Helper()
 	mq, err := New[V32](opts...)
@@ -54,11 +53,10 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 // annotating a new Handle operation fails the guard until an alloc test
 // exercises it here — and a stale entry fails it the other way.
 var allocExercised = map[string]bool{
-	"Insert":            true,
-	"DeleteMin":         true,
-	"InsertBatch":       true,
-	"DeleteMinBatch":    true,
-	"DeleteMinBuffered": true,
+	"Insert":         true,
+	"DeleteMin":      true,
+	"InsertBatch":    true,
+	"DeleteMinBatch": true,
 }
 
 func TestAllocTestsCoverAnnotatedHandleOps(t *testing.T) {
@@ -119,10 +117,6 @@ func TestBatchOpsAllocationFree(t *testing.T) {
 	const k = 8
 	keys := make([]uint64, k)
 	vals := make([]V32, k)
-	// Warm the handle-local pop buffer.
-	if _, _, ok := h.DeleteMinBuffered(k); !ok {
-		t.Fatal("warm-up buffered pop failed")
-	}
 	assertZeroAllocs(t, "InsertBatch+DeleteMinBatch", func() {
 		for i := range keys {
 			keys[i] = rng.Uint64() >> 1
@@ -135,17 +129,6 @@ func TestBatchOpsAllocationFree(t *testing.T) {
 				t.Fatal("batch pop drained unexpectedly")
 			}
 			popped += n
-		}
-	})
-	// A refill leaves at most k−1 elements buffered, so k pops per run
-	// always include one refill.
-	assertZeroAllocs(t, "DeleteMinBuffered", func() {
-		for j := 0; j < k; j++ {
-			key, _, ok := h.DeleteMinBuffered(k)
-			if !ok {
-				t.Fatal("buffered pop drained unexpectedly")
-			}
-			h.Insert(key, 0)
 		}
 	})
 }

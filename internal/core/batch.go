@@ -11,11 +11,11 @@ package core
 //
 // The cost is a documented extra rank relaxation with two parts.
 //
-// Invisibility: DeleteMinBuffered holds up to k−1 already-removed elements
-// in a handle-local buffer where no other handle can see them, so with H
-// handles up to (k−1)·H elements are invisible to concurrent deleters at
-// any moment and every pop's rank can exceed the unbatched bound by at most
-// that amount.
+// Invisibility: a consumer that serves a batch one element at a time, such
+// as sched.PopBuffer, holds up to k−1 already-removed elements where no
+// other handle can see them, so with H handles up to (k−1)·H elements are
+// invisible to concurrent deleters at any moment and every pop's rank can
+// exceed the unbatched bound by at most that amount.
 //
 // Depth: a batch takes its queue's k smallest at once, so the j-th element
 // consumed from a batch was that queue's rank-j element — up to (j−1) local
@@ -80,18 +80,6 @@ func (h *Handle[V]) DeleteMinBatch(keys []uint64, vals []V, k int) int {
 	if k == 0 {
 		return 0
 	}
-	// Serve elements a prior DeleteMinBuffered left in the handle-local pop
-	// buffer before touching the shared structure: they are already removed
-	// from it and would otherwise be lost when a caller switches APIs
-	// (TestUnbufferedPopsDrainHandleBuffer). They were counted in h.deletes
-	// at batch-pop time, so only bufferedPops advances here.
-	if h.popPos < h.popLen {
-		n := copy(keys[:k], h.popKeys[h.popPos:h.popLen])
-		copy(vals[:n], h.popVals[h.popPos:h.popPos+n])
-		h.popPos += n
-		h.bufferedPops += int64(n)
-		return n
-	}
 	mq := h.mq
 	if mq.atomic {
 		q := h.sel.lockNonEmptyAtomic()
@@ -111,46 +99,4 @@ func (h *Handle[V]) DeleteMinBatch(keys []uint64, vals []V, k int) int {
 	q.unlock()
 	h.deletes += int64(n)
 	return n
-}
-
-// DeleteMinBuffered behaves like DeleteMin but refills a handle-local buffer
-// of up to k elements per lock acquisition and serves from that buffer until
-// it drains — the executor-facing form of DeleteMinBatch. Elements sitting
-// in the buffer have already been removed from the shared structure and are
-// invisible to every other handle; with H handles that is the documented
-// ≤ (k−1)·H rank slack, surfaced as HandleStats.Buffered/BufferedPops.
-//
-// ok=false means the buffer is empty AND a sweep found the shared structure
-// (relaxedly) empty. Interleaving the pop APIs on one handle is safe:
-// DeleteMin and DeleteMinBatch also drain this buffer before re-sampling the
-// shared queues, so no already-removed element can be stranded — though
-// buffered elements still jump ahead of any lower keys inserted since their
-// batch was taken (the documented batching slack).
-//
-//powervet:hotpath
-func (h *Handle[V]) DeleteMinBuffered(k int) (uint64, V, bool) {
-	if h.popPos < h.popLen {
-		i := h.popPos
-		h.popPos++
-		h.bufferedPops++
-		return h.popKeys[i], h.popVals[i], true
-	}
-	if k < 1 {
-		k = 1
-	}
-	if cap(h.popKeys) < k {
-		//powervet:allow hotpath the pop buffer grows to its working size once per handle; steady state is allocation-free (pinned by the AllocsPerRun tests)
-		h.popKeys = make([]uint64, k)
-		//powervet:allow hotpath one-time buffer growth, see above
-		h.popVals = make([]V, k)
-	}
-	n := h.DeleteMinBatch(h.popKeys[:k], h.popVals[:k], k)
-	if n == 0 {
-		var zero V
-		return 0, zero, false
-	}
-	// The first element is served directly (it never waited in the buffer);
-	// the remaining n-1 are the buffered slack.
-	h.popPos, h.popLen = 1, n
-	return h.popKeys[0], h.popVals[0], true
 }

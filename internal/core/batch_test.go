@@ -158,133 +158,8 @@ func TestDeleteMinBatchEmptyAndClamping(t *testing.T) {
 	}
 }
 
-// TestDeleteMinBufferedDrainsBufferFirst: buffered pops must come out of the
-// local buffer in order before the shared structure is re-sampled, and the
-// stats must attribute them to the buffer.
-func TestDeleteMinBufferedDrainsBufferFirst(t *testing.T) {
-	mq := mustNew[int](t, WithQueues(1), WithSeed(63))
-	h := mq.Handle()
-	for i := 0; i < 10; i++ {
-		h.Insert(uint64(i), i)
-	}
-	const k = 4
-	var got []uint64
-	for i := 0; i < 10; i++ {
-		key, _, ok := h.DeleteMinBuffered(k)
-		if !ok {
-			t.Fatalf("pop %d failed", i)
-		}
-		got = append(got, key)
-	}
-	// One queue: every batch is the global k smallest, so the full sequence
-	// is exactly sorted.
-	for i, k := range got {
-		if k != uint64(i) {
-			t.Fatalf("pop %d = %d, want %d", i, k, i)
-		}
-	}
-	if _, _, ok := h.DeleteMinBuffered(k); ok {
-		t.Fatal("pop on drained structure succeeded")
-	}
-	st := h.Stats()
-	// 10 pops in batches of 4: refills of 4,4,2 serve 3,3,1 from the buffer.
-	if st.BufferedPops != 7 {
-		t.Errorf("BufferedPops = %d, want 7", st.BufferedPops)
-	}
-	if st.Buffered != 0 {
-		t.Errorf("Buffered = %d after drain", st.Buffered)
-	}
-	if st.Deletes != 10 {
-		t.Errorf("Deletes = %d, want 10", st.Deletes)
-	}
-}
-
-// TestUnbufferedPopsDrainHandleBuffer: elements a DeleteMinBuffered refill
-// left in the handle-local buffer are already removed from the shared
-// structure, so DeleteMin and DeleteMinBatch must serve them before
-// re-sampling the shared queues. Before the fix they were silently stranded
-// (and lost) the moment a caller switched back to the unbuffered APIs.
-func TestUnbufferedPopsDrainHandleBuffer(t *testing.T) {
-	const n = 32
-	const k = 8
-	t.Run("DeleteMin", func(t *testing.T) {
-		mq := mustNew[int](t, WithQueues(1), WithSeed(71))
-		h := mq.Handle()
-		for i := 0; i < n; i++ {
-			h.Insert(uint64(i), i)
-		}
-		// One buffered pop removes k elements from the shared structure and
-		// returns the first; k-1 sit in the handle buffer.
-		if _, _, ok := h.DeleteMinBuffered(k); !ok {
-			t.Fatal("buffered pop failed")
-		}
-		if st := h.Stats(); st.Buffered != k-1 {
-			t.Fatalf("Buffered = %d, want %d", st.Buffered, k-1)
-		}
-		got := 1
-		for {
-			key, _, ok := h.DeleteMin()
-			if !ok {
-				break
-			}
-			// One queue: the drain order is globally sorted, so a stranded
-			// buffer would show up as a gap in the sequence.
-			if key != uint64(got) {
-				t.Fatalf("pop %d returned key %d", got, key)
-			}
-			got++
-		}
-		if got != n {
-			t.Fatalf("recovered %d of %d elements", got, n)
-		}
-		st := h.Stats()
-		if st.Buffered != 0 {
-			t.Errorf("Buffered = %d after full drain", st.Buffered)
-		}
-		if st.Deletes != n {
-			t.Errorf("Deletes = %d, want %d (buffered serves must not double-count)", st.Deletes, n)
-		}
-		if st.BufferedPops != k-1 {
-			t.Errorf("BufferedPops = %d, want %d", st.BufferedPops, k-1)
-		}
-	})
-	t.Run("DeleteMinBatch", func(t *testing.T) {
-		mq := mustNew[int](t, WithQueues(1), WithSeed(73))
-		h := mq.Handle()
-		for i := 0; i < n; i++ {
-			h.Insert(uint64(i), i)
-		}
-		if _, _, ok := h.DeleteMinBuffered(k); !ok {
-			t.Fatal("buffered pop failed")
-		}
-		keys := make([]uint64, 3)
-		vals := make([]int, 3)
-		// The next batch pop must come out of the handle buffer (keys 1..3),
-		// not the shared structure (whose minimum is now k).
-		if m := h.DeleteMinBatch(keys, vals, 3); m != 3 || keys[0] != 1 || keys[2] != 3 {
-			t.Fatalf("batch after buffered = %v (n=%d), want [1 2 3]", keys[:m], m)
-		}
-		total := 1 + 3
-		big := make([]uint64, n)
-		bigVals := make([]int, n)
-		for {
-			m := h.DeleteMinBatch(big, bigVals, n)
-			if m == 0 {
-				break
-			}
-			total += m
-		}
-		if total != n {
-			t.Fatalf("recovered %d of %d elements", total, n)
-		}
-		if st := h.Stats(); st.Buffered != 0 || st.Deletes != n {
-			t.Errorf("stats after drain: %+v", st)
-		}
-	})
-}
-
-// TestBatchOpsConcurrent: mixed batch producers and buffered consumers must
-// preserve the multiset under concurrency and pass the race detector.
+// TestBatchOpsConcurrent: concurrent batch producers and batch consumers
+// must preserve the multiset and pass the race detector.
 func TestBatchOpsConcurrent(t *testing.T) {
 	const workers = 4
 	const batches = 500
@@ -317,17 +192,21 @@ func TestBatchOpsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			h := mq.Handle()
+			keys := make([]uint64, k)
+			vals := make([]uint64, k)
 			var out []uint64
 			for {
-				key, val, ok := h.DeleteMinBuffered(k)
-				if !ok {
+				n := h.DeleteMinBatch(keys, vals, k)
+				if n == 0 {
 					break
 				}
-				if key != val {
-					t.Errorf("key %d carried value %d", key, val)
-					return
+				for i, key := range keys[:n] {
+					if key != vals[i] {
+						t.Errorf("key %d carried value %d", key, vals[i])
+						return
+					}
 				}
-				out = append(out, key)
+				out = append(out, keys[:n]...)
 			}
 			results[w] = out
 		}(w)

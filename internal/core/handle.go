@@ -7,17 +7,9 @@ package core
 type Handle[V any] struct {
 	mq  *MultiQueue[V]
 	sel selector[V]
-	// Local pop buffer for DeleteMinBuffered: elements already removed from
-	// the shared structure, waiting to be returned to this handle's owner.
-	// Drained front to back before the shared queues are re-sampled.
-	popKeys []uint64
-	popVals []V
-	popPos  int
-	popLen  int
 	// stats, maintained without atomics (single-owner).
-	inserts      int64
-	deletes      int64
-	bufferedPops int64
+	inserts int64
+	deletes int64
 }
 
 // Handle returns a new dedicated handle for the calling goroutine.
@@ -45,23 +37,15 @@ type HandleStats struct {
 	// so each empty return (DeleteMin's ok=false, DeleteMinBatch's 0) adds
 	// at least one.
 	EmptyScans int64
-	// BufferedPops counts DeleteMinBuffered results served from the
-	// handle-local pop buffer rather than directly from a shared queue.
-	BufferedPops int64
-	// Buffered is the current handle-local pop-buffer occupancy: elements
-	// already removed from the shared structure but not yet returned.
-	Buffered int
 }
 
 // Stats returns the handle's counters.
 func (h *Handle[V]) Stats() HandleStats {
 	return HandleStats{
-		Inserts:      h.inserts,
-		Deletes:      h.deletes,
-		LockFails:    h.sel.lockFails,
-		EmptyScans:   h.sel.emptyScans,
-		BufferedPops: h.bufferedPops,
-		Buffered:     h.popLen - h.popPos,
+		Inserts:    h.inserts,
+		Deletes:    h.deletes,
+		LockFails:  h.sel.lockFails,
+		EmptyScans: h.sel.emptyScans,
 	}
 }
 
@@ -94,22 +78,8 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 // queue empty; inserts still in flight at sweep time may be missed (relaxed
 // emptiness, see MultiQueue).
 //
-// Elements a prior DeleteMinBuffered left in the handle-local pop buffer are
-// served first: they are already removed from the shared structure, so
-// skipping them here would lose them for good (they used to be silently
-// stranded when a caller switched back to unbuffered pops —
-// TestUnbufferedPopsDrainHandleBuffer).
-//
 //powervet:hotpath
 func (h *Handle[V]) DeleteMin() (uint64, V, bool) {
-	if h.popPos < h.popLen {
-		// Deliberately no h.deletes++: the element was already counted when
-		// its batch was removed (DeleteMinBatch counts all n at pop time).
-		i := h.popPos
-		h.popPos++
-		h.bufferedPops++
-		return h.popKeys[i], h.popVals[i], true
-	}
 	mq := h.mq
 	if mq.atomic {
 		q := h.sel.lockNonEmptyAtomic()

@@ -225,24 +225,3 @@ func BenchmarkTryLockContended(b *testing.B) {
 		run(b, func(l *queuedLock) bool { return l.v.Load() == 0 && l.TryLock() })
 	})
 }
-
-// BenchmarkHandleDeleteMinBuffered measures the executor-facing buffered
-// deletion: one DeleteMinBatch refill per k pops.
-func BenchmarkHandleDeleteMinBuffered(b *testing.B) {
-	const k = 8
-	mq := newBenchMQ(b)
-	h := mq.Handle()
-	rng := xrand.NewSource(11)
-	for i := 0; i < benchDepth; i++ {
-		h.Insert(rng.Uint64()>>1, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key, _, ok := h.DeleteMinBuffered(k)
-		if !ok {
-			b.Fatal("drained early")
-		}
-		h.Insert(key, 0)
-	}
-}

@@ -228,9 +228,8 @@ func (l *mqLocal) DeleteMinBatch(keys []uint64, vals []int32, k int) int {
 	return l.h.DeleteMinBatch(keys, vals, k)
 }
 
-// Handle exposes the underlying core handle (buffered-pop stats and the
-// buffered deletion mode) to harnesses that need more than the sched
-// interfaces.
+// Handle exposes the underlying core handle (its HandleStats counters) to
+// harnesses that need more than the sched interfaces.
 func (l *mqLocal) Handle() *core.Handle[int32] { return l.h }
 
 // skipAdapter adapts skiplist.SkipList (already goroutine-agnostic).

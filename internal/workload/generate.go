@@ -144,11 +144,7 @@ type serviceSampler interface {
 func newServiceSampler(sv ServiceSpec) serviceSampler {
 	switch sv.Law {
 	case ServiceUniform:
-		m := int(sv.Mean + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		return uniformLaw{mean: m}
+		return uniformLaw{mean: int(sv.Mean)}
 	case ServicePareto:
 		low := solveParetoLow(sv.Mean, sv.Max, sv.Alpha)
 		return paretoLaw{low: low, high: sv.Max, alpha: sv.Alpha}

@@ -106,7 +106,7 @@ type ArrivalSpec struct {
 const (
 	// ServiceUniform draws integer service times uniform on [1, 2·Mean),
 	// whose mean is exactly Mean — bit-for-bit the law jobs.Generate has
-	// always used.
+	// always used. Mean must be an integer.
 	ServiceUniform = "uniform"
 	// ServicePareto draws from a bounded Pareto on [L, Max] with tail index
 	// Alpha, L solved at compile time so the continuous law's mean is
@@ -120,7 +120,8 @@ const (
 // ServiceSpec parameterizes a class's service-time law, in spin units.
 type ServiceSpec struct {
 	Law string `json:"law"`
-	// Mean is the law's exact mean in spin units (≥ 1).
+	// Mean is the law's exact mean in spin units (≥ 1; an integer for the
+	// uniform law).
 	Mean float64 `json:"mean"`
 	// Alpha is the bounded-Pareto tail index (> 0, ≠ 1 handled too).
 	Alpha float64 `json:"alpha,omitempty"`
@@ -202,6 +203,11 @@ func (sv ServiceSpec) validate() error {
 	case ServiceUniform:
 		if sv.Mean > maxUniformMean {
 			return fmt.Errorf("uniform mean %v exceeds %d: draws on [1, 2·mean) would not fit 32 bits", sv.Mean, maxUniformMean)
+		}
+		// The law draws integers on [1, 2·Mean); a fractional Mean has no
+		// such law whose mean is Mean, so the E[S] of every ρ would be off.
+		if sv.Mean != math.Trunc(sv.Mean) {
+			return fmt.Errorf("uniform mean %v must be an integer", sv.Mean)
 		}
 	case ServicePareto:
 		if !(sv.Alpha > 0) {

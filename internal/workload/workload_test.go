@@ -61,13 +61,14 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestParseSpecRejectsWhatGenerateCannotHonour pins three specs ParseSpec
+// TestParseSpecRejectsWhatGenerateCannotHonour pins four specs ParseSpec
 // used to accept. A uniform mean of 5e18 made Generate panic in Intn; one of
 // 3e9 wrapped its draws at 2^32, so a 2,000-job trace had a mean service of
-// 1.78e9 while MeanService, and so ρ, used 3e9; two classes of weight 1e308
-// made MeanService NaN and put every job in class 1. The uniform bound is
-// exact: a mean of 2^31 draws up to 2^32 − 1 and is accepted, 2^31 + 1 is
-// not.
+// 1.78e9 while MeanService, and so ρ, used 3e9; one of 1.4 drew every
+// service as 1 while MeanService used 1.4, so a ρ target offered about 71%
+// of the asked load; two classes of weight 1e308 made MeanService NaN and
+// put every job in class 1. The uniform bound is exact: a mean of 2^31
+// draws up to 2^32 − 1 and is accepted, 2^31 + 1 is not.
 func TestParseSpecRejectsWhatGenerateCannotHonour(t *testing.T) {
 	uniform := func(mean string) string {
 		return `{"name":"u","arrival":{"process":"poisson"},"classes":[{"weight":1,"service":{"law":"uniform","mean":` + mean + `}}]}`
@@ -76,6 +77,7 @@ func TestParseSpecRejectsWhatGenerateCannotHonour(t *testing.T) {
 		"uniform mean 5e18":     uniform("5e18"),
 		"uniform mean 3e9":      uniform("3e9"),
 		"uniform mean 2^31 + 1": uniform("2147483649"),
+		"uniform mean 1.4":      uniform("1.4"),
 		"weights 1e308": `{"name":"w","arrival":{"process":"poisson"},"classes":[` +
 			`{"weight":1e308,"service":{"law":"uniform","mean":256}},` +
 			`{"weight":1e308,"service":{"law":"uniform","mean":256}}]}`,
@@ -113,7 +115,7 @@ func TestGenerateValidatesJobsAndRate(t *testing.T) {
 // rejected with an error or give a spec that Generate honours: 256 jobs
 // generate, MeanService and every class share are finite, and every service
 // time is at least 1. The checked-in corpus holds the poisson preset and
-// the three specs TestParseSpecRejectsWhatGenerateCannotHonour pins, and
+// the four specs TestParseSpecRejectsWhatGenerateCannotHonour pins, and
 // runs as plain subtests in every go test.
 func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

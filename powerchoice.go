@@ -139,20 +139,8 @@ func (h *Handle[V]) DeleteMinBatch(keys []uint64, vals []V, k int) int {
 	return h.inner.DeleteMinBatch(keys, vals, k)
 }
 
-// DeleteMinBuffered behaves like DeleteMin but refills a handle-local
-// buffer of up to k elements per lock acquisition and serves from it until
-// it drains — the convenient form of DeleteMinBatch for element-at-a-time
-// consumers. Buffered elements are invisible to other handles until
-// returned (at most k−1 per handle); interleaving DeleteMin, DeleteMinBatch
-// and DeleteMinBuffered on one handle is safe — all three drain the buffer
-// first.
-func (h *Handle[V]) DeleteMinBuffered(k int) (key uint64, value V, ok bool) {
-	return h.inner.DeleteMinBuffered(k)
-}
-
 // HandleStats reports a handle's operation counters: completed inserts and
-// deletes, try-lock failures, empty scans, and the buffered-pop accounting
-// of DeleteMinBuffered.
+// deletes, try-lock failures and empty scans.
 type HandleStats = core.HandleStats
 
 // Stats returns the handle's operation counters.

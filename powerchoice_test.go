@@ -65,8 +65,8 @@ func TestFacadeOptionErrors(t *testing.T) {
 }
 
 // TestFacadeBatchOps: the batched fast path is reachable through the public
-// API — InsertBatch/DeleteMinBatch/DeleteMinBuffered plus the Stats
-// accounting, which were internal-only before.
+// API — InsertBatch/DeleteMinBatch plus the Stats accounting, which were
+// internal-only before.
 func TestFacadeBatchOps(t *testing.T) {
 	q, err := New[int](WithQueues(4), WithSeed(11))
 	if err != nil {
@@ -85,9 +85,9 @@ func TestFacadeBatchOps(t *testing.T) {
 		t.Fatalf("Len = %d after batch insert", q.Len())
 	}
 
-	// Drain half through DeleteMinBatch: each batch comes back sorted.
+	// Drain through DeleteMinBatch: each batch comes back sorted.
 	got := 0
-	for got < n/2 {
+	for got < n {
 		m := h.DeleteMinBatch(keys[:8], vals[:8], 8)
 		if m == 0 {
 			t.Fatal("batch pop drained early")
@@ -99,21 +99,11 @@ func TestFacadeBatchOps(t *testing.T) {
 		}
 		got += m
 	}
-	// Drain the rest through the buffered form.
-	for ; got < n; got++ {
-		if _, _, ok := h.DeleteMinBuffered(8); !ok {
-			t.Fatalf("buffered pop failed at %d", got)
-		}
+	if m := h.DeleteMinBatch(keys[:8], vals[:8], 8); m != 0 {
+		t.Errorf("%d extra elements after full drain", m)
 	}
-	if _, _, ok := h.DeleteMinBuffered(8); ok {
-		t.Error("extra element after full drain")
-	}
-	st := h.Stats()
-	if st.Inserts != n || st.Deletes != n || st.Buffered != 0 {
+	if st := h.Stats(); st.Inserts != n || st.Deletes != n {
 		t.Errorf("stats after balanced batch ops: %+v", st)
-	}
-	if st.BufferedPops == 0 {
-		t.Error("buffered pops not accounted — DeleteMinBuffered did not buffer")
 	}
 }
 
