@@ -29,7 +29,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	nJobs := fs.Int("jobs", 500_000, "arrivals injected per configuration")
 	workloadFlag := fs.String("workload", "poisson", "workload spec: preset name or JSON file")
 	rate := fs.Float64("rate", 0, "arrival rate λ in jobs/second (0 = derive from -rho)")
-	rho := fs.Float64("rho", 0.8, "target utilization λ·E[S]/threads (ignored when -rate is set)")
+	rho := fs.Float64("rho", 0.8, "target utilization λ·E[S]/threads (ignored when -rate is set); its rate comes from this process's spin calibration, so two -rho runs generate different traces")
 	producers := fs.Int("producers", 1, "arrival goroutines pacing the trace schedule")
 	deadline := fs.Duration("deadline", 0, "optional cap on the injection window (0 = none)")
 	threadsFlag := fs.String("threads", defaultThreads(), "comma-separated serving worker counts")
@@ -62,14 +62,18 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 
 	// A trace depends on the thread count (a -rho target scales the rate
 	// with it) but not on the implementation, so each thread count's trace
-	// is generated once and replayed on every implementation.
+	// is generated and hashed once and replayed on every implementation.
 	traces := make([]*workload.Trace, len(threads))
+	hashes := make([]string, len(threads))
 	for i, th := range threads {
 		spec := bench.ServeSpec{
 			Workload: wspec, Jobs: *nJobs, Rate: *rate, Rho: *rho,
 			Threads: th, Seed: *seed,
 		}
 		if traces[i], err = spec.ResolveTrace(); err != nil {
+			return err
+		}
+		if hashes[i], err = traces[i].Hash(); err != nil {
 			return err
 		}
 	}
@@ -100,7 +104,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			addServeRows(tb, rep, impl, th, *batch, res)
+			addServeRows(tb, rep, impl, th, *batch, hashes[i], res)
 			elasticNote := ""
 			if res.FinalQueues > 0 {
 				elasticNote = fmt.Sprintf(", elastic: %d resizes -> %d queues", res.Resizes, res.FinalQueues)
@@ -112,9 +116,10 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	return out.emit(stdout, tb, rep)
 }
 
-// addServeRows adds one serve or replay measurement to the table and the
-// report: a summary row, then one sojourn row per class.
-func addServeRows(tb *bench.Table, rep *bench.Report, impl string, th, batch int, res bench.ServeResult) {
+// addServeRows adds one serve or replay measurement of the trace with the
+// given hash to the table and the report: a summary row, then one sojourn
+// row per class.
+func addServeRows(tb *bench.Table, rep *bench.Report, impl string, th, batch int, hash string, res bench.ServeResult) {
 	rho := fmt.Sprintf("%.3f", res.Rho)
 	tb.AddRow(impl, th, rho, "all", res.Injected, "", "", fmt.Sprintf("%.1f", res.QLenMean))
 	sum := bench.Row{
@@ -122,7 +127,7 @@ func addServeRows(tb *bench.Table, rep *bench.Report, impl string, th, batch int
 		Jobs: res.Injected, Inversions: res.Inversions,
 		InvWaiting: res.InvWaiting, BufferedPops: res.BufferedPops,
 		Rho: res.Rho, Rate: res.OfferedRate, QLenMean: res.QLenMean,
-		Workload: res.Workload, TraceHash: res.TraceHash,
+		Workload: res.Workload, TraceHash: hash,
 		Epochs: res.Epochs, Resizes: res.Resizes, FinalQueues: res.FinalQueues,
 	}
 	sum.SetTopology(res.Topology)

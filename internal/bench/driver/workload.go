@@ -31,7 +31,7 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 	workloadFlag := fs.String("workload", "poisson", "workload spec: preset name or JSON file")
 	nJobs := fs.Int("jobs", 500_000, "arrivals in the trace")
 	rate := fs.Float64("rate", 0, "arrival rate λ in jobs/second (0 = derive from -rho and -threads)")
-	rho := fs.Float64("rho", 0.8, "target utilization the derived rate assumes (ignored when -rate is set)")
+	rho := fs.Float64("rho", 0.8, "target utilization the derived rate assumes (ignored when -rate is set); the rate comes from this process's spin calibration, so two -rho runs record different traces")
 	threadsFlag := fs.Int("threads", runtime.GOMAXPROCS(0), "worker count the -rho derivation assumes")
 	traceOut := fs.String("trace", "", "trace file to write (required)")
 	seed := fs.Uint64("seed", 42, "root random seed")
@@ -125,6 +125,10 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "rate scaled by %.3g to %.0f jobs/s\n", *scaleRate, tr.Rate)
 	}
+	hash, err := tr.Hash()
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stderr, "replaying %d arrivals of %q at %.0f jobs/s\n",
 		tr.Jobs(), tr.Spec.Name, tr.Rate)
 
@@ -145,7 +149,7 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			addServeRows(tb, rep, impl, th, *batch, res)
+			addServeRows(tb, rep, impl, th, *batch, hash, res)
 			fmt.Fprintf(stderr, "done: %-12s threads=%-3d rho=%.2f %v (%d injected)\n",
 				impl, th, res.Rho, res.Elapsed.Round(time.Millisecond), res.Injected)
 		}
@@ -219,7 +223,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 			Impl: *implFlag, Threads: th, Jobs: res.Injected,
 			Rho: res.Rho, Rate: res.OfferedRate, SLOMs: *sloMs,
 			SojournP50Ms: res.SojournP50Ms, SojournP99Ms: res.SojournP99Ms,
-			Workload: res.Workload, TraceHash: res.TraceHash,
+			Workload: res.Workload, TraceHash: hash,
 		}
 		row.SetTopology(res.Topology)
 		rep.Add(row)

@@ -205,10 +205,11 @@ func RankQuality(spec RankSpec) (RankResult, error) {
 	if len(ranks) == 0 {
 		return RankResult{}, fmt.Errorf("bench: no removals recorded")
 	}
+	sort.Float64s(ranks)
 	return RankResult{
 		Mean:     welford.Mean(),
-		P50:      stats.Percentile(ranks, 50),
-		P99:      stats.Percentile(ranks, 99),
+		P50:      stats.SortedPercentile(ranks, 50),
+		P99:      stats.SortedPercentile(ranks, 99),
 		Max:      welford.Max(),
 		Removals: len(ranks),
 		Hist:     hist,

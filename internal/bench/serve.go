@@ -79,10 +79,9 @@ type ServeResult struct {
 	SojournP99Ms float64
 	// PerClass holds per-class sojourn (wait + service) percentiles.
 	PerClass []jobs.ClassStats
-	// Workload and TraceHash identify the run's workload: the spec name and
-	// the trace's sha256 content identity.
-	Workload  string
-	TraceHash string
+	// Workload is the spec name of the run's trace. The trace's content
+	// identity is its Hash, which callers take once per trace.
+	Workload string
 	// ClassRates are per-class offered arrival rates (jobs/second, the total
 	// rate split by class weight share).
 	ClassRates []float64
@@ -152,10 +151,6 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 	if err != nil {
 		return ServeResult{}, err
 	}
-	hash, err := tr.Hash()
-	if err != nil {
-		return ServeResult{}, err
-	}
 	shares := tr.Spec.ClassShares()
 	classRates := make([]float64, len(shares))
 	for i, s := range shares {
@@ -175,7 +170,6 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 		SojournP99Ms:  res.SojournP99Ms,
 		PerClass:      res.PerClass,
 		Workload:      tr.Spec.Name,
-		TraceHash:     hash,
 		ClassRates:    classRates,
 		Trace:         tr,
 		SpinNsPerUnit: res.SpinNsPerUnit,

@@ -65,8 +65,8 @@ func NewBuilder(n int) *Builder {
 
 // newBuilder returns a builder for n nodes whose edge list holds m edges
 // before it has to grow: a generator that knows its edge count, or a tight
-// bound on it, fills the list without copying it. The generators that
-// reserve check n and m against the CSR's int32 node IDs and offsets first.
+// bound on it, fills the list without copying it. Gnm, which reserves, checks
+// n and m against the CSR's int32 node IDs and offsets first.
 func newBuilder(n, m int) *Builder {
 	return &Builder{n: n, edges: make([]edge, 0, m)}
 }
@@ -118,6 +118,8 @@ func (b *Builder) Build() *Graph {
 // and perturbed Euclidean weights. Like real road networks (and unlike
 // G(n,m)), it is near-planar with bounded degree and Θ(sqrt n) diameter —
 // the regime where priority-queue quality dominates parallel SSSP time.
+// It writes the CSR directly, in two passes over the grid, without a
+// Builder.
 func RoadNetwork(w, h int, diagFrac float64, seed uint64) (*Graph, error) {
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("graph: RoadNetwork needs w,h >= 2, got %dx%d", w, h)
@@ -129,41 +131,73 @@ func RoadNetwork(w, h int, diagFrac float64, seed uint64) (*Graph, error) {
 	if w > math.MaxInt32/h {
 		return nil, fmt.Errorf("graph: a %dx%d grid has more nodes than int32 node IDs can number", w, h)
 	}
-	m := roadEdgeBound(w, h, diagFrac > 0)
-	if m > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: a %dx%d grid has up to %d edges, more than int32 offsets can index", w, h, m)
+	if bound := roadEdgeBound(w, h, diagFrac > 0); bound > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: a %dx%d grid has up to %d edges, more than int32 offsets can index", w, h, bound)
 	}
+	n := w * h
 	rng := xrand.NewSource(seed)
-	b := newBuilder(w*h, int(m))
-	id := func(x, y int) int { return y*w + x }
-	// Street weights: ~100 units per block with ±30% jitter.
+	// Street weights: ~100 units per block with ±30% jitter, so at least 70
+	// and never 0: a 0 in diag marks a cell without a diagonal.
 	jitter := func(base float64) uint32 {
 		return uint32(base * (0.7 + 0.6*rng.Float64()))
 	}
+	// Pass 1 draws cell u's streets to its right, down and down-right
+	// neighbours, in that order, and counts the directed edges.
+	right := make([]uint32, n)
+	down := make([]uint32, n)
+	diag := make([]uint32, n)
+	m := 0
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
+			u := y*w + x
 			if x+1 < w {
-				if err := b.AddBoth(id(x, y), id(x+1, y), jitter(100)); err != nil {
-					return nil, err
-				}
+				right[u] = jitter(100)
+				m += 2
 			}
 			if y+1 < h {
-				if err := b.AddBoth(id(x, y), id(x, y+1), jitter(100)); err != nil {
-					return nil, err
-				}
+				down[u] = jitter(100)
+				m += 2
 			}
 			if x+1 < w && y+1 < h && rng.Float64() < diagFrac {
-				if err := b.AddBoth(id(x, y), id(x+1, y+1), jitter(141)); err != nil {
-					return nil, err
-				}
+				diag[u] = jitter(141)
+				m += 2
 			}
 		}
 	}
-	return b.Build(), nil
+	// Pass 2 writes each node's out-edges in the order the drawing loop
+	// reaches their streets: the cells up-left, up and left of u come
+	// before u's own right, down and diagonal streets.
+	offsets := make([]int32, n+1)
+	edges := make([]Edge, 0, m)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			u := y*w + x
+			if x > 0 && y > 0 && diag[u-w-1] != 0 {
+				edges = append(edges, Edge{To: int32(u - w - 1), W: diag[u-w-1]})
+			}
+			if y > 0 {
+				edges = append(edges, Edge{To: int32(u - w), W: down[u-w]})
+			}
+			if x > 0 {
+				edges = append(edges, Edge{To: int32(u - 1), W: right[u-1]})
+			}
+			if x+1 < w {
+				edges = append(edges, Edge{To: int32(u + 1), W: right[u]})
+			}
+			if y+1 < h {
+				edges = append(edges, Edge{To: int32(u + w), W: down[u]})
+			}
+			if diag[u] != 0 {
+				edges = append(edges, Edge{To: int32(u + w + 1), W: diag[u]})
+			}
+			offsets[u+1] = int32(len(edges))
+		}
+	}
+	return &Graph{offsets: offsets, edges: edges}, nil
 }
 
 // roadEdgeBound is the largest number of directed edges RoadNetwork(w, h, …)
-// can add: both directions of every horizontal and vertical street, plus
+// can have: both directions of every horizontal and vertical street, plus
 // both directions of every cell's diagonal when diagonals are on at all. It
 // is exact when diagFrac is 0 or 1. The caller has checked that w·h fits an
 // int32, so the int64 arithmetic cannot overflow.

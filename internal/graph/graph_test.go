@@ -92,9 +92,10 @@ func TestRoadNetworkValidates(t *testing.T) {
 	}
 }
 
-// TestRoadEdgeBoundExact: the reservation RoadNetwork makes is its exact
-// edge count when no cell's diagonal is a coin flip, so the grid is built
-// into one edge list that never regrows.
+// TestRoadEdgeBoundExact: roadEdgeBound, the edge count RoadNetwork checks
+// against int32 offsets before it allocates, is its exact edge count when no
+// cell's diagonal is a coin flip, so at diagFrac 0 or 1 the check rejects no
+// grid whose CSR would fit.
 func TestRoadEdgeBoundExact(t *testing.T) {
 	for _, tc := range []struct {
 		w, h     int
@@ -110,10 +111,12 @@ func TestRoadEdgeBoundExact(t *testing.T) {
 	}
 }
 
-// TestGeneratorsReserveEdgeList: RoadNetwork and Gnm size the builder's edge
-// list once, so a build costs the same few allocations however many edges it
-// adds. An edge list grown by append costs one more per growth step: dozens
-// at these sizes.
+// TestGeneratorsReserveEdgeList: RoadNetwork and Gnm size their edge storage
+// once, so a build costs the same few allocations however many edges it
+// adds. Gnm reserves the builder's edge list; RoadNetwork uses no builder
+// and allocates its per-cell weight arrays and its exact-size CSR. An edge
+// list grown by append costs one more allocation per growth step: dozens at
+// these sizes.
 func TestGeneratorsReserveEdgeList(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -16,6 +16,7 @@ package jobs
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -165,16 +166,12 @@ func RunBatch(w *Workload, q sched.Queue[int32], workers, batch int) (Result, er
 	st := sched.RunConfig(q, sched.Config{Workers: workers, Batch: batch}, task, int64(n))
 	elapsed := time.Since(start)
 
-	perClass := make([][]float64, classes)
-	for i := 0; i < n; i++ {
-		c := w.Class[i]
-		perClass[c] = append(perClass[c], float64(completedAt[i])/1e6)
-	}
+	perClass, _, _ := summarize(classes, w.Class, nil, completedAt)
 	return Result{
 		Elapsed:    elapsed,
 		Inversions: inversions.Load(),
 		InvWaiting: invWaiting.Load(),
-		PerClass:   collectClassStats(perClass),
+		PerClass:   perClass,
 		Stats:      st,
 	}, nil
 }
@@ -201,20 +198,61 @@ func serveJob(c int, service uint32, id int32, classPending []atomic.Int64, inve
 	spin(service, uint64(id))
 }
 
-// collectClassStats turns per-class latency samples (milliseconds) into the
-// ordered ClassStats slice both run modes report.
-func collectClassStats(perClass [][]float64) []ClassStats {
-	out := make([]ClassStats, 0, len(perClass))
-	for c, lats := range perClass {
-		cs := ClassStats{Class: c, Jobs: int64(len(lats))}
-		if len(lats) > 0 {
-			cs.P50Ms = stats.Percentile(lats, 50)
-			cs.P99Ms = stats.Percentile(lats, 99)
-			cs.MeanMs = stats.Mean(lats)
+// summarize reports a run's latencies in milliseconds, per class and pooled
+// over every class: job i, of class class[i], took to[i] − from[i] ns. A job
+// whose from[i] is negative never arrived and is left out; a nil from times
+// every job from 0. Each sample goes, in job order, into its class's
+// exact-length slice of one backing array and into the pooled slice. A
+// class's mean is summed in job order, then its slice is sorted once in place
+// for both percentiles; the pooled slice is sorted once for its two (0 when
+// no job arrived). The pooled slice is an array of its own rather than the
+// backing array sorted again: with that one array fewer, perfbench's
+// serve-bursty heap sample, taken after each replay, lands before the
+// collector's next cycle instead of after it and reads 98.9 MiB, not 68.4
+// (EXPERIMENTS.md, "Direct road-network CSR").
+func summarize(classes int, class []uint8, from, to []int64) (perClass []ClassStats, p50, p99 float64) {
+	counts := make([]int, classes)
+	total := 0
+	for i, c := range class {
+		if from == nil || from[i] >= 0 {
+			counts[c]++
+			total++
 		}
-		out = append(out, cs)
 	}
-	return out
+	backing := make([]float64, total)
+	all := make([]float64, 0, total)
+	lats := make([][]float64, classes)
+	off := 0
+	for c, k := range counts {
+		lats[c] = backing[off : off : off+k]
+		off += k
+	}
+	for i, c := range class {
+		var start int64
+		if from != nil {
+			if start = from[i]; start < 0 {
+				continue
+			}
+		}
+		ms := float64(to[i]-start) / 1e6
+		lats[c] = append(lats[c], ms)
+		all = append(all, ms)
+	}
+	perClass = make([]ClassStats, classes)
+	for c, l := range lats {
+		perClass[c] = ClassStats{Class: c, Jobs: int64(len(l))}
+		if len(l) > 0 {
+			perClass[c].MeanMs = stats.Mean(l)
+			sort.Float64s(l)
+			perClass[c].P50Ms = stats.SortedPercentile(l, 50)
+			perClass[c].P99Ms = stats.SortedPercentile(l, 99)
+		}
+	}
+	if total > 0 {
+		sort.Float64s(all)
+		p50, p99 = stats.SortedPercentile(all, 50), stats.SortedPercentile(all, 99)
+	}
+	return perClass, p50, p99
 }
 
 // spinSink defeats dead-code elimination of the service loop.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/stats"
+	"powerchoice/internal/xrand"
 )
 
 func TestGenerateValidates(t *testing.T) {
@@ -172,5 +174,69 @@ func TestRunBatchDrainsEveryJob(t *testing.T) {
 				t.Fatalf("per-class jobs sum %d, want %d", total, n)
 			}
 		})
+	}
+}
+
+// TestSummarizeMatchesPercentile: summarize sorts one backing array in place
+// where the run modes used to copy and sort per percentile, and must not move
+// a bit of what they reported. Jobs arrive in shuffled class order with
+// random sojourns, some never arrive, and one class gets no job; every
+// per-class and pooled figure must equal stats.Percentile and stats.Mean
+// over unsorted copies taken in job order, for open runs (from set) and
+// closed runs (from nil) alike.
+func TestSummarizeMatchesPercentile(t *testing.T) {
+	const n, classes = 5000, 5 // class 3 gets no job
+	rng := xrand.NewSource(7)
+	class := make([]uint8, n)
+	from := make([]int64, n)
+	to := make([]int64, n)
+	for i := range class {
+		class[i] = []uint8{0, 1, 2, 4}[rng.Intn(4)]
+		from[i] = int64(rng.Intn(1 << 30))
+		if rng.Intn(10) == 0 {
+			from[i] = -1 // never injected
+		}
+		to[i] = from[i] + 1 + int64(rng.Intn(1<<24))
+	}
+	for _, open := range []bool{true, false} {
+		start := from
+		if !open {
+			start = nil
+		}
+		want := make([][]float64, classes)
+		var all []float64
+		for i, c := range class {
+			var s int64
+			if start != nil {
+				if s = start[i]; s < 0 {
+					continue
+				}
+			}
+			ms := float64(to[i]-s) / 1e6
+			want[c] = append(want[c], ms)
+			all = append(all, ms)
+		}
+		perClass, p50, p99 := summarize(classes, class, start, to)
+		if p50 != stats.Percentile(all, 50) || p99 != stats.Percentile(all, 99) {
+			t.Errorf("open=%v: pooled p50, p99 = %v, %v, want %v, %v",
+				open, p50, p99, stats.Percentile(all, 50), stats.Percentile(all, 99))
+		}
+		if len(perClass) != classes {
+			t.Fatalf("open=%v: %d classes reported, want %d", open, len(perClass), classes)
+		}
+		for c, cs := range perClass {
+			w := ClassStats{Class: c, Jobs: int64(len(want[c]))}
+			if len(want[c]) > 0 {
+				w.P50Ms = stats.Percentile(want[c], 50)
+				w.P99Ms = stats.Percentile(want[c], 99)
+				w.MeanMs = stats.Mean(want[c])
+			}
+			if cs != w {
+				t.Errorf("open=%v: class %d = %+v, want %+v", open, c, cs, w)
+			}
+		}
+		if perClass[3].Jobs != 0 {
+			t.Errorf("open=%v: class 3 reported %d jobs, want none", open, perClass[3].Jobs)
+		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"powerchoice/internal/sched"
-	"powerchoice/internal/stats"
 	"powerchoice/internal/workload"
 )
 
@@ -225,16 +224,6 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 	}, gen, task)
 	elapsed := time.Since(start)
 
-	perClass := make([][]float64, tr.NumClasses())
-	all := make([]float64, 0, n)
-	for id := 0; id < n; id++ {
-		if arrivedAt[id] < 0 {
-			continue // deadline cut injection before this job arrived
-		}
-		sojournMs := float64(completedAt[id]-arrivedAt[id]) / 1e6
-		perClass[tr.Class[id]] = append(perClass[tr.Class[id]], sojournMs)
-		all = append(all, sojournMs)
-	}
 	res := OpenResult{
 		Elapsed:       elapsed,
 		OfferedRate:   rate,
@@ -255,10 +244,6 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 		}
 		res.QLenMean = sum / float64(len(st.QLen))
 	}
-	res.PerClass = collectClassStats(perClass)
-	if len(all) > 0 {
-		res.SojournP50Ms = stats.Percentile(all, 50)
-		res.SojournP99Ms = stats.Percentile(all, 99)
-	}
+	res.PerClass, res.SojournP50Ms, res.SojournP99Ms = summarize(tr.NumClasses(), tr.Class, arrivedAt, completedAt)
 	return res, nil
 }

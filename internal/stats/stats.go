@@ -94,15 +94,22 @@ func (w *Welford) String() string {
 // interpolation between order statistics. It sorts a copy; xs is unmodified.
 // It panics on an empty slice or p outside [0,100].
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	ys := make([]float64, len(xs))
+	copy(ys, xs)
+	sort.Float64s(ys)
+	return SortedPercentile(ys, p)
+}
+
+// SortedPercentile is Percentile of an ascending ys, without the copy and
+// the sort: a caller that takes several percentiles of one sample sorts it
+// once. It panics on an empty slice or p outside [0,100].
+func SortedPercentile(ys []float64, p float64) float64 {
+	if len(ys) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: Percentile %v outside [0,100]", p))
 	}
-	ys := make([]float64, len(xs))
-	copy(ys, xs)
-	sort.Float64s(ys)
 	if len(ys) == 1 {
 		return ys[0]
 	}

@@ -90,6 +90,10 @@ func TestPercentile(t *testing.T) {
 		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-9) {
 			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
+		// xs ascends, so SortedPercentile reads it as it is.
+		if got, want := SortedPercentile(xs, c.p), Percentile(xs, c.p); got != want {
+			t.Errorf("SortedPercentile(%v) = %v, Percentile %v", c.p, got, want)
+		}
 	}
 	// Input must be unmodified.
 	if xs[0] != 15 || xs[4] != 50 {
@@ -108,6 +112,8 @@ func TestPercentilePanics(t *testing.T) {
 		func() { Percentile(nil, 50) },
 		func() { Percentile([]float64{1}, -1) },
 		func() { Percentile([]float64{1}, 101) },
+		func() { SortedPercentile(nil, 50) },
+		func() { SortedPercentile([]float64{1}, 101) },
 	} {
 		func() {
 			defer func() {
