@@ -23,7 +23,6 @@ func main() {
 	// original MultiQueue at a modest rank cost.
 	q, err := powerchoice.New[string](
 		powerchoice.WithBeta(0.75),
-		powerchoice.WithQueueFactor(2),
 		powerchoice.WithSeed(2017),
 	)
 	if err != nil {

@@ -18,8 +18,8 @@ package bench
 import (
 	"testing"
 
-	"powerchoice/internal/jobs"
 	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/workload"
 )
 
 const (
@@ -95,7 +95,13 @@ func TestJobsBatchingInversionBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("statistical bound; race instrumentation stalls workers past it")
 	}
-	w, err := jobs.Generate(jobs.Spec{Jobs: 40000, Classes: 4, ServiceMean: 8, Seed: 5})
+	spec := &workload.Spec{Name: "uniform4x8", Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson}}
+	for c := 0; c < 4; c++ {
+		spec.Classes = append(spec.Classes, workload.ClassSpec{
+			Weight: 1, Service: workload.ServiceSpec{Law: workload.ServiceUniform, Mean: 8},
+		})
+	}
+	tr, err := workload.Generate(spec, 5, 40000, 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func TestJobsBatchingInversionBound(t *testing.T) {
 			res, err := Jobs(JobsSpec{
 				Impl:     pqadapt.ImplMultiQueue,
 				Queues:   8,
-				Workload: w,
+				Workload: tr,
 				Threads:  1,
 				Batch:    batch,
 				Seed:     200 + s,

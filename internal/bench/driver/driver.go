@@ -32,7 +32,8 @@ Subcommands:
   sweep        rank quality of the (1+β) MultiQueue swept over β (Figure 2)
   sssp         parallel single-source shortest paths timing (Figure 3)
   astar        parallel A* on an implicit obstacle grid (non-monotone keys)
-  jobs         priority job-server drain: inversions + per-class latency
+  jobs         priority job-server drain of a workload trace (-workload,
+               default poisson): inversions + per-class latency
   serve        open-system job server: a workload trace at target utilization
                rho, per-class sojourn p50/p99 + queue-length timeseries
                (-workload picks the spec, default the 4-class poisson
@@ -43,9 +44,6 @@ Subcommands:
   plan         binary-search the worker count meeting a p99-sojourn SLO
                at a given workload and offered rate
   calibrate    print the host's spin-unit cost (the rho <-> rate constant)
-  budget       decompose the steady-state insert+deleteMin pair into a
-               ns/op budget (sample / lock / heap / stats / residual,
-               median-of-N each)
   help         print this message
 
 Every subcommand accepts -csv (CSV instead of an aligned table), -json
@@ -88,8 +86,6 @@ func Main(args []string, stdout, stderr io.Writer) error {
 		return runPlan(rest, stdout, stderr)
 	case "calibrate":
 		return runCalibrate(rest, stdout, stderr)
-	case "budget":
-		return runBudget(rest, stdout, stderr)
 	case "help", "-h", "--help":
 		fmt.Fprint(stdout, usageText)
 		return nil

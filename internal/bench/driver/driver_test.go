@@ -228,9 +228,31 @@ func TestAStarJSONVerified(t *testing.T) {
 	}
 }
 
+// uniformSpecFile writes a workload spec of `classes` equally weighted
+// classes of uniform service with the given mean and returns its path.
+func uniformSpecFile(t *testing.T, name string, classes int, mean float64) string {
+	t.Helper()
+	spec := workload.Spec{Name: name, Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson}}
+	for c := 0; c < classes; c++ {
+		spec.Classes = append(spec.Classes, workload.ClassSpec{
+			Weight: 1, Service: workload.ServiceSpec{Law: workload.ServiceUniform, Mean: mean},
+		})
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name+".json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestJobsJSONPerClassRows(t *testing.T) {
-	stdout, _ := runMain(t, "jobs", "-jobs", "6000", "-classes", "3",
-		"-service", "2", "-threads", "2", "-impls", "multiqueue", "-seed", "9", "-json")
+	spec := uniformSpecFile(t, "uniform3x2", 3, 2)
+	stdout, _ := runMain(t, "jobs", "-jobs", "6000", "-workload", spec,
+		"-threads", "2", "-impls", "multiqueue", "-seed", "9", "-json")
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
@@ -241,6 +263,9 @@ func TestJobsJSONPerClassRows(t *testing.T) {
 	sum := rep.Rows[0]
 	if sum.Class != nil || sum.Jobs != 6000 || sum.Millis <= 0 || sum.MJobs <= 0 {
 		t.Errorf("summary row: %+v", sum)
+	}
+	if sum.Workload != "uniform3x2" {
+		t.Errorf("summary row workload %q, want uniform3x2", sum.Workload)
 	}
 	var classJobs int64
 	for i, row := range rep.Rows[1:] {
@@ -254,6 +279,48 @@ func TestJobsJSONPerClassRows(t *testing.T) {
 	}
 	if classJobs != 6000 {
 		t.Errorf("per-class jobs sum %d, want 6000", classJobs)
+	}
+}
+
+// TestJobsAndServeServeTheSameJobs: a drain and an open run of equal
+// -workload, -jobs and -seed generate the same classes whatever the open
+// run's rate, so both report identical per-class job counts.
+func TestJobsAndServeServeTheSameJobs(t *testing.T) {
+	classJobs := func(args ...string) map[int]int64 {
+		t.Helper()
+		stdout, _ := runMain(t, append(args, "-workload", "poisson", "-jobs", "6000",
+			"-seed", "9", "-threads", "1", "-impls", "globallock", "-json")...)
+		var rep bench.Report
+		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+			t.Fatalf("%s: invalid JSON: %v\n%s", args[0], err, stdout)
+		}
+		out := map[int]int64{}
+		for _, row := range rep.Rows {
+			if row.Class != nil {
+				out[*row.Class] = row.Jobs
+			}
+		}
+		return out
+	}
+	drained := classJobs("jobs")
+	served := classJobs("serve", "-rate", "100000")
+	if len(drained) != 4 || !reflect.DeepEqual(drained, served) {
+		t.Errorf("per-class jobs: drain %v, serve %v", drained, served)
+	}
+}
+
+// TestJobsRejectsBadFlags: the retired -classes and -service flags and an
+// unknown workload fail rather than silently draining something else.
+func TestJobsRejectsBadFlags(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	for _, name := range []string{"-classes", "-service"} {
+		if err := Main([]string{"jobs", "-jobs", "100", name, "4"}, &out, &errBuf); err == nil ||
+			!strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: want an unknown-flag error, got %v", name, err)
+		}
+	}
+	if err := Main([]string{"jobs", "-jobs", "100", "-workload", "bogus"}, &out, &errBuf); err == nil {
+		t.Error("unknown workload accepted")
 	}
 }
 

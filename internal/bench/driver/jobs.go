@@ -6,22 +6,29 @@ import (
 	"io"
 
 	"powerchoice/internal/bench"
-	"powerchoice/internal/jobs"
 	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/workload"
 )
 
-// runJobs drains a priority job-server workload over the line-up: jobs with
-// priority classes and service times, P workers sharing the queue as the
-// scheduler. It reports priority-inversion counts and per-class completion
-// latency percentiles — the scheduling-quality face of the paper's rank
-// bound. The JSON report carries one summary row per (impl, threads) plus
+// drainRate is the arrival rate, in jobs/second, of the trace a jobs run
+// drains. A drain ignores arrival instants, and a trace draws classes and
+// services from streams of their own, so the rate moves no drained job:
+// jobs and serve with equal -workload, -jobs and -seed serve the same jobs.
+const drainRate = 100_000
+
+// runJobs drains a workload trace over the line-up: jobs with priority
+// classes and service times (-workload: a preset or a JSON file; the
+// 4-class poisson preset by default), all waiting from the start, and P
+// workers sharing the queue as the scheduler. It reports priority-inversion
+// counts and per-class completion latency percentiles — the
+// scheduling-quality face of the paper's rank bound. The JSON report
+// carries one summary row per (impl, threads), with the spec name, plus
 // one row per priority class.
 func runJobs(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench jobs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	nJobs := fs.Int("jobs", 1_000_000, "jobs drained per configuration")
-	classes := fs.Int("classes", 8, "priority classes (0 = most urgent)")
-	service := fs.Int("service", 64, "mean simulated service time in spin units")
+	workloadFlag := fs.String("workload", "poisson", "workload spec: preset name or JSON file")
 	threadsFlag := fs.String("threads", defaultThreads(), "comma-separated thread counts")
 	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
 	queues := fs.Int("queues", 0, "pin the MultiQueue queue count (0 = derive from the host)")
@@ -33,18 +40,20 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	normalizeBatch(batch)
-	w, err := jobs.Generate(jobs.Spec{
-		Jobs: *nJobs, Classes: *classes, ServiceMean: *service, Seed: *seed,
-	})
-	if err != nil {
-		return err
-	}
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "job server: %d jobs, %d classes, mean service %d spin units\n",
-		*nJobs, *classes, *service)
+	wspec, err := workload.LoadSpec(*workloadFlag)
+	if err != nil {
+		return err
+	}
+	tr, err := workload.Generate(wspec, *seed, *nJobs, drainRate)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "job server: %d jobs, workload %q (%d classes)\n",
+		*nJobs, wspec.Name, len(wspec.Classes))
 
 	tb := bench.NewTable("impl", "threads", "class", "jobs", "p50_ms", "p99_ms", "inversions")
 	rep := bench.NewReport("jobs", *seed)
@@ -53,7 +62,7 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 			res, err := bench.Jobs(bench.JobsSpec{
 				Impl:     pqadapt.Impl(impl),
 				Queues:   *queues,
-				Workload: w,
+				Workload: tr,
 				Threads:  th,
 				Batch:    *batch,
 				Seed:     *seed,
@@ -66,7 +75,7 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 			sum := bench.Row{
 				Impl: impl, Threads: th, Batch: *batch, Millis: ms, MJobs: res.MJobs,
 				Jobs: int64(*nJobs), Inversions: res.Inversions, InvWaiting: res.InvWaiting,
-				BufferedPops: res.BufferedPops,
+				BufferedPops: res.BufferedPops, Workload: wspec.Name,
 			}
 			sum.SetTopology(res.Topology)
 			rep.Add(sum)

@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"powerchoice/internal/jobs"
 	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/workload"
 )
 
 // JobsSpec configures one priority job-server drain (powerbench jobs).
@@ -15,14 +15,15 @@ type JobsSpec struct {
 	// Queues fixes the internal queue count of MultiQueue implementations;
 	// 0 derives it from the host.
 	Queues int
-	// Workload is the generated job batch.
-	Workload *jobs.Workload
+	// Workload is the trace whose jobs are drained; its arrival instants
+	// are ignored.
+	Workload *workload.Trace
 	// Threads is the server worker count.
 	Threads int
 	// Batch is the executor's bulk-operation size k (0 or 1 = unbatched).
 	// Batching a job server trades scheduling quality for throughput: up to
 	// k−1 jobs per worker wait in local buffers where higher-priority jobs
-	// cannot overtake them (see jobs.RunBatch).
+	// cannot overtake them (see jobs.Run).
 	Batch int
 	// Seed fixes queue randomness.
 	Seed uint64
@@ -48,21 +49,18 @@ type JobsResult struct {
 
 // Jobs times one job-server drain.
 func Jobs(spec JobsSpec) (JobsResult, error) {
-	if spec.Workload == nil {
-		return JobsResult{}, fmt.Errorf("bench: nil workload")
-	}
 	q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: spec.Impl, Queues: spec.Queues, Seed: spec.Seed})
 	if err != nil {
 		return JobsResult{}, err
 	}
 	topology := pqadapt.TopologyOf(spec.Impl, q)
-	res, err := jobs.RunBatch(spec.Workload, q, spec.Threads, spec.Batch)
+	res, err := jobs.Run(spec.Workload, q, spec.Threads, spec.Batch)
 	if err != nil {
 		return JobsResult{}, err
 	}
 	return JobsResult{
 		Elapsed:      res.Elapsed,
-		MJobs:        float64(spec.Workload.Spec.Jobs) / res.Elapsed.Seconds() / 1e6,
+		MJobs:        float64(spec.Workload.Jobs()) / res.Elapsed.Seconds() / 1e6,
 		Inversions:   res.Inversions,
 		InvWaiting:   res.InvWaiting,
 		BufferedPops: res.Stats.BufferedPops,

@@ -106,13 +106,14 @@ type Row struct {
 	SojournP99Ms float64 `json:"sojourn_p99_ms,omitempty"`
 	QLenMean     float64 `json:"qlen_mean,omitempty"`
 
-	// Workload provenance (powerbench serve / record / replay / plan).
-	// Workload names the spec ("bursty", a file's spec name, …), TraceHash
-	// the sha256 content identity of the generated or replayed trace —
-	// record→replay determinism compares it. ClassRate is a per-class row's
-	// offered arrival rate in jobs/second (total rate × the class's weight
-	// share). Every serve row carries them; older serve rows without them
-	// come from a traffic model serve no longer has (EXPERIMENTS.md).
+	// Workload provenance (powerbench jobs / serve / record / replay /
+	// plan). Workload names the spec ("bursty", a file's spec name, …),
+	// TraceHash the sha256 content identity of the generated or replayed
+	// trace — record→replay determinism compares it. ClassRate is a
+	// per-class row's offered arrival rate in jobs/second (total rate × the
+	// class's weight share). Every serve row carries them and every jobs
+	// summary row carries Workload; older serve and jobs rows without them
+	// come from job models neither command has any more (EXPERIMENTS.md).
 	Workload  string  `json:"workload,omitempty"`
 	TraceHash string  `json:"trace_hash,omitempty"`
 	ClassRate float64 `json:"class_rate,omitempty"`
@@ -144,18 +145,6 @@ type Row struct {
 	Epochs      uint64 `json:"epochs,omitempty"`
 	Resizes     int64  `json:"resizes,omitempty"`
 	FinalQueues int    `json:"final_queues,omitempty"`
-
-	// Budget metrics (powerbench budget). Component names a measured
-	// decomposition row ("sample", "lock", "heap", "stats", "residual",
-	// "total") with its median-of-N NsPerOp and Share of the measured total.
-	// SubOf marks a sub-row decomposing a parent component ("draw" and
-	// "scan" under "sample"); sub-rows are excluded from the additive sum
-	// behind "residual" (all absent before PR 10 — earlier budget reports
-	// stay byte-comparable).
-	Component string  `json:"component,omitempty"`
-	SubOf     string  `json:"sub_of,omitempty"`
-	NsPerOp   float64 `json:"ns_per_op,omitempty"`
-	Share     float64 `json:"share,omitempty"`
 }
 
 // SetTopology copies a resolved topology into the row.

@@ -118,18 +118,6 @@ func pinnedReport() *Report {
 			{
 				SpinNsPerUnit: 1.375,
 			},
-			// A budget component row and one of its sub-rows: sub_of marks
-			// a row that attributes a slice of its parent's cost (draw and
-			// scan under sample) and stays out of the additive sum behind
-			// residual; top-level rows omit it, so pre-PR 10 budget reports
-			// serialize unchanged.
-			{
-				Queues: 8, Component: "sample", NsPerOp: 23.25, Share: 0.1875,
-			},
-			{
-				Queues: 8, Component: "draw", SubOf: "sample", NsPerOp: 10.5,
-				Share: 0.0859375,
-			},
 		},
 	}
 }

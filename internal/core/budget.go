@@ -9,15 +9,15 @@ import (
 // Budget probes: the components of one steady-state Mixed pair (one Insert
 // plus one DeleteMin on a prefilled structure — the alternating workload of
 // BenchmarkHandleMixed and powerbench throughput), each isolated behind a
-// closure so `powerbench budget` can decompose the measured pair cost into
-// a ns/op budget. The probes live in core because the components they time
-// (selector sampling, the queue lock, the locked heap op, handle
-// accounting) are unexported by design; nothing here runs on a hot path —
-// it is measurement scaffolding.
+// closure so the layer ledger, `perfbench/run.py --trace 1`, can decompose
+// the measured pair cost into a ns/op budget. The probes live in core
+// because the components they time (selector sampling, the queue lock, the
+// locked heap op, handle accounting) are unexported by design; nothing here
+// runs on a hot path — it is measurement scaffolding.
 //
 // The decomposition is additive by construction: sample + lock + heap +
 // stats re-assembles the pair minus call glue and cache interaction between
-// the components, which the budget table reports as the residual.
+// the components, which the ledger reports as core.residual_ns.
 
 // BudgetProbe is one timed component. New builds fresh probe state (its
 // cost is setup, not measurement — callers reset timers after it) and
@@ -25,7 +25,7 @@ import (
 type BudgetProbe struct {
 	// Name is the component's short table label.
 	Name string
-	// Doc is the one-line description the budget table prints.
+	// Doc is a one-line description of what the probe times.
 	Doc string
 	// SubOf names the component this probe sub-divides ("" for top-level
 	// components). Sub-probes attribute a parent's cost — they are reported

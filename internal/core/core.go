@@ -150,7 +150,7 @@ type Config struct {
 	// Atomic reports the distributionally linearizable validation mode.
 	Atomic bool
 	// QueuesPinned is true when WithQueues fixed n explicitly; false means
-	// n was derived from factor × GOMAXPROCS and the floor.
+	// n was derived from queueFactor × GOMAXPROCS and the floor.
 	QueuesPinned bool
 }
 

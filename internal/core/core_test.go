@@ -22,9 +22,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New[int](WithQueues(-1)); err == nil {
 		t.Error("negative queue count accepted")
 	}
-	if _, err := New[int](WithQueueFactor(0)); err == nil {
-		t.Error("zero factor accepted")
-	}
 	if _, err := New[int](WithBeta(-0.1)); err == nil {
 		t.Error("negative beta accepted")
 	}
@@ -405,7 +402,7 @@ func BenchmarkInsertDeleteSequential(b *testing.B) {
 }
 
 func BenchmarkInsertDeleteParallel(b *testing.B) {
-	mq, err := New[struct{}](WithQueueFactor(2), WithBeta(0.75), WithSeed(1))
+	mq, err := New[struct{}](WithBeta(0.75), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,8 +8,12 @@ import (
 // Option configures a MultiQueue.
 type Option func(*config)
 
+// queueFactor is the paper's c in the derived queue count n = c·P, with P
+// the GOMAXPROCS.
+const queueFactor = 2
+
 // minDerivedQueues is the floor applied to queue counts derived from
-// factor × GOMAXPROCS. Without it, a small machine (GOMAXPROCS ≤ 2) would
+// queueFactor × GOMAXPROCS. Without it, a small machine (GOMAXPROCS ≤ 2) would
 // resolve to n = 2 queues, where the default d = 2 choice-deletion samples
 // *every* queue and the (1+β) MultiQueue silently degenerates into an exact
 // — but contended — queue. Four queues keep choices < queues on any host, so
@@ -19,7 +23,6 @@ const minDerivedQueues = 4
 
 type config struct {
 	queues     int
-	factor     int
 	beta       float64
 	seed       uint64
 	atomicMode bool
@@ -29,19 +32,14 @@ type config struct {
 	queuesPinned bool
 }
 
-// WithQueues sets the number of internal queues explicitly. It overrides
-// WithQueueFactor and bypasses the derived-queue floor: an explicit n is
-// honoured exactly, even when it leaves no two-choice deletion (n ≤ 2, see
+// WithQueues sets the number of internal queues explicitly. Without it the
+// count is derived as max(4, 2 × GOMAXPROCS), the paper's n = c·P
+// configuration with a floor that keeps choices < queues on small machines
+// (see minDerivedQueues). An explicit n bypasses the floor and is honoured
+// exactly, even when it leaves no two-choice deletion (n ≤ 2, see
 // buildOptions).
 func WithQueues(n int) Option {
 	return func(c *config) { c.queues = n }
-}
-
-// WithQueueFactor derives the queue count as max(4, factor × GOMAXPROCS),
-// the paper's n = c·P configuration with a floor that keeps choices < queues
-// on small machines (see minDerivedQueues). The default factor is 2.
-func WithQueueFactor(factor int) Option {
-	return func(c *config) { c.factor = factor }
 }
 
 // WithBeta sets the probability of using two-choice deletion; 1-β of
@@ -68,19 +66,15 @@ func WithAtomic(enabled bool) Option {
 
 func buildOptions(opts []Option) (config, error) {
 	c := config{
-		factor: 2,
-		beta:   1,
-		seed:   0x9e3779b97f4a7c15,
+		beta: 1,
+		seed: 0x9e3779b97f4a7c15,
 	}
 	for _, o := range opts {
 		o(&c)
 	}
 	c.queuesPinned = c.queues != 0
 	if !c.queuesPinned {
-		if c.factor < 1 {
-			return c, fmt.Errorf("core: queue factor %d < 1", c.factor)
-		}
-		c.queues = c.factor * runtime.GOMAXPROCS(0)
+		c.queues = queueFactor * runtime.GOMAXPROCS(0)
 		if c.queues < minDerivedQueues {
 			c.queues = minDerivedQueues
 		}

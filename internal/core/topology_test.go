@@ -10,27 +10,28 @@ import (
 // GOMAXPROCS-coupled degeneracy: on a machine with P ≤ 2 the old derivation
 // n = 2·P gave n = 2 queues, the default d = 2 then sampled every queue, and
 // the (1+β) MultiQueue silently became an exact queue. A derived topology
-// must always keep choices < queues, on any core count.
+// must always keep choices < queues, on any core count, so the checks run
+// at GOMAXPROCS 1 (where only the floor keeps n above 2), 2 and 8.
 func TestDerivedTopologyNeverDegenerate(t *testing.T) {
-	for _, factor := range []int{1, 2, 4, 8} {
-		factor := factor
-		t.Run(fmt.Sprintf("factor=%d", factor), func(t *testing.T) {
-			mq := mustNew[int](t, WithQueueFactor(factor))
-			cfg := mq.Config()
+	t.Run(fmt.Sprintf("factor=%d", queueFactor), func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			cfg := mustNew[int](t).Config()
 			if cfg.QueuesPinned {
-				t.Error("derived topology reported as pinned")
+				t.Errorf("P=%d: derived topology reported as pinned", procs)
 			}
 			if cfg.Queues < minDerivedQueues {
-				t.Errorf("derived queues = %d, want ≥ %d", cfg.Queues, minDerivedQueues)
+				t.Errorf("P=%d: derived queues = %d, want ≥ %d", procs, cfg.Queues, minDerivedQueues)
 			}
-			if want := factor * runtime.GOMAXPROCS(0); want > minDerivedQueues && cfg.Queues != want {
-				t.Errorf("derived queues = %d, want factor·GOMAXPROCS = %d", cfg.Queues, want)
+			if want := queueFactor * procs; want > minDerivedQueues && cfg.Queues != want {
+				t.Errorf("P=%d: derived queues = %d, want factor·GOMAXPROCS = %d", procs, cfg.Queues, want)
 			}
 			if cfg.Choices >= cfg.Queues {
-				t.Errorf("derived topology degenerate: choices %d ≥ queues %d", cfg.Choices, cfg.Queues)
+				t.Errorf("P=%d: derived topology degenerate: choices %d ≥ queues %d", procs, cfg.Choices, cfg.Queues)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestDefaultedChoicesNeverEqualQueues: even when the queue count is pinned

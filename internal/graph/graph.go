@@ -210,60 +210,6 @@ func roadEdgeBound(w, h int, diagonals bool) int64 {
 	return 2 * undirected
 }
 
-// RandomGeometric generates a random geometric-like graph: n nodes on a unit
-// square connected to their lattice-bucket neighbours within the given
-// radius, weights proportional to distance.
-func RandomGeometric(n int, radius float64, seed uint64) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: RandomGeometric needs n >= 2")
-	}
-	if radius <= 0 || radius > 1 {
-		return nil, fmt.Errorf("graph: radius %v outside (0,1]", radius)
-	}
-	rng := xrand.NewSource(seed)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i], ys[i] = rng.Float64(), rng.Float64()
-	}
-	// Bucket grid for neighbour search.
-	cells := int(1 / radius)
-	if cells < 1 {
-		cells = 1
-	}
-	bucket := make(map[[2]int][]int)
-	cellOf := func(i int) [2]int {
-		return [2]int{int(xs[i] * float64(cells)), int(ys[i] * float64(cells))}
-	}
-	for i := 0; i < n; i++ {
-		c := cellOf(i)
-		bucket[c] = append(bucket[c], i)
-	}
-	b := NewBuilder(n)
-	r2 := radius * radius
-	for i := 0; i < n; i++ {
-		c := cellOf(i)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range bucket[[2]int{c[0] + dx, c[1] + dy}] {
-					if j <= i {
-						continue
-					}
-					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
-					d2 := ddx*ddx + ddy*ddy
-					if d2 <= r2 {
-						w := uint32(1e6 * d2)
-						if err := b.AddBoth(i, j, w+1); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-		}
-	}
-	return b.Build(), nil
-}
-
 // Gnm generates a uniform random directed multigraph with n nodes and m
 // edges, weights uniform in [1, maxW].
 func Gnm(n, m int, maxW uint32, seed uint64) (*Graph, error) {

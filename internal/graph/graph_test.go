@@ -155,25 +155,6 @@ func TestGeneratorsRejectOversize(t *testing.T) {
 	}
 }
 
-func TestRandomGeometric(t *testing.T) {
-	g, err := RandomGeometric(500, 0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 500 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	if g.NumEdges() == 0 {
-		t.Fatal("no edges generated")
-	}
-	if _, err := RandomGeometric(1, 0.1, 2); err == nil {
-		t.Error("n=1 accepted")
-	}
-	if _, err := RandomGeometric(10, 0, 2); err == nil {
-		t.Error("radius 0 accepted")
-	}
-}
-
 func TestGnm(t *testing.T) {
 	g, err := Gnm(100, 500, 10, 3)
 	if err != nil {

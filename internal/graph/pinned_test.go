@@ -40,7 +40,6 @@ func TestGeneratorsPinned(t *testing.T) {
 	}{
 		{"RoadNetwork(37,23,0.15)", func() (*Graph, error) { return RoadNetwork(37, 23, 0.15, 5) }, 851, 3500, 0x3f40013dc81562cc},
 		{"Gnm(500,3000,100)", func() (*Graph, error) { return Gnm(500, 3000, 100, 5) }, 500, 3000, 0x624b907e6b50150a},
-		{"RandomGeometric(400,0.1)", func() (*Graph, error) { return RandomGeometric(400, 0.1, 5) }, 400, 4684, 0xbbd7f4d902298b44},
 	} {
 		g, err := tc.build()
 		if err != nil {

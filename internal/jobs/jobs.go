@@ -22,71 +22,8 @@ import (
 
 	"powerchoice/internal/sched"
 	"powerchoice/internal/stats"
-	"powerchoice/internal/xrand"
+	"powerchoice/internal/workload"
 )
-
-// Spec configures a job-server workload.
-type Spec struct {
-	// Jobs is the number of jobs drained.
-	Jobs int
-	// Classes is the number of priority classes (class 0 is the most
-	// urgent; at most 256).
-	Classes int
-	// ServiceMean is the exact mean simulated service time in spin units (a
-	// unit is one iteration of a cheap arithmetic loop); service times are
-	// uniform on the integers [1, 2·ServiceMean), whose mean is exactly
-	// ServiceMean (TestGenerateServiceMeanExact pins it).
-	ServiceMean int
-	// Seed fixes class and service-time randomness.
-	Seed uint64
-}
-
-// Workload is a generated batch of jobs. Job i has priority class Class[i]
-// and service time Service[i] spin units.
-type Workload struct {
-	Spec    Spec
-	Class   []uint8
-	Service []uint32
-}
-
-// Generate draws the job batch deterministically from the spec's seed.
-// Classes are uniform — every class gets ≈ Jobs/Classes jobs, so per-class
-// percentiles are all well-populated.
-func Generate(spec Spec) (*Workload, error) {
-	if spec.Jobs < 1 {
-		return nil, fmt.Errorf("jobs: %d jobs", spec.Jobs)
-	}
-	if spec.Classes < 1 || spec.Classes > 256 {
-		return nil, fmt.Errorf("jobs: %d classes outside [1,256]", spec.Classes)
-	}
-	if spec.Jobs >= 1<<31 {
-		return nil, fmt.Errorf("jobs: %d jobs overflow int32 IDs", spec.Jobs)
-	}
-	if spec.ServiceMean < 1 {
-		spec.ServiceMean = 1
-	}
-	rng := xrand.NewSource(spec.Seed)
-	w := &Workload{
-		Spec:    spec,
-		Class:   make([]uint8, spec.Jobs),
-		Service: make([]uint32, spec.Jobs),
-	}
-	for i := range w.Class {
-		w.Class[i] = uint8(rng.Intn(spec.Classes))
-		// Uniform on [1, 2·ServiceMean): the integers 1..2M-1, mean exactly
-		// M. The old Intn(2*M)+1 sampled [1, 2M] with mean M+0.5, quietly
-		// contradicting the doc and biasing any ρ = λ·E[S]/P computed from
-		// the nominal mean.
-		w.Service[i] = uint32(rng.Intn(2*spec.ServiceMean-1)) + 1
-	}
-	return w, nil
-}
-
-// Key returns job i's queue key: class in the high bits, submission order
-// in the low bits — strict priority with FIFO tie-break within a class.
-func (w *Workload) Key(i int) uint64 {
-	return uint64(w.Class[i])<<32 | uint64(uint32(i))
-}
 
 // ClassStats reports one priority class's completion latencies.
 type ClassStats struct {
@@ -123,50 +60,50 @@ type Result struct {
 	Stats sched.Stats
 }
 
-// Run prefills the queue with the whole workload, then drains it with
-// `workers` goroutines through the sched executor, simulating each job's
-// service time with a spin loop. Only the drain is timed.
-func Run(w *Workload, q sched.Queue[int32], workers int) (Result, error) {
-	return RunBatch(w, q, workers, 1)
-}
-
-// RunBatch is Run with the executor's batch size exposed (see
-// sched.Config.Batch). Unlike the label-correcting searches, a job server
-// pays for batching in scheduling quality, not just wasted work: up to
-// batch−1 jobs sit in each worker's local buffer where higher-priority
-// arrivals cannot overtake them, and each batch serves its queue's rank-j
-// jobs for j up to batch. Empirically the priority-inversion count grows
-// roughly batch-fold (each batch element can be inverted against jobs
-// hidden deeper in its own batch and in other workers' buffers);
-// bench.TestJobsBatchingInversionBound pins a 2·batch multiplicative
-// regression bound at batch=4.
-func RunBatch(w *Workload, q sched.Queue[int32], workers, batch int) (Result, error) {
+// Run prefills the queue with every job of the trace, then drains it with
+// `workers` goroutines through the sched executor at bulk size `batch`
+// (0 or 1 = unbatched), simulating each job's service time with a spin
+// loop. Only the drain is timed. The trace's arrival schedule is ignored:
+// every job is waiting from the start, so a drain and an open run of one
+// trace serve the same jobs, keyed alike.
+//
+// Unlike the label-correcting searches, a job server pays for batching in
+// scheduling quality, not just wasted work: up to batch−1 jobs sit in each
+// worker's local buffer where higher-priority arrivals cannot overtake
+// them, and each batch serves its queue's rank-j jobs for j up to batch.
+// Empirically the priority-inversion count grows roughly batch-fold (each
+// batch element can be inverted against jobs hidden deeper in its own
+// batch and in other workers' buffers); bench.TestJobsBatchingInversionBound
+// pins a 2·batch multiplicative regression bound at batch=4.
+func Run(tr *workload.Trace, q sched.Queue[int32], workers, batch int) (Result, error) {
 	if q == nil {
 		return Result{}, fmt.Errorf("jobs: nil queue")
 	}
-	n := w.Spec.Jobs
-	classes := w.Spec.Classes
-	classPending := make([]atomic.Int64, classes)
-	for i := 0; i < n; i++ {
-		classPending[w.Class[i]].Add(1)
+	if tr == nil || tr.Jobs() < 1 {
+		return Result{}, fmt.Errorf("jobs: drain needs a non-empty workload trace")
+	}
+	n := tr.Jobs()
+	classPending := make([]atomic.Int64, tr.NumClasses())
+	for _, c := range tr.Class {
+		classPending[c].Add(1)
 	}
 	completedAt := make([]int64, n) // ns since drain start; one writer per job
 	var inversions, invWaiting atomic.Int64
 
 	for i := 0; i < n; i++ {
-		q.Insert(w.Key(i), int32(i))
+		q.Insert(tr.Key(i), int32(i))
 	}
 
 	start := time.Now()
 	task := func(_ uint64, id int32, _ func(uint64, int32)) bool {
-		serveJob(int(w.Class[id]), w.Service[id], id, classPending, &inversions, &invWaiting)
+		serveJob(int(tr.Class[id]), tr.Service[id], id, classPending, &inversions, &invWaiting)
 		completedAt[id] = time.Since(start).Nanoseconds()
 		return true
 	}
 	st := sched.RunConfig(q, sched.Config{Workers: workers, Batch: batch}, task, int64(n))
 	elapsed := time.Since(start)
 
-	perClass, _, _ := summarize(classes, w.Class, nil, completedAt)
+	perClass, _, _ := summarize(tr.NumClasses(), tr.Class, nil, completedAt)
 	return Result{
 		Elapsed:    elapsed,
 		Inversions: inversions.Load(),
@@ -176,9 +113,8 @@ func RunBatch(w *Workload, q sched.Queue[int32], workers, batch int) (Result, er
 	}, nil
 }
 
-// serveJob is the serving path every run mode shares — closed, open, and
-// workload-trace replay, whichever source supplied the (class, service)
-// pair: mark job id dequeued, count a priority inversion if any strictly
+// serveJob is the serving path the closed drain and the open run share:
+// mark job id dequeued, count a priority inversion if any strictly
 // higher-priority job is still pending, and burn the job's service time.
 // The decrement happens before the scan so "pending" measures jobs still
 // waiting in the queue, not jobs another worker is currently serving —

@@ -1,75 +1,37 @@
 package jobs
 
 import (
-	"math"
 	"testing"
 
 	"powerchoice/internal/pqadapt"
 	"powerchoice/internal/stats"
+	"powerchoice/internal/workload"
 	"powerchoice/internal/xrand"
 )
 
-func TestGenerateValidates(t *testing.T) {
-	if _, err := Generate(Spec{Jobs: 0, Classes: 4}); err == nil {
-		t.Error("0 jobs accepted")
+// uniformTrace generates n jobs of `classes` equally weighted classes whose
+// services are uniform with the given mean. A drain ignores arrival
+// instants, so the rate is arbitrary.
+func uniformTrace(t *testing.T, n, classes int, mean float64, seed uint64) *workload.Trace {
+	t.Helper()
+	spec := &workload.Spec{Name: "uniform", Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson}}
+	for c := 0; c < classes; c++ {
+		spec.Classes = append(spec.Classes, workload.ClassSpec{
+			Weight: 1, Service: workload.ServiceSpec{Law: workload.ServiceUniform, Mean: mean},
+		})
 	}
-	if _, err := Generate(Spec{Jobs: 10, Classes: 0}); err == nil {
-		t.Error("0 classes accepted")
-	}
-	if _, err := Generate(Spec{Jobs: 10, Classes: 300}); err == nil {
-		t.Error("300 classes accepted")
-	}
-	w, err := Generate(Spec{Jobs: 1000, Classes: 4, ServiceMean: 8, Seed: 1})
+	tr, err := workload.Generate(spec, seed, n, 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Class {
-		if int(w.Class[i]) >= 4 {
-			t.Fatalf("job %d class %d", i, w.Class[i])
-		}
-		if w.Service[i] < 1 {
-			t.Fatalf("job %d service %d", i, w.Service[i])
-		}
-	}
-}
-
-// TestGenerateServiceMeanExact: service times are uniform on [1, 2M) with
-// mean exactly M = ServiceMean. The old sampler drew [1, 2M] (mean M+0.5),
-// which would bias every open-system ρ = λ·E[S]/P computed from the nominal
-// mean. The empirical mean of a uniform [1, 2M-1] sample of n jobs has
-// standard error < M/√(3n), so a 5σ band around M is a tight, deterministic
-// check under the fixed seed.
-func TestGenerateServiceMeanExact(t *testing.T) {
-	for _, m := range []int{1, 2, 8, 64} {
-		const n = 400000
-		w, err := Generate(Spec{Jobs: n, Classes: 2, ServiceMean: m, Seed: 13})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for _, s := range w.Service {
-			if s < 1 || int(s) >= 2*m {
-				t.Fatalf("m=%d: service %d outside [1, %d)", m, s, 2*m)
-			}
-			sum += float64(s)
-		}
-		mean := sum / n
-		tol := 5 * float64(m) / math.Sqrt(3*n)
-		if math.Abs(mean-float64(m)) > tol {
-			t.Errorf("m=%d: empirical mean %.4f differs from %d by more than %.4f", m, mean, m, tol)
-		}
-	}
+	return tr
 }
 
 // TestKeyOrdering: keys sort by class first, submission order second.
 func TestKeyOrdering(t *testing.T) {
-	w := &Workload{
-		Spec:    Spec{Jobs: 4, Classes: 3},
-		Class:   []uint8{2, 0, 1, 0},
-		Service: []uint32{1, 1, 1, 1},
-	}
-	if !(w.Key(1) < w.Key(3) && w.Key(3) < w.Key(2) && w.Key(2) < w.Key(0)) {
-		t.Fatalf("key ordering broken: %v %v %v %v", w.Key(0), w.Key(1), w.Key(2), w.Key(3))
+	tr := &workload.Trace{Class: []uint8{2, 0, 1, 0}}
+	if !(tr.Key(1) < tr.Key(3) && tr.Key(3) < tr.Key(2) && tr.Key(2) < tr.Key(0)) {
+		t.Fatalf("key ordering broken: %v %v %v %v", tr.Key(0), tr.Key(1), tr.Key(2), tr.Key(3))
 	}
 }
 
@@ -80,10 +42,7 @@ func TestRunDrainsEveryJobAllImpls(t *testing.T) {
 	if testing.Short() {
 		n = 4000
 	}
-	w, err := Generate(Spec{Jobs: n, Classes: 4, ServiceMean: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := uniformTrace(t, n, 4, 4, 9)
 	for _, impl := range pqadapt.Impls() {
 		impl := impl
 		t.Run(string(impl), func(t *testing.T) {
@@ -91,7 +50,7 @@ func TestRunDrainsEveryJobAllImpls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(w, q, 4)
+			res, err := Run(tr, q, 4, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,15 +78,12 @@ func TestRunDrainsEveryJobAllImpls(t *testing.T) {
 // worker, service order is strict priority order, so no job is ever served
 // while a higher-priority one waits.
 func TestExactQueueSingleWorkerHasNoInversions(t *testing.T) {
-	w, err := Generate(Spec{Jobs: 5000, Classes: 8, ServiceMean: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := uniformTrace(t, 5000, 8, 2, 5)
 	q, err := pqadapt.New(pqadapt.ImplGlobalLock, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w, q, 1)
+	res, err := Run(tr, q, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +91,14 @@ func TestExactQueueSingleWorkerHasNoInversions(t *testing.T) {
 		t.Fatalf("exact single-worker drain reported %d inversions (waiting %d)",
 			res.Inversions, res.InvWaiting)
 	}
-	if _, err := Run(w, nil, 1); err == nil {
+	if _, err := Run(tr, nil, 1, 1); err == nil {
 		t.Error("nil queue accepted")
+	}
+	if _, err := Run(nil, q, 1, 1); err == nil {
+		t.Error("nil trace accepted")
+	}
+	if _, err := Run(&workload.Trace{Spec: tr.Spec}, q, 1, 1); err == nil {
+		t.Error("empty trace accepted")
 	}
 }
 
@@ -144,10 +106,7 @@ func TestExactQueueSingleWorkerHasNoInversions(t *testing.T) {
 // exactly once and report the batching slack in the executor stats.
 func TestRunBatchDrainsEveryJob(t *testing.T) {
 	const n = 10000
-	w, err := Generate(Spec{Jobs: n, Classes: 4, ServiceMean: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := uniformTrace(t, n, 4, 4, 9)
 	for _, impl := range []pqadapt.Impl{pqadapt.ImplMultiQueue, pqadapt.ImplGlobalLock} {
 		impl := impl
 		t.Run(string(impl), func(t *testing.T) {
@@ -155,7 +114,7 @@ func TestRunBatchDrainsEveryJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunBatch(w, q, 4, 8)
+			res, err := Run(tr, q, 4, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -208,9 +208,6 @@ func (p *Process) Removals() int64 { return p.removals }
 // to verify that workloads stay in the regime the theorems assume.
 func (p *Process) EmptyInspections() int64 { return p.emptyInspections }
 
-// NextLabel returns the label the next Insert will use.
-func (p *Process) NextLabel() int { return p.next }
-
 // Insert inserts the next label according to the configured insertion
 // distribution and returns (label, queue). It returns an error when capacity
 // is exhausted.

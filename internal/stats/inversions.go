@@ -47,15 +47,3 @@ func mergeCount(xs, buf []uint64) int64 {
 	copy(xs, buf[:n])
 	return inv
 }
-
-// KendallTauDistance returns the normalised inversion count in [0, 1]:
-// 0 for a sorted sequence, 1 for a reversed one. Sequences shorter than 2
-// yield 0.
-func KendallTauDistance(xs []uint64) float64 {
-	n := int64(len(xs))
-	if n < 2 {
-		return 0
-	}
-	pairs := n * (n - 1) / 2
-	return float64(Inversions(xs)) / float64(pairs)
-}

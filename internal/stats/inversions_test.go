@@ -71,22 +71,6 @@ func TestInversionsMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestKendallTauDistance(t *testing.T) {
-	if got := KendallTauDistance([]uint64{1, 2, 3, 4}); got != 0 {
-		t.Errorf("sorted tau = %v", got)
-	}
-	if got := KendallTauDistance([]uint64{4, 3, 2, 1}); got != 1 {
-		t.Errorf("reversed tau = %v", got)
-	}
-	if got := KendallTauDistance([]uint64{7}); got != 0 {
-		t.Errorf("singleton tau = %v", got)
-	}
-	mid := KendallTauDistance([]uint64{2, 1, 4, 3})
-	if mid <= 0 || mid >= 1 {
-		t.Errorf("partial tau = %v, want in (0,1)", mid)
-	}
-}
-
 func BenchmarkInversions(b *testing.B) {
 	rng := xrand.NewSource(1)
 	xs := make([]uint64, 1<<14)

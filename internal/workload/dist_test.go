@@ -344,8 +344,8 @@ func TestLognormalMeanAndShape(t *testing.T) {
 	}
 }
 
-// TestUniformLawExactMean: the uniform service law must keep jobs.Generate's
-// historical exact-mean property — integers on [1, 2m−1] with mean exactly m.
+// TestUniformLawExactMean: the uniform service law must keep its exact-mean
+// property — integers on [1, 2m−1] with mean exactly m.
 func TestUniformLawExactMean(t *testing.T) {
 	n := distN(t, 200000)
 	law := newServiceSampler(ServiceSpec{Law: ServiceUniform, Mean: 64}).(uniformLaw)

@@ -154,8 +154,7 @@ func newServiceSampler(sv ServiceSpec) serviceSampler {
 	panic("workload: unvalidated service law " + sv.Law)
 }
 
-// uniformLaw is jobs.Generate's historical law: integers uniform on
-// [1, 2·mean), mean exactly `mean`.
+// uniformLaw draws integers uniform on [1, 2·mean), mean exactly `mean`.
 type uniformLaw struct{ mean int }
 
 func (u uniformLaw) Sample(rng *xrand.Source) uint32 {

@@ -105,8 +105,7 @@ type ArrivalSpec struct {
 // Service law names.
 const (
 	// ServiceUniform draws integer service times uniform on [1, 2·Mean),
-	// whose mean is exactly Mean — bit-for-bit the law jobs.Generate has
-	// always used. Mean must be an integer.
+	// whose mean is exactly Mean. Mean must be an integer.
 	ServiceUniform = "uniform"
 	// ServicePareto draws from a bounded Pareto on [L, Max] with tail index
 	// Alpha, L solved at compile time so the continuous law's mean is

@@ -38,8 +38,8 @@ func (tr *Trace) Jobs() int { return len(tr.ArrivalNs) }
 func (tr *Trace) NumClasses() int { return len(tr.Spec.Classes) }
 
 // Key returns job i's queue key: class in the high bits, arrival order in
-// the low bits — strict priority with FIFO tie-break, exactly like
-// jobs.Workload.Key.
+// the low bits — strict priority with FIFO tie-break. Both job-server modes,
+// jobs.Run and jobs.RunOpen, key their jobs with it.
 func (tr *Trace) Key(i int) uint64 {
 	return uint64(tr.Class[i])<<32 | uint64(uint32(i))
 }

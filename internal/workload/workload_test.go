@@ -28,6 +28,11 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{"no-name", func(s *Spec) { s.Name = "" }},
 		{"no-classes", func(s *Spec) { s.Classes = nil }},
+		{"257-classes", func(s *Spec) {
+			for len(s.Classes) < 257 {
+				s.Classes = append(s.Classes, s.Classes[0])
+			}
+		}},
 		{"zero-weight", func(s *Spec) { s.Classes[0].Weight = 0 }},
 		{"bad-law", func(s *Spec) { s.Classes[0].Service.Law = "exp" }},
 		{"small-mean", func(s *Spec) { s.Classes[0].Service.Mean = 0.5 }},

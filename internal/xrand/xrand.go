@@ -303,14 +303,6 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes xs uniformly at random in place.
-func Shuffle[T any](s *Source, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
 // Tag derives a domain-separated seed from a root seed and a textual tag,
 // so independent subsystems seeded from one root seed draw from disjoint
 // stream families. Without it, two components that both do

@@ -309,23 +309,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	s := NewSource(43)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	Shuffle(s, xs)
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Errorf("shuffle changed multiset: sum %d -> %d", sum, got)
-	}
-}
-
 func TestShardedIndependence(t *testing.T) {
 	sh := NewSharded(99)
 	a := sh.Source(0)

@@ -34,8 +34,6 @@ type Option = core.Option
 var (
 	// WithQueues sets the internal queue count explicitly.
 	WithQueues = core.WithQueues
-	// WithQueueFactor sets queues = factor × GOMAXPROCS (default 2).
-	WithQueueFactor = core.WithQueueFactor
 	// WithBeta sets the two-choice probability β (default 1).
 	WithBeta = core.WithBeta
 	// WithSeed fixes the random seed.

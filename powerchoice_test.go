@@ -108,7 +108,7 @@ func TestFacadeBatchOps(t *testing.T) {
 }
 
 func TestFacadeHandlesConcurrent(t *testing.T) {
-	q, err := New[uint64](WithQueueFactor(2), WithSeed(7))
+	q, err := New[uint64](WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
