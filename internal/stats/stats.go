@@ -123,13 +123,6 @@ func SortedPercentile(ys []float64, p float64) float64 {
 	return ys[lo]*(1-frac) + ys[hi]*frac
 }
 
-// Median returns the 50th percentile of xs — the midpoint of the two
-// central order statistics for even lengths. It panics on an empty slice
-// (like Percentile, which it delegates to).
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
