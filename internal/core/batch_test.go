@@ -54,7 +54,7 @@ func TestInsertBatchSingleQueue(t *testing.T) {
 	h.InsertBatch([]uint64{9, 3, 7, 5}, []int{0, 1, 2, 3})
 	nonEmpty := -1
 	for i := range mq.snapshot().queues {
-		if c := mq.snapshot().queues[i].count; c > 0 {
+		if c := mq.snapshot().queues[i].dary.Len(); c > 0 {
 			if nonEmpty >= 0 {
 				t.Fatalf("batch spread over queues %d and %d", nonEmpty, i)
 			}

@@ -171,13 +171,13 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 		},
 		{
 			Name: "heap",
-			Doc:  "locked-queue push + popMin pair, including cached top/count upkeep",
+			Doc:  "locked-queue push + popMin pair, including cached top upkeep",
 			New: func() func(int) {
 				mq, _, rng := prefilled()
 				q := mq.snapshot().queues[0]
 				// The total probe's prefill spreads over all queues; give this
 				// single queue the same occupancy the pair's pops see.
-				for q.count < int64(prefill/queues) {
+				for q.dary.Len() < prefill/queues {
 					q.push(rng.Uint64()>>1, 0)
 				}
 				return func(iters int) {

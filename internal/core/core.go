@@ -90,35 +90,32 @@ func (t *topology[V]) anyNonEmpty() bool {
 	return false
 }
 
-// lockedQueue is one sequential heap with its try-lock, cached top, and
-// element count, padded out to its own pair of cache lines so queue hot
-// words do not false-share. top is written only under lock and read without
-// it (the samplers' unsynchronised candidate comparison). count is a plain
-// field guarded by the queue lock (globalMu in atomic mode): making it
-// atomic would cost a sequentially-consistent store — an XCHG on amd64,
-// ~20 cycles — on every push and pop for the benefit of Len alone, so Len
-// takes each queue's lock briefly instead (it is a cold path).
+// lockedQueue is one sequential heap with its try-lock and cached top,
+// padded out to its own pair of cache lines so queue hot words do not
+// false-share. top is written only under lock and read without it (the
+// samplers' unsynchronised candidate comparison). The element count is the
+// heap's own length, exact under the queue lock (globalMu in atomic mode),
+// so Len takes each queue's lock briefly (it is a cold path).
 //
 // The heap is the flat 4-ary DAryHeap stored inline, so the hot path's
 // Push/PopMin are direct calls on a concrete type — inlinable, no dynamic
 // dispatch, no pointer chase to a separately allocated heap header.
 //
-// The payload is 81 bytes (lock word 4 + align 4, top 8, count 8, dary
-// split-slice headers 48, mq back-pointer 8, closed 1); the pad brings the
-// size to 128 — a multiple of two 64-byte cache lines, so adjacent queues in
-// a topology's backing array never share a line and the adjacent-line
+// The payload is 73 bytes (lock word 4 + align 4, top 8, dary split-slice
+// headers 48, mq back-pointer 8, closed 1); the pad brings the size to 128
+// — a multiple of two 64-byte cache lines, so adjacent queues in a
+// topology's backing array never share a line and the adjacent-line
 // prefetcher cannot couple them either. The hot words every operation
-// touches (lock word, top, count) sit in the first 64 bytes. A 72-byte
+// touches (lock word, top, both slice headers) end at byte 64. A 72-byte
 // version of this struct once left every element straddling lines with its
 // neighbours despite this comment claiming otherwise;
 // TestLockedQueuePaddedToCacheLinePair pins the layout.
 //
 //powervet:cacheline=128
 type lockedQueue[V any] struct {
-	lock  queuedLock
-	top   atomicUint64 // cached minimum key, emptyTop when empty
-	count int64        // cached heap length, guarded by lock
-	dary  pqueue.DAryHeap[V]
+	lock queuedLock
+	top  atomicUint64 // cached minimum key, emptyTop when empty
+	dary pqueue.DAryHeap[V]
 	// mq points back to the owning MultiQueue so a retired queue's unlock
 	// hook can reach the live snapshot to drain into. Set at construction,
 	// read-only afterwards.
@@ -128,7 +125,7 @@ type lockedQueue[V any] struct {
 	// carries into live queues before releasing (see unlock/drainRetired).
 	// Guarded by lock (globalMu in atomic mode).
 	closed bool
-	_      [47]byte // pad the 81-byte payload to 128 bytes
+	_      [55]byte // pad the 73-byte payload to 128 bytes
 }
 
 // Config reports the topology and parameters a MultiQueue actually resolved
@@ -224,29 +221,28 @@ func (mq *MultiQueue[V]) Epoch() uint64 { return mq.topo.Load().epoch }
 // Resizes returns the number of completed Resize calls.
 func (mq *MultiQueue[V]) Resizes() int64 { return mq.resizes.Load() }
 
-// Len returns the number of elements present. It reads each queue's count
-// under that queue's lock (the count is lock-guarded so the hot paths can
-// maintain it with plain stores), so under concurrent mutation the value is
+// Len returns the number of elements present. It reads each queue's heap
+// length under that queue's lock, so under concurrent mutation the value is
 // still approximate — queues are visited in sequence, not snapshotted
 // together — and exact whenever no operation is in flight. Len briefly
 // contends each queue lock; it is not for hot paths.
 func (mq *MultiQueue[V]) Len() int {
-	var total int64
+	total := 0
 	t := mq.topo.Load()
 	if mq.atomic {
 		mq.globalMu.Lock()
 		for _, q := range t.queues {
-			total += q.count
+			total += q.dary.Len()
 		}
 		mq.globalMu.Unlock()
-		return int(total)
+		return total
 	}
 	for _, q := range t.queues {
 		q.lock.Lock()
-		total += q.count
+		total += q.dary.Len()
 		q.lock.Unlock()
 	}
-	return int(total)
+	return total
 }
 
 // Resize installs a new topology snapshot with the given queue count,
@@ -415,8 +411,8 @@ func (mq *MultiQueue[V]) DeleteMin() (uint64, V, bool) {
 	return k, v, ok
 }
 
-// syncDary recomputes q's cached top and count from its heap after pops: it
-// reads the new top key without copying the value. Callers must hold q.lock.
+// syncDary recomputes q's cached top from its heap after pops: it reads the
+// new top key without copying the value. Callers must hold q.lock.
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) syncDary() {
@@ -425,15 +421,13 @@ func (q *lockedQueue[V]) syncDary() {
 	} else {
 		q.top.Store(emptyTop)
 	}
-	q.count = int64(q.dary.Len())
 }
 
 // push inserts under the held lock. The cached top is maintained in O(1) —
-// the new top is min(top, key) and the count just increments — so the common
-// insert does no PeekMin at all. top is written only under q.lock,
-// so a load and a store replace a CAS loop, and the store (an XCHG on amd64)
-// is rare: a random key is below the current minimum with probability
-// ~1/(count+1).
+// the new top is min(top, key) — so the common insert does no PeekMin at
+// all. top is written only under q.lock, so a load and a store replace a
+// CAS loop, and the store (an XCHG on amd64) is rare: a random key is below
+// the current minimum with probability ~1/(n+1) on a queue of n elements.
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) push(key uint64, value V) {
@@ -441,7 +435,6 @@ func (q *lockedQueue[V]) push(key uint64, value V) {
 	if key < q.top.Load() {
 		q.top.Store(key)
 	}
-	q.count++
 }
 
 // pushBatch inserts all keys under the held lock with a single cached-top
@@ -463,14 +456,13 @@ func (q *lockedQueue[V]) pushBatch(keys []uint64, vals []V) {
 	if minKey < q.top.Load() {
 		q.top.Store(minKey)
 	}
-	q.count += int64(len(keys))
 }
 
 // emptyUnderLock repairs the cached top of a queue found empty while its
-// lock is held (count is exact under the lock). In normal operation the top
-// cannot be stale at this point — every pop repairs it before unlocking —
-// but anyNonEmpty must never be kept spinning by a stale non-empty top on an
-// empty queue.
+// lock is held (the heap's length is exact under the lock). In normal
+// operation the top cannot be stale at this point — every pop repairs it
+// before unlocking — but anyNonEmpty must never be kept spinning by a stale
+// non-empty top on an empty queue.
 //
 //powervet:hotpath
 func (q *lockedQueue[V]) emptyUnderLock() {
@@ -480,7 +472,7 @@ func (q *lockedQueue[V]) emptyUnderLock() {
 }
 
 // popMin removes the minimum under the held lock and refreshes the cached
-// top/count, including after a failed pop (a failed pop means the cached top
+// top, including after a failed pop (a failed pop means the cached top
 // was stale; the refresh repairs it to emptyTop).
 //
 //powervet:hotpath

@@ -10,10 +10,10 @@ import (
 // TestLockedQueuePaddedToCacheLinePair: each queue in a topology snapshot must
 // occupy its own cache-line multiple — two lines by default, so neither
 // direct false sharing nor the adjacent-cache-line prefetcher couples
-// neighbouring queues' hot words (lock, cached top, count). The expected
-// size is read from the //powervet:cacheline annotation on lockedQueue (the
-// same number the static cacheline analyzer enforces), so the runtime check
-// and the annotation cannot drift apart. The size cannot depend on the
+// neighbouring queues' hot words (lock, cached top, heap slice headers). The
+// expected size is read from the //powervet:cacheline annotation on
+// lockedQueue (the same number the static cacheline analyzer enforces), so
+// the runtime check and the annotation cannot drift apart. The size cannot depend on the
 // value type: V only appears behind the heap's slice headers.
 func TestLockedQueuePaddedToCacheLinePair(t *testing.T) {
 	ann, err := analysis.ScanAnnotations("../..")
@@ -40,9 +40,10 @@ func TestLockedQueuePaddedToCacheLinePair(t *testing.T) {
 		}
 	}
 	// The hot words themselves must sit inside the first cache line, ahead
-	// of the pad.
+	// of the pad: the lock word, the cached top and both of the heap's
+	// slice headers, whose lengths are the queue's element count.
 	var q lockedQueue[int]
-	if off := unsafe.Offsetof(q.count); off+8 > 64 {
-		t.Errorf("hot words spill past the first cache line (count ends at %d)", off+8)
+	if end := unsafe.Offsetof(q.dary) + unsafe.Sizeof(q.dary); end > 64 {
+		t.Errorf("hot words spill past the first cache line (the heap's slice headers end at %d)", end)
 	}
 }

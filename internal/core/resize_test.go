@@ -99,7 +99,7 @@ func resizePreservesMultiset(t *testing.T, from, to int, opts ...Option) {
 	if to < from {
 		for i, q := range old[to:] {
 			q.lock.Lock()
-			closed, count := q.closed, q.count
+			closed, count := q.closed, q.dary.Len()
 			q.lock.Unlock()
 			if !closed {
 				t.Fatalf("retired queue %d not closed", to+i)

@@ -135,9 +135,9 @@ func (s *selector[V]) lockForInsert() *lockedQueue[V] {
 // lockNonEmptyQueue runs the shared deletion-selection loop for DeleteMin
 // and DeleteMinBatch: (1+β) two-choice sampling, try-lock, and the obstacle
 // accounting both of them share. It returns the chosen queue LOCKED and
-// verified non-empty — count is written only under the queue lock, so
-// reading it while holding the lock is exact and the caller's pop cannot
-// fail — or nil when a full sweep of the cached tops found every queue
+// verified non-empty — the heap changes only under the queue lock, so
+// reading its length while holding the lock is exact and the caller's pop
+// cannot fail — or nil when a full sweep of the cached tops found every queue
 // empty (relaxed emptiness, see MultiQueue).
 //
 // Obstacle accounting, identical on both paths: a failed TryLock is a
@@ -181,7 +181,7 @@ func (s *selector[V]) lockNonEmptyQueue() *lockedQueue[V] {
 			bo.Spin()
 			continue
 		}
-		if q.count > 0 {
+		if q.dary.Len() > 0 {
 			return q
 		}
 		q.emptyUnderLock()
@@ -219,7 +219,7 @@ func (s *selector[V]) lockNonEmptyAtomic() *lockedQueue[V] {
 			bo.Spin()
 			continue
 		}
-		if q.count > 0 {
+		if q.dary.Len() > 0 {
 			return q
 		}
 		q.emptyUnderLock()

@@ -92,8 +92,9 @@ type OpenStats struct {
 // items sit in worker-local batch buffers: pending == 0 implies every
 // buffer is empty and every injected item was served. Workers here run
 // with a credit cap of 0 (see the package doc): every push and every
-// finished item updates pending at once, so the pending count the sampler
-// and the elastic controller read is exact at any batch size.
+// finished item updates pending at once, so the pending count the sampler,
+// the elastic controller and the producers' pacing (waitStep) read is exact
+// at any batch size.
 func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task Task[V]) OpenStats {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -132,6 +133,10 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 			if f, ok := view.(Flusher); ok {
 				defer f.Flush()
 			}
+			// The producer's injections, added to Injected once at exit so
+			// no arrival pays a shared atomic between its due instant and
+			// its insert.
+			var n int64
 			for seq := p; seq < len(cfg.Schedule); seq += producers {
 				due := time.Duration(cfg.Schedule[seq])
 				// An arrival due past the deadline will never be injected —
@@ -139,26 +144,32 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 				// cannot overshoot the deadline by an interarrival gap
 				// (unbounded at low rates).
 				if cfg.Deadline > 0 && due > cfg.Deadline {
-					return
+					break
 				}
-				sleepUntil(start, due)
-				if cfg.Deadline > 0 && time.Since(start) > cfg.Deadline {
-					return
+				if now := sleepUntil(start, due, &pending); cfg.Deadline > 0 && now > cfg.Deadline {
+					break
 				}
-				injected.Add(1)
 				it := gen(seq)
 				// Order matters: the item must be pending before it is
 				// visible to any worker, or a fast pop could decrement
 				// pending below zero and fake termination.
 				pending.Add(1)
 				view.Insert(it.Key, it.Value)
+				n++
 			}
+			injected.Add(n)
 		}(p)
 	}
 
 	// Queue-length sampler, doubling as the elastic controller's clock: each
 	// sample is also fed to the controller when one is armed (the queue
-	// implements Resizable and cfg.Elastic asked for it).
+	// implements Resizable and cfg.Elastic asked for it). It paces its
+	// instants against start as the producers pace arrivals (sampleWait),
+	// not with a time.Ticker: a ticker fires only when the P whose timer
+	// heap holds it passes through the scheduler, and a worker serving a
+	// busy period can keep that P for milliseconds, long enough for a
+	// short run to end without a sample. A yield puts the sampler on the
+	// global run queue, which every P serves.
 	var ctrl *elasticController
 	if cfg.Elastic.Enable && cfg.SampleEvery > 0 {
 		if r, ok := q.(Resizable); ok {
@@ -172,19 +183,21 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 		samplerWG.Add(1)
 		go func() {
 			defer samplerWG.Done()
-			tick := time.NewTicker(cfg.SampleEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					p := pending.Load()
-					qlen = append(qlen, p)
-					if ctrl != nil {
-						ctrl.observe(p)
-					}
-				case <-samplerStop:
+			every := cfg.SampleEvery
+			for due := every; ; {
+				now, ok := sampleWait(start, due, samplerStop)
+				if !ok {
 					return
 				}
+				p := pending.Load()
+				qlen = append(qlen, p)
+				if ctrl != nil {
+					ctrl.observe(p)
+				}
+				// The first instant after now: a late sample is not
+				// followed by a burst of catch-up samples, as a ticker
+				// drops the ticks it could not deliver.
+				due = (now/every + 1) * every
 			}
 		}()
 	}
@@ -227,21 +240,93 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 	return st
 }
 
-// sleepUntil pauses until target time has elapsed since start. Long waits
-// sleep (freeing the core for workers); the final stretch is handed to the
-// scheduler in yields, because time.Sleep's wake-up granularity (tens of
-// microseconds) would otherwise floor the achievable arrival rate.
-func sleepUntil(start time.Time, target time.Duration) {
-	const spinWindow = 100 * time.Microsecond
+// The producer's wait for an arrival's due instant has three stretches.
+// Beyond yieldWindow it sleeps, freeing the P for workers until the final
+// stretch. Within yieldWindow it yields, because time.Sleep's wake-up
+// granularity (tens of microseconds) would otherwise floor the achievable
+// arrival rate, and a yield lets a worker with a job queued or in service
+// run. Within spinWindow, and only while nothing is pending, it keeps
+// reading the clock instead: no worker has anything to do, so a yield would
+// only hand the P to an idle worker whose failed pop hands it back, and on
+// one P that ping-pong, about 150 ns a round trip, is what made arrivals
+// late. spinWindow is about four such round trips, long enough to catch
+// the due instant and short enough that one producer keeps other
+// producers, the queue-length sampler and the collector off the P for at
+// most 2 µs per arrival.
+const (
+	yieldWindow = 100 * time.Microsecond
+	spinWindow  = 2 * time.Microsecond
+)
+
+// wait is one step of a producer's wait for its next due instant.
+type wait uint8
+
+const (
+	waitSleep wait = iota // sleep until yieldWindow before the instant
+	waitYield             // hand the P to the scheduler once
+	waitSpin              // read the clock again without yielding
+)
+
+// waitStep picks the next step of the wait for an instant remaining away
+// (> 0) while pending jobs are injected and not yet served. RunOpen's
+// workers hold no credits, so pending is exact: 0 means no worker has a job
+// to pop or serve.
+func waitStep(remaining time.Duration, pending int64) wait {
+	switch {
+	case remaining > yieldWindow:
+		return waitSleep
+	case remaining > spinWindow || pending > 0:
+		return waitYield
+	}
+	return waitSpin
+}
+
+// sleepUntil pauses until target time has elapsed since start, stepping by
+// waitStep, and returns the elapsed time it last read (≥ target).
+func sleepUntil(start time.Time, target time.Duration, pending *atomic.Int64) time.Duration {
 	for {
-		remaining := target - time.Since(start)
+		elapsed := time.Since(start)
+		remaining := target - elapsed
 		if remaining <= 0 {
-			return
+			return elapsed
 		}
-		if remaining > spinWindow {
-			time.Sleep(remaining - spinWindow)
-			continue
+		switch waitStep(remaining, pending.Load()) {
+		case waitSleep:
+			time.Sleep(remaining - yieldWindow)
+		case waitYield:
+			runtime.Gosched()
 		}
-		runtime.Gosched()
+	}
+}
+
+// sampleWait waits for the sampler's instant due since start as sleepUntil
+// waits for an arrival, but never spins: a sample needs no better than a
+// yield's precision, and a spinning sampler would keep a producer off the
+// P. Its sleep races a timer against stop, so a run's end never waits out
+// a sampling period. It returns the elapsed time it last read, and false
+// once stop is closed.
+func sampleWait(start time.Time, due time.Duration, stop <-chan struct{}) (time.Duration, bool) {
+	for {
+		elapsed := time.Since(start)
+		remaining := due - elapsed
+		if remaining <= 0 {
+			return elapsed, true
+		}
+		if remaining > yieldWindow {
+			t := time.NewTimer(remaining - yieldWindow)
+			select {
+			case <-t.C:
+				continue
+			case <-stop:
+				t.Stop()
+				return elapsed, false
+			}
+		}
+		select {
+		case <-stop:
+			return elapsed, false
+		default:
+			runtime.Gosched()
+		}
 	}
 }
