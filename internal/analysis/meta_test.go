@@ -59,7 +59,6 @@ var hotPathAllocCoverage = map[string]string{
 	"powerchoice/internal/xrand.Source.ExpFloat64":    "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
 	"powerchoice/internal/xrand.Source.Float64":       "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
 	"powerchoice/internal/xrand.Source.Intn":          "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
-	"powerchoice/internal/xrand.Source.KDistinct":     "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
 	"powerchoice/internal/xrand.Source.TwoBounded32":  "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
 	"powerchoice/internal/xrand.Source.TwoDistinct":   "powerchoice/internal/xrand.TestSourceOpsAllocationFree",
 	"powerchoice/internal/xrand.Source.TwoDistinct32": "powerchoice/internal/xrand.TestSourceOpsAllocationFree",

@@ -35,7 +35,7 @@ Subcommands:
   jobs         priority job-server drain of a workload trace (-workload,
                default poisson): inversions + per-class latency
   serve        open-system job server: a workload trace at target utilization
-               rho, per-class sojourn p50/p99 + queue-length timeseries
+               rho, per-class sojourn p50/p99 + mean number in system
                (-workload picks the spec, default the 4-class poisson
                preset: bursty/onoff/diurnal arrivals, heavy-tailed service
                laws)

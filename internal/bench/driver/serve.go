@@ -20,9 +20,9 @@ import (
 // laws (uniform, heavy-tailed). The product is per-class sojourn (wait +
 // service) percentiles at fixed load — relaxation read as a latency penalty
 // rather than a drain-time delta. The JSON report carries one summary row
-// per (impl, threads) — rho, offered rate, inversions, mean queue length,
-// the spec name and the trace hash — plus one sojourn row per class, with
-// the class's offered rate.
+// per (impl, threads) — rho, offered rate, inversions, the exact mean
+// number of jobs in the system, the spec name and the trace hash — plus
+// one sojourn row per class, with the class's offered rate.
 func runServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -99,7 +99,8 @@ type Row struct {
 	// Sojourn percentiles are milliseconds from a job's arrival to its
 	// completion (wait + service) — not comparable with the closed-system
 	// p50_ms/p99_ms drain latencies (see EXPERIMENTS.md). QLenMean is the
-	// mean sampled pending-job count.
+	// exact time-average number of jobs in the system, Σ sojourn / elapsed
+	// by Little's law.
 	Rho          float64 `json:"rho,omitempty"`
 	Rate         float64 `json:"rate,omitempty"`
 	SojournP50Ms float64 `json:"sojourn_p50_ms,omitempty"`

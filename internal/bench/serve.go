@@ -71,7 +71,8 @@ type ServeResult struct {
 	InvWaiting int64
 	// BufferedPops counts jobs served from worker-local batch buffers.
 	BufferedPops int64
-	// QLenMean is the mean sampled queue length (pending jobs).
+	// QLenMean is the exact time-average number of jobs in the system (see
+	// jobs.OpenResult.QLenMean).
 	QLenMean float64
 	// SojournP50Ms / SojournP99Ms are the pooled (all-class) sojourn
 	// percentiles — the numbers a capacity-planning SLO binds to.

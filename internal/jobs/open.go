@@ -36,10 +36,6 @@ type OpenSpec struct {
 	Producers int
 	// Deadline optionally stops injection early (see sched.OpenConfig).
 	Deadline time.Duration
-	// SampleEvery is the queue-length sampling period; 0 derives one aiming
-	// at ~256 samples over the expected injection window (bounded by
-	// Deadline when that is shorter — see deriveSampleEvery).
-	SampleEvery time.Duration
 	// Elastic arms the executor's sampler-driven resize controller
 	// (sched.ElasticConfig). Requires a queue that supports online resize
 	// (sched.Resizable — the MultiQueue adapters); RunOpen rejects the
@@ -68,10 +64,6 @@ type OpenResult struct {
 	// SpinNsPerUnit is the calibrated wall-time cost of one spin unit Rho
 	// was computed with.
 	SpinNsPerUnit float64
-	// SampleEvery is the queue-length sampling period the run actually used:
-	// the configured value, or the derived one (see deriveSampleEvery) when
-	// the spec left it zero.
-	SampleEvery time.Duration
 	// Injected counts jobs actually injected (== Jobs unless Deadline cut
 	// injection short). Every injected job is served before the run
 	// returns.
@@ -89,9 +81,11 @@ type OpenResult struct {
 	// ("p99 sojourn under X ms") binds to.
 	SojournP50Ms float64
 	SojournP99Ms float64
-	// QLen is the queue-length (pending jobs) timeseries and QLenMean its
-	// mean — the open-system face of Little's law (E[N] = λ·E[sojourn]).
-	QLen     []int64
+	// QLenMean is the exact time-average number of jobs in the system
+	// (arrived and not yet completed) over Elapsed. The run starts and ends
+	// empty, so by Little's law on that horizon the area under the
+	// number-in-system curve is the sum of the sojourns: QLenMean is
+	// Σ sojourn / Elapsed over the injected jobs.
 	QLenMean float64
 	// Stats are the executor's counters.
 	Stats sched.OpenStats
@@ -122,29 +116,6 @@ func SpinNsPerUnit() float64 {
 		spinCal.ns = best
 	})
 	return spinCal.ns
-}
-
-// deriveSampleEvery picks a queue-length sampling period aiming at ~256
-// samples over the injection window. The window is jobs/rate — or the
-// deadline, when a deadline will cut injection earlier: before this fix the
-// derivation ignored Deadline, so a huge quota at a modest rate (the usual
-// deadline-bounded configuration) derived a period against an hours-long
-// nominal window, clamped to 100ms, and a 2-second run got 20 samples
-// instead of ~256. Clamps keep degenerate rates from producing a zero or
-// glacial period.
-func deriveSampleEvery(jobs int64, rate float64, deadline time.Duration) time.Duration {
-	window := float64(jobs) / rate * float64(time.Second)
-	if deadline > 0 && float64(deadline) < window {
-		window = float64(deadline)
-	}
-	sampleEvery := time.Duration(window / 256)
-	if sampleEvery < 100*time.Microsecond {
-		sampleEvery = 100 * time.Microsecond
-	}
-	if sampleEvery > 100*time.Millisecond {
-		sampleEvery = 100 * time.Millisecond
-	}
-	return sampleEvery
 }
 
 // RunOpen serves spec.Workload's trace as an open system: spec.Producers
@@ -185,10 +156,6 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 	meanSvc := services / float64(n)
 	nsPerUnit := SpinNsPerUnit()
 	rho := rate * meanSvc * nsPerUnit / 1e9 / float64(workers)
-	sampleEvery := spec.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = deriveSampleEvery(int64(n), rate, spec.Deadline)
-	}
 
 	classPending := make([]atomic.Int64, tr.NumClasses())
 	arrivedAt := make([]int64, n)   // ns since start; -1 = never injected
@@ -214,13 +181,12 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 		return true
 	}
 	st := sched.RunOpen(q, sched.OpenConfig{
-		Workers:     workers,
-		Batch:       batch,
-		Producers:   spec.Producers,
-		Schedule:    tr.ArrivalNs,
-		Deadline:    spec.Deadline,
-		SampleEvery: sampleEvery,
-		Elastic:     spec.Elastic,
+		Workers:   workers,
+		Batch:     batch,
+		Producers: spec.Producers,
+		Schedule:  tr.ArrivalNs,
+		Deadline:  spec.Deadline,
+		Elastic:   spec.Elastic,
 	}, gen, task)
 	elapsed := time.Since(start)
 
@@ -230,20 +196,18 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 		AchievedRate:  float64(st.Injected) / elapsed.Seconds(),
 		Rho:           rho,
 		SpinNsPerUnit: nsPerUnit,
-		SampleEvery:   sampleEvery,
 		Injected:      st.Injected,
 		Inversions:    inversions.Load(),
 		InvWaiting:    invWaiting.Load(),
-		QLen:          st.QLen,
 		Stats:         st,
 	}
-	if len(st.QLen) > 0 {
-		var sum float64
-		for _, v := range st.QLen {
-			sum += float64(v)
+	var sojourns int64
+	for i, at := range arrivedAt {
+		if at >= 0 {
+			sojourns += completedAt[i] - at
 		}
-		res.QLenMean = sum / float64(len(st.QLen))
 	}
+	res.QLenMean = float64(sojourns) / float64(elapsed)
 	res.PerClass, res.SojournP50Ms, res.SojournP99Ms = summarize(tr.NumClasses(), tr.Class, arrivedAt, completedAt)
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -83,9 +84,7 @@ func TestRunOpenServesEveryArrival(t *testing.T) {
 				if res.Rho != traceRho(tr, 2) || res.OfferedRate <= 0 || res.SpinNsPerUnit <= 0 {
 					t.Errorf("batch=%d: load parameters: %+v", batch, res)
 				}
-				if len(res.QLen) == 0 {
-					t.Errorf("batch=%d: no queue-length samples", batch)
-				}
+				checkLittlesLaw(t, fmt.Sprintf("batch=%d", batch), res)
 			}
 		})
 	}
@@ -176,6 +175,26 @@ func TestRunOpenDeadline(t *testing.T) {
 	}
 	if total != res.Injected {
 		t.Fatalf("per-class jobs sum %d, want injected %d", total, res.Injected)
+	}
+	checkLittlesLaw(t, "deadline-cut", res)
+}
+
+// checkLittlesLaw checks QLenMean against the run's sojourns: by Little's
+// law over a run that starts and ends empty, QLenMean·Elapsed is the sum of
+// the injected jobs' sojourns, Σ over classes of Jobs·MeanMs·1e6 ns, and it
+// is positive once any job was served.
+func checkLittlesLaw(t *testing.T, leg string, res OpenResult) {
+	t.Helper()
+	var sojourns float64
+	for _, cs := range res.PerClass {
+		sojourns += float64(cs.Jobs) * cs.MeanMs * 1e6
+	}
+	area := res.QLenMean * float64(res.Elapsed)
+	if d := area/sojourns - 1; d > 1e-9 || d < -1e-9 {
+		t.Errorf("%s: QLenMean·Elapsed = %g ns, summed sojourns %g ns", leg, area, sojourns)
+	}
+	if !(res.QLenMean > 0) {
+		t.Errorf("%s: QLenMean %g, want > 0", leg, res.QLenMean)
 	}
 }
 

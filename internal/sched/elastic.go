@@ -1,13 +1,18 @@
 package sched
 
-// Elastic topology control: the open-system executor already samples the
-// pending count on a fixed period (OpenConfig.SampleEvery); the controller
-// here turns that timeseries into grow/shrink decisions against a Resizable
-// queue. The control law is deliberately boring — watermark thresholds on
-// mean backlog per queue, a consecutive-sample window as hysteresis, and
-// doubling/halving steps clamped to a configured range — because the queue
-// underneath gives the strong guarantees (exact-once, liveness, epoch-versioned
-// snapshots); the controller only has to avoid flapping.
+// Elastic topology control: while armed, the controller samples the
+// open-system executor's pending count every controlEvery and turns those
+// samples into grow/shrink decisions against a Resizable queue. The control
+// law is deliberately boring — watermark thresholds on mean backlog per
+// queue, a consecutive-sample window as hysteresis, and doubling/halving
+// steps clamped to a configured range — because the queue underneath gives
+// the strong guarantees (exact-once, liveness, epoch-versioned snapshots);
+// the controller only has to avoid flapping.
+
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Resizable is the seam between the executor and an elastically-sized queue:
 // core.MultiQueue satisfies it (through the pqadapt adapter), and anything
@@ -29,8 +34,9 @@ type Resizable interface {
 }
 
 // ElasticConfig arms the sampler-driven resize controller in RunOpen.
-// The controller is armed only when Enable is set, the queue implements
-// Resizable, and SampleEvery > 0 (the sampler is its clock).
+// The controller is armed only when Enable is set and the queue implements
+// Resizable. RunOpen then starts one sampler goroutine, its clock, which
+// reads the pending count every controlEvery (1 ms).
 type ElasticConfig struct {
 	// Enable arms the controller.
 	Enable bool
@@ -50,6 +56,12 @@ type ElasticConfig struct {
 	// stability.
 	Window int
 }
+
+// controlEvery is the armed controller's sampling period, so Window counts
+// milliseconds. It is about the period powerbench serve -elastic sampled at
+// by default (500,000 jobs at ρ 0.8 on one worker) when the period aimed
+// at 256 samples per run.
+const controlEvery = time.Millisecond
 
 // elasticController holds the armed controller's state, owned by the sampler
 // goroutine (observe is never called concurrently).
@@ -88,6 +100,27 @@ func newElasticController(r Resizable, cfg ElasticConfig) *elasticController {
 		cfg.Window = 3
 	}
 	return &elasticController{r: r, cfg: cfg, baseResizes: r.Resizes()}
+}
+
+// run is the sampler: it feeds observe the pending count at every multiple
+// of controlEvery since start, until stop is closed. It paces its instants
+// against start as the producers pace arrivals (sampleWait), not with a
+// time.Ticker: a ticker fires only when the P whose timer heap holds it
+// passes through the scheduler, and a worker serving a busy period can keep
+// that P for milliseconds. A yield puts the sampler on the global run
+// queue, which every P serves.
+func (c *elasticController) run(start time.Time, pending *atomic.Int64, stop <-chan struct{}) {
+	for due := controlEvery; ; {
+		now, ok := sampleWait(start, due, stop)
+		if !ok {
+			return
+		}
+		c.observe(pending.Load())
+		// The first instant after now: a late sample is not followed by a
+		// burst of catch-up samples, as a ticker drops the ticks it could
+		// not deliver.
+		due = (now/controlEvery + 1) * controlEvery
+	}
 }
 
 // observe feeds one pending-count sample through the control law: track

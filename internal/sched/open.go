@@ -41,13 +41,8 @@ type OpenConfig struct {
 	// therefore by every arrival served or by deadline, never by the queue
 	// looking empty.
 	Deadline time.Duration
-	// SampleEvery, when positive, samples the pending count (injected but
-	// not yet served — queued plus in service) on that period into
-	// OpenStats.QLen, the queue-length timeseries.
-	SampleEvery time.Duration
 	// Elastic arms the sampler-driven resize controller (see ElasticConfig).
-	// Effective only when the queue implements Resizable and SampleEvery > 0:
-	// the controller's clock is the queue-length sampler.
+	// Effective only when the queue implements Resizable.
 	Elastic ElasticConfig
 }
 
@@ -60,17 +55,12 @@ type OpenStats struct {
 	// return, Processed + Stale == Injected + Pushed (no in-flight or
 	// batch-buffered item is lost at shutdown).
 	Injected int64
-	// QLen holds the pending-count samples (empty unless SampleEvery > 0).
-	// They are exact: RunOpen's workers hold no pending credits (see the
-	// package doc), so each sample is the count of items injected and not
-	// yet served at that instant.
-	QLen []int64
 	// Elastic-controller accounting, populated only when the controller was
-	// armed (Elastic.Enable on a Resizable queue with SampleEvery > 0):
-	// Resizes counts reconfigurations during this run, Epochs is the queue's
-	// final topology version, and FinalQueues its final queue count —
-	// FinalQueues is always non-zero when the controller was armed, so
-	// harnesses can distinguish "armed but stable" from "not elastic".
+	// armed (Elastic.Enable on a Resizable queue): Resizes counts
+	// reconfigurations during this run, Epochs is the queue's final
+	// topology version, and FinalQueues its final queue count — FinalQueues
+	// is always non-zero when the controller was armed, so harnesses can
+	// distinguish "armed but stable" from "not elastic".
 	Resizes     int64
 	Epochs      uint64
 	FinalQueues int
@@ -92,9 +82,13 @@ type OpenStats struct {
 // items sit in worker-local batch buffers: pending == 0 implies every
 // buffer is empty and every injected item was served. Workers here run
 // with a credit cap of 0 (see the package doc): every push and every
-// finished item updates pending at once, so the pending count the sampler,
-// the elastic controller and the producers' pacing (waitStep) read is exact
-// at any batch size.
+// finished item updates pending at once, so the pending count the elastic
+// controller and the producers' pacing (waitStep) read is exact at any
+// batch size.
+//
+// The run starts cfg.Producers producers and cfg.Workers workers, plus one
+// sampler goroutine only while the elastic controller is armed: the
+// sampler is the controller's clock, and nothing else reads it.
 func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task Task[V]) OpenStats {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -161,44 +155,18 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 		}(p)
 	}
 
-	// Queue-length sampler, doubling as the elastic controller's clock: each
-	// sample is also fed to the controller when one is armed (the queue
-	// implements Resizable and cfg.Elastic asked for it). It paces its
-	// instants against start as the producers pace arrivals (sampleWait),
-	// not with a time.Ticker: a ticker fires only when the P whose timer
-	// heap holds it passes through the scheduler, and a worker serving a
-	// busy period can keep that P for milliseconds, long enough for a
-	// short run to end without a sample. A yield puts the sampler on the
-	// global run queue, which every P serves.
+	// The elastic controller's sampler, only while the controller is armed.
 	var ctrl *elasticController
-	if cfg.Elastic.Enable && cfg.SampleEvery > 0 {
-		if r, ok := q.(Resizable); ok {
-			ctrl = newElasticController(r, cfg.Elastic)
-		}
+	if r, ok := q.(Resizable); ok && cfg.Elastic.Enable {
+		ctrl = newElasticController(r, cfg.Elastic)
 	}
-	var qlen []int64
 	samplerStop := make(chan struct{})
 	var samplerWG sync.WaitGroup
-	if cfg.SampleEvery > 0 {
+	if ctrl != nil {
 		samplerWG.Add(1)
 		go func() {
 			defer samplerWG.Done()
-			every := cfg.SampleEvery
-			for due := every; ; {
-				now, ok := sampleWait(start, due, samplerStop)
-				if !ok {
-					return
-				}
-				p := pending.Load()
-				qlen = append(qlen, p)
-				if ctrl != nil {
-					ctrl.observe(p)
-				}
-				// The first instant after now: a late sample is not
-				// followed by a burst of catch-up samples, as a ticker
-				// drops the ticks it could not deliver.
-				due = (now/every + 1) * every
-			}
+			ctrl.run(start, &pending, samplerStop)
 		}()
 	}
 
@@ -230,7 +198,6 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 	st := OpenStats{
 		Stats:    tot.stats(),
 		Injected: injected.Load(),
-		QLen:     qlen,
 	}
 	if ctrl != nil {
 		st.Resizes = ctrl.r.Resizes() - ctrl.baseResizes
@@ -251,8 +218,8 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 // one P that ping-pong, about 150 ns a round trip, is what made arrivals
 // late. spinWindow is about four such round trips, long enough to catch
 // the due instant and short enough that one producer keeps other
-// producers, the queue-length sampler and the collector off the P for at
-// most 2 µs per arrival.
+// producers, the elastic controller's sampler and the collector off the P
+// for at most 2 µs per arrival.
 const (
 	yieldWindow = 100 * time.Microsecond
 	spinWindow  = 2 * time.Microsecond

@@ -176,10 +176,14 @@ func TestRunOpenDeadlineNotOvershotAtLowRate(t *testing.T) {
 	}
 }
 
-// TestRunOpenSamplesQueueLength: SampleEvery > 0 yields a non-empty
-// timeseries of non-negative pending counts for a run long enough to tick.
+// TestRunOpenSamplesQueueLength: an armed elastic controller's sampler
+// reads the queue length and drives resizes. Its band sits above any
+// backlog 3000 jobs can make, so every sample counts toward a shrink, and a
+// run long enough for a window of samples must resize the 8-queue
+// MultiQueue at least once, within [MinQueues, 8].
 func TestRunOpenSamplesQueueLength(t *testing.T) {
-	q, err := pqadapt.New(pqadapt.ImplMultiQueue, 31)
+	const jobs = 3000
+	q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: pqadapt.ImplMultiQueue, Queues: 8, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +192,21 @@ func TestRunOpenSamplesQueueLength(t *testing.T) {
 	}
 	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
 	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 1, Producers: 1, Schedule: evenSchedule(3000, 100000),
-		SampleEvery: time.Millisecond,
+		Workers: 1, Producers: 1, Schedule: evenSchedule(jobs, 100000),
+		Elastic: sched.ElasticConfig{
+			Enable: true, MinQueues: 2, HighWater: 2 * jobs, LowWater: jobs,
+		},
 	}, gen, task)
-	// 3000 jobs at 100k/s is a ≥30ms run: at least a handful of 1ms ticks.
-	if len(st.QLen) < 3 {
-		t.Fatalf("queue-length timeseries has %d samples", len(st.QLen))
+	// 3000 jobs at 100k/s is a ≥30ms run: many 1ms samples, and a shrink
+	// after every window of three.
+	if st.Resizes < 1 {
+		t.Fatalf("armed controller never resized: %+v", st)
 	}
-	for i, v := range st.QLen {
-		if v < 0 {
-			t.Fatalf("sample %d negative: %d", i, v)
-		}
+	if st.FinalQueues < 2 || st.FinalQueues > 8 || st.Epochs != uint64(st.Resizes) {
+		t.Fatalf("final queues %d, epoch %d after %d resizes", st.FinalQueues, st.Epochs, st.Resizes)
+	}
+	if st.Injected != jobs || st.Processed != jobs {
+		t.Fatalf("injected %d processed %d, want %d", st.Injected, st.Processed, jobs)
 	}
 }
 

@@ -15,8 +15,8 @@
 // of entries pushed (or seeded) but not yet handled, reads 0 only when every
 // entry is handled, and over-counts by at most cap × workers: k−1 per worker
 // in RunConfig (0 when unbatched, where every push and finished entry
-// updates pending at once), and 0 in RunOpen, whose pending is sampled as
-// the queue length.
+// updates pending at once), and 0 in RunOpen, whose producers and elastic
+// controller read pending as the number of items in the system.
 //
 // This is the execution pattern the paper's Figure 3 argument rests on:
 // label-correcting workloads tolerate a relaxed pop order because stale

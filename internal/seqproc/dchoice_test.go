@@ -3,8 +3,11 @@ package seqproc
 import "testing"
 
 func TestChoicesValidation(t *testing.T) {
-	if _, err := New(Config{N: 4, Beta: 1, Choices: 5}, 10); err == nil {
+	if _, err := New(Config{N: 1, Beta: 1, Choices: 2}, 10); err == nil {
 		t.Error("choices > n accepted")
+	}
+	if _, err := New(Config{N: 4, Beta: 1, Choices: 3}, 10); err == nil {
+		t.Error("choices 3 accepted: only the paper's two-choice rule is modelled")
 	}
 	if _, err := New(Config{N: 4, Beta: 1, Choices: -1}, 10); err == nil {
 		t.Error("negative choices accepted")
@@ -18,7 +21,7 @@ func TestChoicesValidation(t *testing.T) {
 // TestDChoiceEqualsNIsExact: sampling every queue makes every removal take
 // the global minimum — rank exactly 1 at every step.
 func TestDChoiceEqualsNIsExact(t *testing.T) {
-	const n, m = 8, 4000
+	const n, m = 2, 4000
 	p, err := New(Config{N: n, Beta: 1, Choices: n, Seed: 3}, m)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +43,9 @@ func TestDChoiceEqualsNIsExact(t *testing.T) {
 	}
 }
 
-// TestDChoiceMonotoneRank: more choices, lower average rank.
+// TestDChoiceMonotoneRank: more choices, lower average rank. At β = 1,
+// d = 1 is the single-choice process, whose mean rank keeps growing
+// (Theorem 6), and d = 2 the paper's rule.
 func TestDChoiceMonotoneRank(t *testing.T) {
 	const n = 32
 	mean := func(d int) float64 {
@@ -56,9 +61,8 @@ func TestDChoiceMonotoneRank(t *testing.T) {
 		}
 		return series.Overall.Mean()
 	}
-	m2, m4, m8 := mean(2), mean(4), mean(8)
-	if !(m8 < m4 && m4 < m2) {
-		t.Errorf("ranks not monotone in d: d=2: %v, d=4: %v, d=8: %v", m2, m4, m8)
+	if m1, m2 := mean(1), mean(2); !(m2 < m1) {
+		t.Errorf("ranks not monotone in d: d=1: %v, d=2: %v", m1, m2)
 	}
 }
 
@@ -66,7 +70,7 @@ func TestDChoiceMonotoneRank(t *testing.T) {
 // sampled queue's top. Verified indirectly: with d = n-1 the rank can be at
 // most the size of the one unsampled queue + 1.
 func TestDChoiceRemovesBestSampled(t *testing.T) {
-	const n, m = 4, 800
+	const n, m = 3, 800
 	p, err := New(Config{N: n, Beta: 1, Choices: n - 1, Seed: 11}, m)
 	if err != nil {
 		t.Fatal(err)

@@ -45,9 +45,11 @@ type Config struct {
 	// single random queue is used. Beta=1 is the pure two-choice process,
 	// Beta=0 the single-choice process of Theorem 6.
 	Beta float64
-	// Choices is the number of queues a choice-removal samples — the
-	// d-choice generalisation of the process (d=2 is the paper's rule and
-	// the default when zero; d=n inspects every queue and is exact).
+	// Choices is the number of queues a choice-removal samples: 2, the
+	// paper's rule and the default when zero (1 when N is 1), or 1, which
+	// makes every removal a single-choice step whatever Beta says. With
+	// N = 2 a two-choice step inspects every queue, so at Beta 1 the
+	// process is exact.
 	Choices int
 	// Gamma bounds the insertion bias for InsertBiased (0 ≤ γ < 1).
 	Gamma float64
@@ -80,8 +82,8 @@ func (c *Config) validate() error {
 			c.Choices = 1
 		}
 	}
-	if c.Choices < 1 || c.Choices > c.N {
-		return fmt.Errorf("seqproc: choices %d outside [1,%d]", c.Choices, c.N)
+	if c.Choices < 1 || c.Choices > min(2, c.N) {
+		return fmt.Errorf("seqproc: choices %d outside [1,%d]", c.Choices, min(2, c.N))
 	}
 	return nil
 }
@@ -110,7 +112,6 @@ type Process struct {
 	rng     *xrand.Source
 	alias   *xrand.Alias // insertion distribution for InsertBiased
 	rr      int          // round-robin cursor
-	scratch []int        // d-choice sample buffer
 
 	removals         int64
 	emptyInspections int64
@@ -254,27 +255,18 @@ func (p *Process) Top(i int) (int, bool) {
 
 // Remove performs one removal step of the (1+β) process and reports the
 // removed label, its rank, and the queue used. It returns ok=false only when
-// every queue is empty. With Choices=d > 2 the choice-step samples d
-// distinct queues and removes the best top among them.
+// every queue is empty.
 func (p *Process) Remove() (Removal, bool) {
 	if p.size == 0 {
 		return Removal{}, false
 	}
 	// Draw order matters for coupling: first the β coin, then the queue
-	// indices, exactly mirroring ExpProcess.Remove (for the d=2 rule).
-	useChoice := p.rng.Bernoulli(p.cfg.Beta) && p.cfg.Choices >= 2
+	// indices, exactly mirroring ExpProcess.Remove.
 	var q int
-	switch {
-	case useChoice && p.cfg.Choices == 2:
+	if p.rng.Bernoulli(p.cfg.Beta) && p.cfg.Choices == 2 {
 		i, j := p.rng.TwoDistinct(p.cfg.N)
 		q = p.betterOf(i, j)
-	case useChoice:
-		if p.scratch == nil {
-			p.scratch = make([]int, p.cfg.Choices)
-		}
-		p.rng.KDistinct(p.scratch, p.cfg.N)
-		q = p.bestOfMany(p.scratch)
-	default:
+	} else {
 		q = p.rng.Intn(p.cfg.N)
 		if _, ok := p.Top(q); !ok {
 			p.emptyInspections++
@@ -285,28 +277,6 @@ func (p *Process) Remove() (Removal, bool) {
 		return Removal{}, false
 	}
 	return p.removeFrom(q), true
-}
-
-// bestOfMany returns the sampled queue with the smallest top label,
-// counting and skipping empty queues; -1 if all sampled and all other
-// queues are empty.
-func (p *Process) bestOfMany(idxs []int) int {
-	best := -1
-	bestTop := 0
-	for _, i := range idxs {
-		t, ok := p.Top(i)
-		if !ok {
-			p.emptyInspections++
-			continue
-		}
-		if best < 0 || t < bestTop {
-			best, bestTop = i, t
-		}
-	}
-	if best < 0 {
-		return p.firstNonEmptyFrom(idxs[0])
-	}
-	return best
 }
 
 // RemoveAt performs a removal with externally supplied queue choices: a

@@ -4,11 +4,9 @@ import "testing"
 
 // TestSourceOpsAllocationFree: every //powervet:hotpath Source method sits
 // inside the per-operation sampling path of the MultiQueue and the models;
-// none may allocate (KDistinct fills a caller-owned buffer for exactly this
-// reason).
+// none may allocate.
 func TestSourceOpsAllocationFree(t *testing.T) {
 	s := NewSource(97)
-	dst := make([]int, 4)
 	sink := uint64(0)
 	if avg := testing.AllocsPerRun(200, func() {
 		sink += s.Uint64()
@@ -18,7 +16,6 @@ func TestSourceOpsAllocationFree(t *testing.T) {
 		}
 		a, b := s.TwoDistinct(64)
 		sink += uint64(a + b)
-		s.KDistinct(dst, 64)
 		if s.Bernoulli(0.5) {
 			sink++
 		}

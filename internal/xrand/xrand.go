@@ -148,48 +148,6 @@ func (s *Source) TwoDistinct(n int) (int, int) {
 	return i, j
 }
 
-// KDistinct fills dst with len(dst) distinct uniform indices in [0, n),
-// for the d-choice generalisation of the removal rule. It panics if
-// len(dst) > n. Sampling is by rejection, which is near-optimal for the
-// small d used in choice processes. All k draws share one hoisted Lemire
-// threshold (the bound is the same for every draw), so the rejection DIV is
-// paid once per call instead of once per retry; the accept rule is unchanged,
-// so the draw sequence is bit-identical to k independent Intn(n) calls.
-//
-//powervet:hotpath
-func (s *Source) KDistinct(dst []int, n int) {
-	k := len(dst)
-	if k > n {
-		panic("xrand: KDistinct with k > n")
-	}
-	bound := uint64(n)
-	// The threshold is computed lazily — lo >= bound accepts without it, and
-	// since threshold < bound that fast check subsumes the full rule — then
-	// cached for the remaining draws of this call.
-	var threshold uint64
-	haveThreshold := false
-	for i := 0; i < k; i++ {
-	draw:
-		hi, lo := mul64(s.Uint64(), bound)
-		if lo < bound {
-			if !haveThreshold {
-				threshold = -bound % bound
-				haveThreshold = true
-			}
-			for lo < threshold {
-				hi, lo = mul64(s.Uint64(), bound)
-			}
-		}
-		v := int(hi)
-		for j := 0; j < i; j++ {
-			if dst[j] == v {
-				goto draw
-			}
-		}
-		dst[i] = v
-	}
-}
-
 // maxLaneBound is the largest bound the 32-bit lane-split reductions accept.
 // A lane reduction maps a uniform 32-bit word x to (x·n)>>32 without
 // rejection, so each index carries a relative bias of at most n/2³² — at the

@@ -220,55 +220,6 @@ func TestTwoDistinctUniformPairs(t *testing.T) {
 	}
 }
 
-func TestKDistinct(t *testing.T) {
-	s := NewSource(53)
-	for _, n := range []int{1, 2, 5, 16} {
-		for k := 0; k <= n; k++ {
-			dst := make([]int, k)
-			s.KDistinct(dst, n)
-			seen := map[int]bool{}
-			for _, v := range dst {
-				if v < 0 || v >= n {
-					t.Fatalf("KDistinct(%d,%d) produced %d", k, n, v)
-				}
-				if seen[v] {
-					t.Fatalf("KDistinct(%d,%d) repeated %d", k, n, v)
-				}
-				seen[v] = true
-			}
-		}
-	}
-}
-
-func TestKDistinctPanicsWhenKExceedsN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("KDistinct with k > n did not panic")
-		}
-	}()
-	NewSource(1).KDistinct(make([]int, 3), 2)
-}
-
-func TestKDistinctUniformMargins(t *testing.T) {
-	// Each index should appear in the sample with probability k/n.
-	s := NewSource(59)
-	const n, k, trials = 8, 3, 80000
-	counts := make([]int, n)
-	dst := make([]int, k)
-	for i := 0; i < trials; i++ {
-		s.KDistinct(dst, n)
-		for _, v := range dst {
-			counts[v]++
-		}
-	}
-	want := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("index %d appeared %d times, want ≈ %v", i, c, want)
-		}
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	s := NewSource(37)
 	if s.Bernoulli(0) {
