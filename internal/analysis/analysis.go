@@ -196,7 +196,7 @@ func directive(doc *ast.CommentGroup, verb string) (arg string, ok bool) {
 }
 
 // knownVerbs are the directive verbs powervet understands.
-var knownVerbs = map[string]bool{"hotpath": true, "cacheline": true, "locks": true, "unlocks": true, "allow": true}
+var knownVerbs = map[string]bool{"hotpath": true, "cacheline": true, "locks": true, "allow": true}
 
 // CheckDirectives validates every //powervet: comment of the unit: unknown
 // verbs and allow directives without analyzer or reason are reported, so a

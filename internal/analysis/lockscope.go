@@ -30,13 +30,6 @@ import (
 // of the result commits the caller to holding — and therefore releasing —
 // it on every remaining path.
 //
-// The dual contract is //powervet:unlocks recv.<field> on a release helper
-// (lockedQueue.unlock, which drains a retired queue before releasing):
-// the annotated method is interpreted with its receiver's <field> lock held
-// on entry — and must release it on every path — and a call to it releases
-// the callee receiver's lock in the caller, exactly like a direct
-// <recv>.<field>.Unlock().
-//
 // The analysis interprets each function's AST structurally (if/else,
 // for/range, switch, select), tracking the held-lock set symbolically by
 // receiver expression text. TryLock calls in conditions propagate polarity:
@@ -138,21 +131,16 @@ type lsFunc struct {
 	fd        *ast.FuncDecl
 	spec      string // this function's //powervet:locks spec, or ""
 	acquirers map[types.Object]string
-	releasers map[types.Object]string // //powervet:unlocks specs by function
-	skip      bool                    // unsupported construct encountered; stay silent
+	skip      bool // unsupported construct encountered; stay silent
 }
 
 func runLockScope(pass *Pass) error {
 	acquirers := make(map[types.Object]string)
-	releasers := make(map[types.Object]string)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
 				if spec, ok := directive(fd.Doc, "locks"); ok {
 					acquirers[pass.Info.Defs[fd.Name]] = spec
-				}
-				if spec, ok := directive(fd.Doc, "unlocks"); ok {
-					releasers[pass.Info.Defs[fd.Name]] = spec
 				}
 			}
 		}
@@ -166,37 +154,13 @@ func runLockScope(pass *Pass) error {
 			if hasGoto(fd.Body) {
 				continue
 			}
-			lf := &lsFunc{pass: pass, fd: fd, acquirers: acquirers, releasers: releasers}
+			lf := &lsFunc{pass: pass, fd: fd, acquirers: acquirers}
 			lf.spec, _ = directive(fd.Doc, "locks")
-			entry := lsState{}
-			if spec, ok := directive(fd.Doc, "unlocks"); ok {
-				// A release helper runs with its receiver's lock held; seeding
-				// it makes the analysis check the dual obligation (released on
-				// every path) instead of reporting a spurious bad unlock.
-				if id, ok := resolveRecvDirective(spec, fd); ok {
-					entry.acquire(id)
-				} else {
-					lf.reportf(fd.Name.Pos(), "%s: //powervet:unlocks %s needs a named receiver and a recv.<field> spec", fd.Name.Name, spec)
-				}
-			}
-			out := lf.execBlock(fd.Body, entry, nil)
+			out := lf.execBlock(fd.Body, lsState{}, nil)
 			lf.checkExit(out, fd.Name.Pos())
 		}
 	}
 	return nil
-}
-
-// resolveRecvDirective turns a //powervet:unlocks recv.<field> spec into a
-// lock id in the annotated function's own frame ("q.lock" for receiver q).
-func resolveRecvDirective(spec string, fd *ast.FuncDecl) (string, bool) {
-	rest, ok := strings.CutPrefix(spec, "recv.")
-	if !ok || rest == "" {
-		return "", false
-	}
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return "", false
-	}
-	return fd.Recv.List[0].Names[0].Name + "." + rest, true
 }
 
 // isLockTypeMethod reports whether fd is a method on a lock type itself —
@@ -487,15 +451,6 @@ func (lf *lsFunc) execAssign(st *ast.AssignStmt, s lsState) lsState {
 func resolveSpec(spec, varName string) string {
 	if rest, ok := strings.CutPrefix(spec, "result."); ok {
 		return varName + "." + rest
-	}
-	return spec
-}
-
-// resolveRecvSpec turns a //powervet:unlocks spec into a lock id in the
-// caller's frame: "recv.lock" on a call with receiver text "q" is "q.lock".
-func resolveRecvSpec(spec, recvText string) string {
-	if rest, ok := strings.CutPrefix(spec, "recv."); ok {
-		return recvText + "." + rest
 	}
 	return spec
 }
@@ -807,22 +762,6 @@ func (lf *lsFunc) scanExpr(e ast.Expr, s lsState, stmtCtx bool) lsState {
 				return false
 			}
 			if fn := funcObj(info, n); fn != nil {
-				if spec, ok := lf.releasers[fn.Origin()]; ok {
-					if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-						// The receiver may itself be an acquirer-result
-						// variable (q.unlock() after q := lockForInsert()):
-						// promote its conditional lock before releasing.
-						ast.Inspect(sel.X, walk)
-						id := resolveRecvSpec(spec, types.ExprString(sel.X))
-						if !s.release(id) {
-							lf.reportf(n.Pos(), "%s: call to %s releases %s, which is not held on this path", lf.fd.Name.Name, fn.Name(), id)
-						}
-						for _, a := range n.Args {
-							ast.Inspect(a, walk)
-						}
-						return false
-					}
-				}
 				if spec, ok := lf.acquirers[fn.Origin()]; ok && stmtCtx {
 					lf.reportf(n.Pos(), "%s: result of %s (returns with %s held) is discarded", lf.fd.Name.Name, fn.Name(), spec)
 				}

@@ -26,15 +26,13 @@ var hotPathAllocCoverage = map[string]string{
 	"powerchoice/internal/core.Handle.DeleteMin":            "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.Handle.InsertBatch":          "powerchoice/internal/core.TestBatchOpsAllocationFree",
 	"powerchoice/internal/core.Handle.DeleteMinBatch":       "powerchoice/internal/core.TestBatchOpsAllocationFree",
-	"powerchoice/internal/core.topology.anyNonEmpty":        "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.selector.refresh":            "powerchoice/internal/core.TestHandleOpsAllocationFree",
+	"powerchoice/internal/core.anyNonEmpty":                 "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.push":            "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.pushBatch":       "powerchoice/internal/core.TestBatchOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.popMin":          "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.popBatch":        "powerchoice/internal/core.TestBatchOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.syncDary":        "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.lockedQueue.emptyUnderLock":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
-	"powerchoice/internal/core.lockedQueue.unlock":          "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.flipBeta":           "powerchoice/internal/core.TestHandleOpsAllocationFreeBetaCoin",
 	"powerchoice/internal/core.selector.sampleInsertQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFree",
 	"powerchoice/internal/core.selector.sampleDeleteQueue":  "powerchoice/internal/core.TestHandleOpsAllocationFree",

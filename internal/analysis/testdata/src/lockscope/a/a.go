@@ -150,45 +150,3 @@ func forgetRelease(qs []*queue) { // want "q.lock may still be held at function 
 func discardResult(qs []*queue) {
 	acquire(qs) // want "returns with result.lock held.*is discarded"
 }
-
-// Releaser contract: a //powervet:unlocks method runs with its receiver's
-// lock held on entry — and must release it on every path — and calling it
-// releases the callee receiver's lock in the caller, like a direct Unlock.
-
-//powervet:unlocks recv.lock
-func (q *queue) unlock() {
-	work() // e.g. drain a publication ring under the lock
-	q.lock.Unlock()
-}
-
-//powervet:unlocks recv.lock
-func (q *queue) brokenUnlock() { // want "brokenUnlock: q.lock may still be held at function exit"
-	work() // never releases the lock the contract says it holds
-}
-
-//powervet:unlocks recv.lock
-func (q *queue) branchyUnlock(b bool) {
-	if b { // want "q.lock is held on some control-flow paths but not others"
-		q.lock.Unlock()
-	}
-}
-
-func useReleaser(q *queue) {
-	if q.lock.TryLock() {
-		work()
-		q.unlock()
-	}
-}
-
-func releaserOnAcquired(qs []*queue) {
-	q := acquire(qs)
-	if q == nil {
-		return
-	}
-	work()
-	q.unlock()
-}
-
-func badReleaserCall(q *queue) {
-	q.unlock() // want "releases q.lock, which is not held on this path"
-}

@@ -1,6 +1,6 @@
 // Package driver implements the powerbench command line: one portable
 // benchmark driver with throughput, rank, sweep, sssp, astar, jobs, serve,
-// record, replay, plan and calibrate subcommands, emitting aligned tables,
+// record, replay and calibrate subcommands, emitting aligned tables,
 // CSV, or machine-readable JSON reports (see bench.Report) from the same
 // measured results. (The legacy mqbench, rankbench and ssspbench wrappers
 // forwarded here until their removal; invoke powerbench directly.)
@@ -41,8 +41,6 @@ Subcommands:
                laws)
   record       compile a workload spec into a replayable trace file
   replay       re-run a recorded trace through any implementation line-up
-  plan         binary-search the worker count meeting a p99-sojourn SLO
-               at a given workload and offered rate
   calibrate    print the host's spin-unit cost (the rho <-> rate constant)
   help         print this message
 
@@ -82,8 +80,6 @@ func Main(args []string, stdout, stderr io.Writer) error {
 		return runRecord(rest, stdout, stderr)
 	case "replay":
 		return runReplay(rest, stdout, stderr)
-	case "plan":
-		return runPlan(rest, stdout, stderr)
 	case "calibrate":
 		return runCalibrate(rest, stdout, stderr)
 	case "help", "-h", "--help":

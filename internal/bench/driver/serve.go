@@ -8,7 +8,6 @@ import (
 
 	"powerchoice/internal/bench"
 	"powerchoice/internal/pqadapt"
-	"powerchoice/internal/sched"
 	"powerchoice/internal/workload"
 )
 
@@ -36,12 +35,6 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
 	queues := fs.Int("queues", 0, "pin the MultiQueue queue count (0 = derive from the host)")
 	batch := fs.Int("batch", 0, "executor bulk-operation size k (0/1 = unbatched)")
-	elastic := fs.Bool("elastic", false, "arm the sampler-driven resize controller on MultiQueue implementations (grow/shrink the queue count with the sampled backlog)")
-	qmin := fs.Int("qmin", 0, "elastic: minimum queue count (0 = the initial count; shrinking disabled)")
-	qmax := fs.Int("qmax", 0, "elastic: maximum queue count (0 = the initial count; growing disabled)")
-	hiWater := fs.Float64("hiwater", 0, "elastic: mean backlog per queue above which the topology grows (0 = default 8)")
-	loWater := fs.Float64("lowater", 0, "elastic: mean backlog per queue below which the topology shrinks (0 = default 1)")
-	window := fs.Int("window", 0, "elastic: consecutive out-of-band samples required to trigger a resize (0 = default 3)")
 	seed := fs.Uint64("seed", 42, "root random seed")
 	var out output
 	out.addFlags(fs)
@@ -91,26 +84,14 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 				Threads:   th,
 				Batch:     *batch,
 				Deadline:  *deadline,
-				Elastic: sched.ElasticConfig{
-					Enable:    *elastic,
-					MinQueues: *qmin,
-					MaxQueues: *qmax,
-					HighWater: *hiWater,
-					LowWater:  *loWater,
-					Window:    *window,
-				},
-				Seed: *seed,
+				Seed:      *seed,
 			})
 			if err != nil {
 				return err
 			}
 			addServeRows(tb, rep, impl, th, *batch, hashes[i], res)
-			elasticNote := ""
-			if res.FinalQueues > 0 {
-				elasticNote = fmt.Sprintf(", elastic: %d resizes -> %d queues", res.Resizes, res.FinalQueues)
-			}
-			fmt.Fprintf(stderr, "done: %-12s threads=%-3d rho=%.2f %v (%d injected, %d inversions%s)\n",
-				impl, th, res.Rho, res.Elapsed.Round(time.Millisecond), res.Injected, res.Inversions, elasticNote)
+			fmt.Fprintf(stderr, "done: %-12s threads=%-3d rho=%.2f %v (%d injected, %d inversions)\n",
+				impl, th, res.Rho, res.Elapsed.Round(time.Millisecond), res.Injected, res.Inversions)
 		}
 	}
 	return out.emit(stdout, tb, rep)
@@ -128,7 +109,6 @@ func addServeRows(tb *bench.Table, rep *bench.Report, impl string, th, batch int
 		InvWaiting: res.InvWaiting, BufferedPops: res.BufferedPops,
 		Rho: res.Rho, Rate: res.OfferedRate, QLenMean: res.QLenMean,
 		Workload: res.Workload, TraceHash: hash,
-		Epochs: res.Epochs, Resizes: res.Resizes, FinalQueues: res.FinalQueues,
 	}
 	sum.SetTopology(res.Topology)
 	rep.Add(sum)

@@ -3,10 +3,8 @@ package driver
 // The workload-subsystem subcommands: record compiles a declarative spec
 // into a replayable trace artifact, replay re-runs a recorded trace through
 // any queue implementation (the record→replay pair is the determinism
-// contract CI pins), plan binary-searches the worker count needed to meet a
-// p99-sojourn SLO at a given offered load, and calibrate prints the host's
-// spin-unit cost — the constant every ρ↔λ conversion and cross-host
-// comparison hinges on.
+// contract CI pins), and calibrate prints the host's spin-unit cost — the
+// constant every ρ↔λ conversion and cross-host comparison hinges on.
 
 import (
 	"flag"
@@ -153,128 +151,6 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "done: %-12s threads=%-3d rho=%.2f %v (%d injected)\n",
 				impl, th, res.Rho, res.Elapsed.Round(time.Millisecond), res.Injected)
 		}
-	}
-	return out.emit(stdout, tb, rep)
-}
-
-// runPlan answers the capacity question: how many workers P does this
-// workload need, at this offered rate, to keep the p99 sojourn under the
-// SLO? The trace is generated once (it depends on the rate, not on P), then
-// P is binary-searched on the feasibility predicate p99(P) ≤ SLO — sojourn
-// falls as workers are added, so the predicate is monotone up to measurement
-// noise; each probe is a full serve run. The report carries one row per
-// probe plus a summary row with the answer.
-func runPlan(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("powerbench plan", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	workloadFlag := fs.String("workload", "poisson", "workload spec: preset name or JSON file")
-	nJobs := fs.Int("jobs", 200_000, "arrivals per probe run")
-	rate := fs.Float64("rate", 0, "offered arrival rate λ in jobs/second (required)")
-	sloMs := fs.Float64("slo", 0, "p99 sojourn SLO in milliseconds (required)")
-	implFlag := fs.String("impl", "multiqueue", "queue implementation serving the probes")
-	maxThreads := fs.Int("maxthreads", runtime.GOMAXPROCS(0), "largest worker count to consider")
-	producers := fs.Int("producers", 1, "arrival goroutines per probe")
-	queues := fs.Int("queues", 0, "pin the MultiQueue queue count (0 = derive from the host)")
-	batch := fs.Int("batch", 0, "executor bulk-operation size k (0/1 = unbatched)")
-	seed := fs.Uint64("seed", 42, "root random seed")
-	var out output
-	out.addFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *rate <= 0 {
-		return fmt.Errorf("plan: -rate JOBS_PER_SECOND is required (the offered load the plan is for)")
-	}
-	if *sloMs <= 0 {
-		return fmt.Errorf("plan: -slo MILLISECONDS is required (the p99 sojourn target)")
-	}
-	if *maxThreads < 1 {
-		return fmt.Errorf("plan: -maxthreads %d < 1", *maxThreads)
-	}
-	normalizeBatch(batch)
-	wspec, err := workload.LoadSpec(*workloadFlag)
-	if err != nil {
-		return err
-	}
-	tr, err := workload.Generate(wspec, *seed, *nJobs, *rate)
-	if err != nil {
-		return err
-	}
-	hash, err := tr.Hash()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "planning %q at %.0f jobs/s for p99 sojourn ≤ %.2fms (workers 1..%d)\n",
-		wspec.Name, *rate, *sloMs, *maxThreads)
-
-	tb := bench.NewTable("probe_threads", "rho", "sojourn_p99_ms", "meets_slo")
-	rep := bench.NewReport("plan", *seed)
-	probe := func(th int) (bench.ServeResult, error) {
-		res, err := bench.Serve(bench.ServeSpec{
-			Impl: pqadapt.Impl(*implFlag), Queues: *queues, Trace: tr,
-			Producers: *producers, Threads: th, Batch: *batch, Seed: *seed,
-		})
-		if err != nil {
-			return res, err
-		}
-		ok := res.SojournP99Ms <= *sloMs
-		tb.AddRow(th, fmt.Sprintf("%.3f", res.Rho), fmt.Sprintf("%.3f", res.SojournP99Ms), ok)
-		row := bench.Row{
-			Impl: *implFlag, Threads: th, Jobs: res.Injected,
-			Rho: res.Rho, Rate: res.OfferedRate, SLOMs: *sloMs,
-			SojournP50Ms: res.SojournP50Ms, SojournP99Ms: res.SojournP99Ms,
-			Workload: res.Workload, TraceHash: hash,
-		}
-		row.SetTopology(res.Topology)
-		rep.Add(row)
-		fmt.Fprintf(stderr, "probe: threads=%-3d rho=%.2f p99=%.3fms slo=%.3fms meets=%v\n",
-			th, res.Rho, res.SojournP99Ms, *sloMs, ok)
-		return res, nil
-	}
-
-	// Feasibility first: if even maxthreads misses the SLO, say so instead
-	// of returning the largest count as if it were an answer.
-	hiRes, err := probe(*maxThreads)
-	if err != nil {
-		return err
-	}
-	feasible := hiRes.SojournP99Ms <= *sloMs
-	answer := *maxThreads
-	answerP99 := hiRes.SojournP99Ms
-	if feasible {
-		// Binary search the smallest feasible P in [1, maxthreads]. The
-		// predicate is monotone in expectation (more workers, lower p99);
-		// measurement noise near the boundary can shift the answer by one.
-		lo, hi := 1, *maxThreads
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			res, err := probe(mid)
-			if err != nil {
-				return err
-			}
-			if res.SojournP99Ms <= *sloMs {
-				hi = mid
-				answerP99 = res.SojournP99Ms
-			} else {
-				lo = mid + 1
-			}
-		}
-		answer = lo
-	}
-	sum := bench.Row{
-		Impl: *implFlag, Workload: wspec.Name, TraceHash: hash,
-		Rate: tr.Rate, SLOMs: *sloMs, Jobs: int64(tr.Jobs()),
-		PlanWorkers: answer, PlanFeasible: &feasible, SojournP99Ms: answerP99,
-	}
-	rep.Add(sum)
-	if feasible {
-		tb.AddRow(answer, "", fmt.Sprintf("%.3f", answerP99), "ANSWER")
-		fmt.Fprintf(stderr, "plan: %d worker(s) meet the %.2fms p99 SLO at %.0f jobs/s\n",
-			answer, *sloMs, tr.Rate)
-	} else {
-		tb.AddRow(answer, "", fmt.Sprintf("%.3f", answerP99), "INFEASIBLE")
-		fmt.Fprintf(stderr, "plan: INFEASIBLE — even %d workers miss the %.2fms p99 SLO (p99 %.3fms)\n",
-			*maxThreads, *sloMs, answerP99)
 	}
 	return out.emit(stdout, tb, rep)
 }

@@ -134,40 +134,6 @@ func TestReplayRejectsMissingTrace(t *testing.T) {
 	}
 }
 
-// TestPlanFindsWorkers: at a load one worker can absorb with a loose SLO,
-// plan must answer 1 worker, feasible, with probe rows carrying the SLO.
-func TestPlanFindsWorkers(t *testing.T) {
-	stdout, _ := runMain(t, "plan", "-workload", "poisson", "-jobs", "2000",
-		"-rate", "50000", "-slo", "10000", "-maxthreads", "1", "-seed", "3", "-json")
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if rep.Command != "plan" || len(rep.Rows) < 2 {
-		t.Fatalf("plan report: %+v", rep)
-	}
-	sum := rep.Rows[len(rep.Rows)-1]
-	if sum.PlanFeasible == nil || !*sum.PlanFeasible || sum.PlanWorkers != 1 {
-		t.Errorf("plan answer: %+v", sum)
-	}
-	if sum.Workload != "poisson" || !strings.HasPrefix(sum.TraceHash, "sha256:") || sum.SLOMs != 10000 {
-		t.Errorf("plan provenance: %+v", sum)
-	}
-	for _, probeRow := range rep.Rows[:len(rep.Rows)-1] {
-		if probeRow.SLOMs != 10000 || probeRow.Threads < 1 || probeRow.SojournP99Ms <= 0 {
-			t.Errorf("probe row: %+v", probeRow)
-		}
-	}
-	// Bad flags fail loudly.
-	var out, errBuf bytes.Buffer
-	if err := Main([]string{"plan", "-workload", "poisson", "-slo", "10"}, &out, &errBuf); err == nil {
-		t.Error("plan without -rate accepted")
-	}
-	if err := Main([]string{"plan", "-workload", "poisson", "-rate", "1000"}, &out, &errBuf); err == nil {
-		t.Error("plan without -slo accepted")
-	}
-}
-
 // TestCalibrateJSON: calibrate reports a positive spin-unit cost with host
 // metadata in the standard report envelope.
 func TestCalibrateJSON(t *testing.T) {

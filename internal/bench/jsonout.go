@@ -107,8 +107,7 @@ type Row struct {
 	SojournP99Ms float64 `json:"sojourn_p99_ms,omitempty"`
 	QLenMean     float64 `json:"qlen_mean,omitempty"`
 
-	// Workload provenance (powerbench jobs / serve / record / replay /
-	// plan). Workload names the spec ("bursty", a file's spec name, …),
+	// Workload provenance (powerbench jobs / serve / record / replay). Workload names the spec ("bursty", a file's spec name, …),
 	// TraceHash the sha256 content identity of the generated or replayed
 	// trace — record→replay determinism compares it. ClassRate is a
 	// per-class row's offered arrival rate in jobs/second (total rate × the
@@ -119,15 +118,6 @@ type Row struct {
 	TraceHash string  `json:"trace_hash,omitempty"`
 	ClassRate float64 `json:"class_rate,omitempty"`
 
-	// Capacity-planning metrics (powerbench plan). SLOMs is the p99-sojourn
-	// target in milliseconds, PlanWorkers the smallest worker count meeting
-	// it, PlanFeasible whether any probed count did (a pointer so an
-	// infeasible `false` survives serialisation). Probe rows carry the usual
-	// serve metrics plus slo_ms.
-	SLOMs        float64 `json:"slo_ms,omitempty"`
-	PlanWorkers  int     `json:"plan_workers,omitempty"`
-	PlanFeasible *bool   `json:"plan_feasible,omitempty"`
-
 	// Calibration metrics (powerbench calibrate): the measured wall-time
 	// cost of one spin unit on this host, the constant behind every ρ↔λ
 	// conversion.
@@ -136,16 +126,6 @@ type Row struct {
 	// LockFails is the try-lock loss count summed over every worker handle
 	// of a throughput row (see core.HandleStats); absent when zero.
 	LockFails int64 `json:"lock_fails,omitempty"`
-
-	// Elastic-topology accounting (powerbench serve -elastic). Epochs is the
-	// queue's final topology version, Resizes the number of reconfigurations
-	// during the run, FinalQueues the queue count the controller left the
-	// structure at (non-zero whenever the controller was armed, even if it
-	// never fired). All absent on fixed-topology rows, which therefore stay
-	// byte-comparable with earlier BENCH_*.json files (EXPERIMENTS.md).
-	Epochs      uint64 `json:"epochs,omitempty"`
-	Resizes     int64  `json:"resizes,omitempty"`
-	FinalQueues int    `json:"final_queues,omitempty"`
 }
 
 // SetTopology copies a resolved topology into the row.

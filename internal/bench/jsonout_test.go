@@ -16,7 +16,6 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func floatPtr(f float64) *float64 { return &f }
 func intPtr(i int) *int           { return &i }
-func boolPtr(b bool) *bool        { return &b }
 
 // pinnedReport is a fully specified report — host included — so its JSON
 // rendering is byte-identical on every machine.
@@ -106,14 +105,6 @@ func pinnedReport() *Report {
 				SojournP50Ms: 0.5, SojournP99Ms: 9.125, Workload: "heavytail",
 				ClassRate: 150_000,
 			},
-			// A capacity-planning summary row: the smallest worker count whose
-			// p99 sojourn met the SLO. plan_feasible is a pointer so an
-			// explicit `false` (no probed count sufficed) survives.
-			{
-				Impl: "multiqueue", Workload: "bursty", Rate: 100_000,
-				SLOMs: 25, PlanWorkers: 4, PlanFeasible: boolPtr(true),
-				SojournP99Ms: 18.25,
-			},
 			// A calibration row: the host's measured spin-unit cost.
 			{
 				SpinNsPerUnit: 1.375,
@@ -178,19 +169,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if classRows != 3 {
 		t.Errorf("%d class rows survived the round trip, want 3", classRows)
-	}
-	// An explicit plan_feasible=true must be distinguishable from absent.
-	var planRows int
-	for _, row := range out.Rows {
-		if row.PlanFeasible != nil {
-			planRows++
-			if !*row.PlanFeasible {
-				t.Errorf("plan_feasible flipped in the round trip: %+v", row)
-			}
-		}
-	}
-	if planRows != 1 {
-		t.Errorf("%d plan rows survived the round trip, want 1", planRows)
 	}
 }
 

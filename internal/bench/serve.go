@@ -6,7 +6,6 @@ import (
 
 	"powerchoice/internal/jobs"
 	"powerchoice/internal/pqadapt"
-	"powerchoice/internal/sched"
 	"powerchoice/internal/workload"
 )
 
@@ -45,11 +44,6 @@ type ServeSpec struct {
 	Batch int
 	// Deadline optionally caps the injection window.
 	Deadline time.Duration
-	// Elastic arms the sampler-driven resize controller on the serving queue
-	// (sched.ElasticConfig): the topology grows/shrinks with the sampled
-	// backlog between MinQueues and MaxQueues. MultiQueue implementations
-	// only — Serve rejects the combination otherwise.
-	Elastic sched.ElasticConfig
 	// Seed fixes the generated trace and the queue's internal randomness.
 	Seed uint64
 }
@@ -74,10 +68,6 @@ type ServeResult struct {
 	// QLenMean is the exact time-average number of jobs in the system (see
 	// jobs.OpenResult.QLenMean).
 	QLenMean float64
-	// SojournP50Ms / SojournP99Ms are the pooled (all-class) sojourn
-	// percentiles — the numbers a capacity-planning SLO binds to.
-	SojournP50Ms float64
-	SojournP99Ms float64
 	// PerClass holds per-class sojourn (wait + service) percentiles.
 	PerClass []jobs.ClassStats
 	// Workload is the spec name of the run's trace. The trace's content
@@ -90,17 +80,8 @@ type ServeResult struct {
 	Trace *workload.Trace
 	// SpinNsPerUnit is the calibrated spin-unit cost used for ρ↔λ.
 	SpinNsPerUnit float64
-	// Topology records what the measured queue resolved to (its
-	// construction-time shape; see FinalQueues for where a resize left it).
+	// Topology records what the measured queue resolved to.
 	Topology pqadapt.Topology
-	// Elastic accounting, meaningful only when the controller was armed:
-	// Resizes counts reconfigurations during the run, Epochs is the final
-	// topology version, FinalQueues the final queue count (always non-zero
-	// when armed, so "armed but stable" is distinguishable from "not
-	// elastic").
-	Resizes     int64
-	Epochs      uint64
-	FinalQueues int
 }
 
 // ResolveTrace compiles the spec's workload into the trace Serve would run:
@@ -147,7 +128,6 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 		Workload:  tr,
 		Producers: spec.Producers,
 		Deadline:  spec.Deadline,
-		Elastic:   spec.Elastic,
 	}, q, spec.Threads, spec.Batch)
 	if err != nil {
 		return ServeResult{}, err
@@ -167,16 +147,11 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 		InvWaiting:    res.InvWaiting,
 		BufferedPops:  res.Stats.BufferedPops,
 		QLenMean:      res.QLenMean,
-		SojournP50Ms:  res.SojournP50Ms,
-		SojournP99Ms:  res.SojournP99Ms,
 		PerClass:      res.PerClass,
 		Workload:      tr.Spec.Name,
 		ClassRates:    classRates,
 		Trace:         tr,
 		SpinNsPerUnit: res.SpinNsPerUnit,
 		Topology:      topology,
-		Resizes:       res.Stats.Resizes,
-		Epochs:        res.Stats.Epochs,
-		FinalQueues:   res.Stats.FinalQueues,
 	}, nil
 }

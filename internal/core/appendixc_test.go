@@ -19,10 +19,10 @@ func TestAppendixCStalledLockHolderDegradesRank(t *testing.T) {
 		}
 		if stallTwoQueues {
 			// Simulate Appendix C's hung process holding two queue locks.
-			mq.snapshot().queues[0].lock.Lock()
-			mq.snapshot().queues[1].lock.Lock()
-			defer mq.snapshot().queues[0].lock.Unlock()
-			defer mq.snapshot().queues[1].lock.Unlock()
+			mq.queues[0].lock.Lock()
+			mq.queues[1].lock.Lock()
+			defer mq.queues[0].lock.Unlock()
+			defer mq.queues[1].lock.Unlock()
 		}
 		present := make([]bool, m)
 		for i := range present {

@@ -46,7 +46,6 @@ func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 	mq := h.mq
 	if mq.atomic {
 		mq.globalMu.Lock()
-		h.sel.refresh()
 		q := h.sel.sampleInsertQueue()
 		q.pushBatch(keys, vals)
 		mq.globalMu.Unlock()
@@ -55,7 +54,7 @@ func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 	}
 	q := h.sel.lockForInsert()
 	q.pushBatch(keys, vals)
-	q.unlock()
+	q.lock.Unlock()
 	h.inserts += int64(len(keys))
 }
 
@@ -96,7 +95,7 @@ func (h *Handle[V]) DeleteMinBatch(keys []uint64, vals []V, k int) int {
 		return 0
 	}
 	n := q.popBatch(keys, vals, k)
-	q.unlock()
+	q.lock.Unlock()
 	h.deletes += int64(n)
 	return n
 }

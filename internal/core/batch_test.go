@@ -53,15 +53,15 @@ func TestInsertBatchSingleQueue(t *testing.T) {
 	h := mq.Handle()
 	h.InsertBatch([]uint64{9, 3, 7, 5}, []int{0, 1, 2, 3})
 	nonEmpty := -1
-	for i := range mq.snapshot().queues {
-		if c := mq.snapshot().queues[i].dary.Len(); c > 0 {
+	for i := range mq.queues {
+		if c := mq.queues[i].dary.Len(); c > 0 {
 			if nonEmpty >= 0 {
 				t.Fatalf("batch spread over queues %d and %d", nonEmpty, i)
 			}
 			if c != 4 {
 				t.Fatalf("queue %d holds %d of 4", i, c)
 			}
-			if top := mq.snapshot().queues[i].top.Load(); top != 3 {
+			if top := mq.queues[i].top.Load(); top != 3 {
 				t.Fatalf("cached top %d, want batch min 3", top)
 			}
 			nonEmpty = i

@@ -101,12 +101,12 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 				return func(iters int) {
 					acc := 0
 					for i := 0; i < iters; i++ {
-						acc += s.rng.Intn(len(s.cur.queues))
+						acc += s.rng.Intn(len(s.queues))
 						if s.flipBeta() {
-							a, b := s.rng.TwoDistinct32(len(s.cur.queues))
+							a, b := s.rng.TwoDistinct32(len(s.queues))
 							acc += a + b
 						} else {
-							acc += s.rng.Intn(len(s.cur.queues))
+							acc += s.rng.Intn(len(s.queues))
 						}
 					}
 					budgetSink += uint64(acc)
@@ -119,17 +119,17 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 			Doc:   "sample's memory half: candidate indexing + cached-top loads + compare",
 			New: func() func(int) {
 				// The loads and compares the delete-side sample performs on its
-				// two candidates (queue-pointer indexing, two cached-top loads,
+				// two candidates (queue-array indexing, two cached-top loads,
 				// the winner compare), driven by rotating indices so the draws
 				// themselves stay out of the measurement.
 				mq, _, _ := prefilled()
-				qs := mq.snapshot().queues
+				qs := mq.queues
 				n := len(qs)
 				return func(iters int) {
 					var acc uint64
 					i, j := 0, 1
 					for it := 0; it < iters; it++ {
-						qi, qj := qs[i], qs[j]
+						qi, qj := &qs[i], &qs[j]
 						ti, tj := qi.top.Load(), qj.top.Load()
 						if ti <= tj {
 							budgetSinkQueue = qi
@@ -153,17 +153,17 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 		},
 		{
 			Name: "lock",
-			Doc:  "two uncontended TryLock acquisitions + retired-queue-aware releases",
+			Doc:  "two uncontended TryLock acquisitions + releases",
 			New: func() func(int) {
 				mq, _, _ := prefilled()
-				q := mq.snapshot().queues[0]
+				q := &mq.queues[0]
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						if q.lock.TryLock() {
-							q.unlock()
+							q.lock.Unlock()
 						}
 						if q.lock.TryLock() {
-							q.unlock()
+							q.lock.Unlock()
 						}
 					}
 				}
@@ -174,7 +174,7 @@ func BudgetProbes(queues, prefill int, seed uint64) ([]BudgetProbe, error) {
 			Doc:  "locked-queue push + popMin pair, including cached top upkeep",
 			New: func() func(int) {
 				mq, _, rng := prefilled()
-				q := mq.snapshot().queues[0]
+				q := &mq.queues[0]
 				// The total probe's prefill spreads over all queues; give this
 				// single queue the same occupancy the pair's pops see.
 				for q.dary.Len() < prefill/queues {

@@ -5,27 +5,27 @@ import (
 	"testing"
 )
 
-// FuzzHandleOps runs the input as a program of operations on one Handle and
-// checks every result against a multiset model of (key, id) pairs, where id
-// is the insert's sequence number and travels as the value. The first byte
-// picks the queue count (1 + low four bits) and atomic mode (bit 4). Each
-// later op byte's low three bits pick the operation and its upper five bits
-// its argument:
+// FuzzHandleOps runs the input as a program of operations on one Handle,
+// and on the MultiQueue's own pooled-handle methods, and checks every result
+// against a multiset model of (key, id) pairs, where id is the insert's
+// sequence number and travels as the value. The first byte picks the queue
+// count (1 + low four bits) and atomic mode (bit 4). Each later op byte's
+// low three bits pick the operation and its upper five bits its argument:
 //
 //	0, 1  Insert, key from the upper bits
 //	2     InsertBatch of 1–8 elements, keys from the upper bits of the next bytes
 //	3, 4  DeleteMin
 //	5, 6  DeleteMinBatch with k = 1–8
-//	7     MultiQueue.Resize to 1–16 queues
+//	7     the pooled-handle path: MultiQueue.Insert (key from the upper
+//	      bits) on an even argument, MultiQueue.DeleteMin on an odd one
 //
 // A key of 31 is MaxUint64, which Insert clamps to MaxUint64−1, and 30 is
 // MaxUint64−1 itself, so the model must apply the clamp and a clamped key
 // can tie with an unclamped one. Every pop must return a pair the model
 // holds, exactly once, and each batch's keys must ascend. On one goroutine
-// emptiness is exact: a pop fails if and only if the model is empty. A
-// Resize below Choices must be refused and leave the topology unchanged.
-// After every operation, Len and the handle's Inserts − Deletes must equal
-// the model's size.
+// emptiness is exact: a pop fails if and only if the model is empty. After
+// every operation, Len and the handle's Inserts − Deletes, plus the pooled
+// inserts less the pooled deletes, must equal the model's size.
 func FuzzHandleOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
@@ -36,7 +36,7 @@ func FuzzHandleOps(f *testing.F) {
 			t.Fatal(err)
 		}
 		h := mq.Handle()
-		choices := mq.Config().Choices
+		var pooled int64          // pooled-handle inserts − deletes
 		model := map[int]uint64{} // id → clamped key
 		ids := 0
 		insert := func(key uint64) (uint64, int) {
@@ -98,25 +98,25 @@ func FuzzHandleOps(f *testing.F) {
 					take(i, keys[j], vals[j])
 				}
 			case 7:
-				queues, epoch := mq.NumQueues(), mq.Epoch()
-				to := 1 + int(arg&15)
-				err := mq.Resize(to)
-				if (err != nil) != (to < choices) {
-					t.Fatalf("op %d: Resize(%d) with %d choices returned %v", i, to, choices, err)
-				}
-				if err != nil && (mq.NumQueues() != queues || mq.Epoch() != epoch) {
-					t.Fatalf("op %d: refused Resize(%d) moved %d queues at epoch %d to %d at %d",
-						i, to, queues, epoch, mq.NumQueues(), mq.Epoch())
-				}
-				if err == nil && mq.NumQueues() != to {
-					t.Fatalf("op %d: Resize(%d) left %d queues", i, to, mq.NumQueues())
+				if arg%2 == 0 {
+					mq.Insert(insert(fuzzKey(arg)))
+					pooled++
+				} else {
+					key, id, ok := mq.DeleteMin()
+					if ok != (len(model) > 0) {
+						t.Fatalf("op %d: pooled DeleteMin ok=%v with %d modelled", i, ok, len(model))
+					}
+					if ok {
+						take(i, key, id)
+						pooled--
+					}
 				}
 			}
 			if got := mq.Len(); got != len(model) {
 				t.Fatalf("op %d: Len %d, model %d", i, got, len(model))
 			}
-			if st := h.Stats(); st.Inserts-st.Deletes != int64(len(model)) {
-				t.Fatalf("op %d: Inserts−Deletes = %d−%d, model %d", i, st.Inserts, st.Deletes, len(model))
+			if st := h.Stats(); st.Inserts-st.Deletes+pooled != int64(len(model)) {
+				t.Fatalf("op %d: Inserts−Deletes = %d−%d plus %d pooled, model %d", i, st.Inserts, st.Deletes, pooled, len(model))
 			}
 		}
 	})

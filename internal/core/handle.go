@@ -60,7 +60,6 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 	mq := h.mq
 	if mq.atomic {
 		mq.globalMu.Lock()
-		h.sel.refresh()
 		q := h.sel.sampleInsertQueue()
 		q.push(key, value)
 		mq.globalMu.Unlock()
@@ -69,7 +68,7 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 	}
 	q := h.sel.lockForInsert()
 	q.push(key, value)
-	q.unlock()
+	q.lock.Unlock()
 	h.inserts++
 }
 
@@ -98,7 +97,7 @@ func (h *Handle[V]) DeleteMin() (uint64, V, bool) {
 		return 0, zero, false
 	}
 	it, _ := q.popMin()
-	q.unlock()
+	q.lock.Unlock()
 	h.deletes++
 	return it.Key, it.Value, true
 }

@@ -21,12 +21,11 @@ type (
 // BenchmarkTryLockContended pins the single-CAS choice). Unlock is one plain
 // store.
 //
-// Lock is the blocking path for the few callers that must wait on one
-// particular queue — Len, Resize's close loop and the retired-queue drain,
-// all cold. It spins on the word with the shared backoff, which yields to
-// the scheduler after a few failures, so a waiter cannot starve the holder
-// even at GOMAXPROCS=1. Waiters are not ordered; none of those callers needs
-// FIFO hand-off.
+// Lock is the blocking path for a caller that must wait on one particular
+// queue — only Len, a cold path. It spins on the word with the shared
+// backoff, which yields to the scheduler after a few failures, so a waiter
+// cannot starve the holder even at GOMAXPROCS=1. Waiters are not ordered;
+// Len needs no FIFO hand-off.
 type queuedLock struct {
 	// v is the lock word: 0 free, 1 held.
 	v atomic.Uint32

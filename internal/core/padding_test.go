@@ -7,8 +7,8 @@ import (
 	"powerchoice/internal/analysis"
 )
 
-// TestLockedQueuePaddedToCacheLinePair: each queue in a topology snapshot must
-// occupy its own cache-line multiple — two lines by default, so neither
+// TestLockedQueuePaddedToCacheLinePair: each queue in the MultiQueue's array
+// must occupy its own cache-line multiple — two lines by default, so neither
 // direct false sharing nor the adjacent-cache-line prefetcher couples
 // neighbouring queues' hot words (lock, cached top, heap slice headers). The
 // expected size is read from the //powervet:cacheline annotation on

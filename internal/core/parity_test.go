@@ -64,9 +64,9 @@ func nextPair(h *Handle[int]) (int, int) {
 // fillExcept pushes one element with the given key onto every queue not in
 // skip, so any draw that avoids the arranged obstacle completes.
 func fillExcept(mq *MultiQueue[int], key uint64, skip ...int) {
-	for i, q := range mq.snapshot().queues {
+	for i := range mq.queues {
 		if !slices.Contains(skip, i) {
-			q.push(key, int(key))
+			mq.queues[i].push(key, int(key))
 		}
 	}
 }
@@ -74,7 +74,7 @@ func fillExcept(mq *MultiQueue[int], key uint64, skip ...int) {
 // holdLock takes queue i's lock for the duration of the operation.
 func holdLock(t *testing.T, mq *MultiQueue[int], i int) func() {
 	t.Helper()
-	q := mq.snapshot().queues[i]
+	q := &mq.queues[i]
 	if !q.lock.TryLock() {
 		t.Fatalf("could not take queue %d's lock", i)
 	}
@@ -115,7 +115,7 @@ func TestSingleAndBatchObstacleAccountingParity(t *testing.T) {
 			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
 				i, _ := nextPair(h)
 				fillExcept(mq, 9, i)
-				mq.snapshot().queues[i].push(1, 1) // the lower top wins the pair
+				mq.queues[i].push(1, 1) // the lower top wins the pair
 				return holdLock(t, mq, i)
 			},
 		},
@@ -125,7 +125,7 @@ func TestSingleAndBatchObstacleAccountingParity(t *testing.T) {
 			arrange: func(t *testing.T, mq *MultiQueue[int], h *Handle[int]) func() {
 				i, _ := nextPair(h)
 				fillExcept(mq, 9, i)
-				mq.snapshot().queues[i].top.Store(3) // stale: the heap is empty
+				mq.queues[i].top.Store(3) // stale: the heap is empty
 				return nil
 			},
 		},

@@ -17,13 +17,10 @@ import (
 // nothing here allocates or closes over anything.
 type selector[V any] struct {
 	mq *MultiQueue[V]
-	// cur is the topology snapshot this handle's current operation resolves
-	// through, loaded once per operation (refresh). Snapshots are immutable,
-	// so a changed pointer is a changed epoch. Between refreshes it may go
-	// stale by at most one in-flight op's worth of work; the drain contract
-	// of Resize covers exactly that window.
-	cur *topology[V]
-	rng *xrand.Source
+	// queues is the MultiQueue's fixed queue set, copied at init so a draw
+	// indexes the array from the selector's own cache lines.
+	queues []lockedQueue[V]
+	rng    *xrand.Source
 	// plan is the MultiQueue's compiled sampling plan, copied by value at
 	// init so the hot path reads the coin kind and integer threshold from
 	// the selector's own cache lines instead of chasing mq per draw.
@@ -39,15 +36,7 @@ func (s *selector[V]) init(mq *MultiQueue[V], id int) {
 	s.mq = mq
 	s.rng = mq.sharded.Source(id)
 	s.plan = mq.plan
-	s.cur = mq.topo.Load()
-}
-
-// refresh adopts the live topology snapshot at the top of an operation: one
-// atomic pointer load into the selector's own cache line.
-//
-//powervet:hotpath
-func (s *selector[V]) refresh() {
-	s.cur = s.mq.topo.Load()
+	s.queues = mq.queues
 }
 
 // flipBeta flips the β coin of the (1+β) rule: true applies the two-choice
@@ -73,11 +62,11 @@ func (s *selector[V]) flipBeta() bool {
 //
 //powervet:hotpath
 func (s *selector[V]) sampleInsertQueue() *lockedQueue[V] {
-	return s.cur.queues[s.rng.Intn(len(s.cur.queues))]
+	return &s.queues[s.rng.Intn(len(s.queues))]
 }
 
 // sampleDeleteQueue applies the (1+β) rule's deletion draw over the
-// snapshot's queues: one uniform queue, or under useChoice (only ever true at
+// queues: one uniform queue, or under useChoice (only ever true at
 // d = 2) the better-topped of two distinct ones. It returns nil when every
 // candidate's cached top reads empty. useChoice is the β coin's outcome,
 // flipped by the caller — once per operation on the lock-free path, once per
@@ -86,10 +75,10 @@ func (s *selector[V]) sampleInsertQueue() *lockedQueue[V] {
 //
 //powervet:hotpath
 func (s *selector[V]) sampleDeleteQueue(useChoice bool) *lockedQueue[V] {
-	queues := s.cur.queues
+	queues := s.queues
 	n := len(queues)
 	if !useChoice {
-		q := queues[s.rng.Intn(n)]
+		q := &queues[s.rng.Intn(n)]
 		if q.top.Load() == emptyTop {
 			return nil
 		}
@@ -101,7 +90,7 @@ func (s *selector[V]) sampleDeleteQueue(useChoice bool) *lockedQueue[V] {
 	} else {
 		i, j = s.rng.TwoDistinct(n)
 	}
-	qi, qj := queues[i], queues[j]
+	qi, qj := &queues[i], &queues[j]
 	ti, tj := qi.top.Load(), qj.top.Load()
 	if ti == emptyTop && tj == emptyTop {
 		return nil
@@ -120,7 +109,6 @@ func (s *selector[V]) sampleDeleteQueue(useChoice bool) *lockedQueue[V] {
 //powervet:hotpath
 //powervet:locks result.lock
 func (s *selector[V]) lockForInsert() *lockedQueue[V] {
-	s.refresh()
 	var bo backoff.Spinner
 	for {
 		q := s.sampleInsertQueue()
@@ -147,7 +135,6 @@ func (s *selector[V]) lockForInsert() *lockedQueue[V] {
 //powervet:hotpath
 //powervet:locks result.lock
 func (s *selector[V]) lockNonEmptyQueue() *lockedQueue[V] {
-	s.refresh()
 	// The β coin is flipped once per operation, not once per loop iteration:
 	// retries here are lock-contention and stale-top artifacts of this
 	// implementation, not deletions of the paper's process, so re-flipping
@@ -161,16 +148,9 @@ func (s *selector[V]) lockNonEmptyQueue() *lockedQueue[V] {
 		q := s.sampleDeleteQueue(useChoice)
 		if q == nil {
 			// All sampled tops empty: sweep every queue before declaring
-			// the structure empty. A Resize that swapped the topology
-			// mid-operation can make the *old* snapshot read empty while the
-			// drain moved everything to new queues — adopt the live
-			// snapshot before giving up.
+			// the structure empty.
 			s.emptyScans++
-			if t := s.mq.topo.Load(); t != s.cur {
-				s.cur = t
-				continue
-			}
-			if !s.cur.anyNonEmpty() {
+			if !anyNonEmpty(s.queues) {
 				return nil
 			}
 			bo.Spin()
@@ -185,7 +165,7 @@ func (s *selector[V]) lockNonEmptyQueue() *lockedQueue[V] {
 			return q
 		}
 		q.emptyUnderLock()
-		q.unlock()
+		q.lock.Unlock()
 		s.emptyScans++
 	}
 }
@@ -204,13 +184,9 @@ func (s *selector[V]) lockNonEmptyAtomic() *lockedQueue[V] {
 	var bo backoff.Spinner
 	for {
 		mq.globalMu.Lock()
-		// Refresh under the global lock: atomic-mode Resize swaps the
-		// snapshot while holding it, so the view adopted here is stable for
-		// the whole critical section.
-		s.refresh()
 		q := s.sampleDeleteQueue(s.flipBeta())
 		if q == nil {
-			empty := !s.cur.anyNonEmpty()
+			empty := !anyNonEmpty(s.queues)
 			mq.globalMu.Unlock()
 			s.emptyScans++
 			if empty {

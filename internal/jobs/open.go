@@ -36,11 +36,6 @@ type OpenSpec struct {
 	Producers int
 	// Deadline optionally stops injection early (see sched.OpenConfig).
 	Deadline time.Duration
-	// Elastic arms the executor's sampler-driven resize controller
-	// (sched.ElasticConfig). Requires a queue that supports online resize
-	// (sched.Resizable — the MultiQueue adapters); RunOpen rejects the
-	// combination otherwise rather than silently running fixed-topology.
-	Elastic sched.ElasticConfig
 }
 
 // OpenResult reports one open-system run.
@@ -132,11 +127,6 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 	if tr == nil || tr.Jobs() < 1 {
 		return OpenResult{}, fmt.Errorf("jobs: open run needs a non-empty workload trace")
 	}
-	if spec.Elastic.Enable {
-		if _, ok := q.(sched.Resizable); !ok {
-			return OpenResult{}, fmt.Errorf("jobs: elastic topology requested but the queue does not support online resize")
-		}
-	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -186,7 +176,6 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 		Producers: spec.Producers,
 		Schedule:  tr.ArrivalNs,
 		Deadline:  spec.Deadline,
-		Elastic:   spec.Elastic,
 	}, gen, task)
 	elapsed := time.Since(start)
 

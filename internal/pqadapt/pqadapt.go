@@ -188,21 +188,15 @@ func (a *mqAdapter) DeleteMin() (uint64, int32, bool) {
 }
 func (a *mqAdapter) Len() int { return a.mq.Len() }
 
-// Resizable (see sched.Resizable): the MultiQueue's epoch-based online
-// resize, exposed so the open-system executor's elastic controller can
-// reconfigure the line-up's MultiQueue entries under live traffic.
+// The sched.Resizable stubs (see there): the queue set is fixed at
+// construction, so only NumQueues reports anything.
 func (a *mqAdapter) NumQueues() int { return a.mq.NumQueues() }
-func (a *mqAdapter) Epoch() uint64  { return a.mq.Epoch() }
-func (a *mqAdapter) Resizes() int64 { return a.mq.Resizes() }
+func (a *mqAdapter) Epoch() uint64  { return 0 }
+func (a *mqAdapter) Resizes() int64 { return 0 }
 
-// Resize resizes the MultiQueue to queues. The MultiQueue has no shard
-// partition, so a request for shards > 1 is an error rather than silently
-// dropped; 0 and 1 both mean unsharded.
+// Resize always fails: the MultiQueue's queue set is fixed at construction.
 func (a *mqAdapter) Resize(queues, shards int) error {
-	if shards > 1 {
-		return fmt.Errorf("pqadapt: resize to %d shards; the MultiQueue is unsharded", shards)
-	}
-	return a.mq.Resize(queues)
+	return fmt.Errorf("pqadapt: resize to %d queues: the MultiQueue's queue set is fixed at construction", queues)
 }
 
 // Local returns a handle-backed per-goroutine view.

@@ -41,9 +41,6 @@ type OpenConfig struct {
 	// therefore by every arrival served or by deadline, never by the queue
 	// looking empty.
 	Deadline time.Duration
-	// Elastic arms the sampler-driven resize controller (see ElasticConfig).
-	// Effective only when the queue implements Resizable.
-	Elastic ElasticConfig
 }
 
 // OpenStats reports an open-system run: the executor's work counters plus
@@ -55,15 +52,6 @@ type OpenStats struct {
 	// return, Processed + Stale == Injected + Pushed (no in-flight or
 	// batch-buffered item is lost at shutdown).
 	Injected int64
-	// Elastic-controller accounting, populated only when the controller was
-	// armed (Elastic.Enable on a Resizable queue): Resizes counts
-	// reconfigurations during this run, Epochs is the queue's final
-	// topology version, and FinalQueues its final queue count — FinalQueues
-	// is always non-zero when the controller was armed, so harnesses can
-	// distinguish "armed but stable" from "not elastic".
-	Resizes     int64
-	Epochs      uint64
-	FinalQueues int
 }
 
 // RunOpen runs an open system: cfg.Producers goroutines inject the items
@@ -82,13 +70,11 @@ type OpenStats struct {
 // items sit in worker-local batch buffers: pending == 0 implies every
 // buffer is empty and every injected item was served. Workers here run
 // with a credit cap of 0 (see the package doc): every push and every
-// finished item updates pending at once, so the pending count the elastic
-// controller and the producers' pacing (waitStep) read is exact at any
-// batch size.
+// finished item updates pending at once, so the pending count the
+// producers' pacing (waitStep) reads is exact at any batch size.
 //
-// The run starts cfg.Producers producers and cfg.Workers workers, plus one
-// sampler goroutine only while the elastic controller is armed: the
-// sampler is the controller's clock, and nothing else reads it.
+// The run starts cfg.Producers producers and cfg.Workers workers, and no
+// other goroutine.
 func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task Task[V]) OpenStats {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -155,21 +141,6 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 		}(p)
 	}
 
-	// The elastic controller's sampler, only while the controller is armed.
-	var ctrl *elasticController
-	if r, ok := q.(Resizable); ok && cfg.Elastic.Enable {
-		ctrl = newElasticController(r, cfg.Elastic)
-	}
-	samplerStop := make(chan struct{})
-	var samplerWG sync.WaitGroup
-	if ctrl != nil {
-		samplerWG.Add(1)
-		go func() {
-			defer samplerWG.Done()
-			ctrl.run(start, &pending, samplerStop)
-		}()
-	}
-
 	// Workers: the shared workerLoop with open-system termination and idle
 	// behavior. Termination: the producersDone load happens before the
 	// pending load — done is set only after every producer's final
@@ -192,19 +163,11 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 	prodWG.Wait()
 	producersDone.Store(true)
 	workWG.Wait()
-	close(samplerStop)
-	samplerWG.Wait()
 
-	st := OpenStats{
+	return OpenStats{
 		Stats:    tot.stats(),
 		Injected: injected.Load(),
 	}
-	if ctrl != nil {
-		st.Resizes = ctrl.r.Resizes() - ctrl.baseResizes
-		st.Epochs = ctrl.r.Epoch()
-		st.FinalQueues = ctrl.r.NumQueues()
-	}
-	return st
 }
 
 // The producer's wait for an arrival's due instant has three stretches.
@@ -218,8 +181,7 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(seq int) Item[V], task 
 // one P that ping-pong, about 150 ns a round trip, is what made arrivals
 // late. spinWindow is about four such round trips, long enough to catch
 // the due instant and short enough that one producer keeps other
-// producers, the elastic controller's sampler and the collector off the P
-// for at most 2 µs per arrival.
+// producers and the collector off the P for at most 2 µs per arrival.
 const (
 	yieldWindow = 100 * time.Microsecond
 	spinWindow  = 2 * time.Microsecond
@@ -261,38 +223,6 @@ func sleepUntil(start time.Time, target time.Duration, pending *atomic.Int64) ti
 		case waitSleep:
 			time.Sleep(remaining - yieldWindow)
 		case waitYield:
-			runtime.Gosched()
-		}
-	}
-}
-
-// sampleWait waits for the sampler's instant due since start as sleepUntil
-// waits for an arrival, but never spins: a sample needs no better than a
-// yield's precision, and a spinning sampler would keep a producer off the
-// P. Its sleep races a timer against stop, so a run's end never waits out
-// a sampling period. It returns the elapsed time it last read, and false
-// once stop is closed.
-func sampleWait(start time.Time, due time.Duration, stop <-chan struct{}) (time.Duration, bool) {
-	for {
-		elapsed := time.Since(start)
-		remaining := due - elapsed
-		if remaining <= 0 {
-			return elapsed, true
-		}
-		if remaining > yieldWindow {
-			t := time.NewTimer(remaining - yieldWindow)
-			select {
-			case <-t.C:
-				continue
-			case <-stop:
-				t.Stop()
-				return elapsed, false
-			}
-		}
-		select {
-		case <-stop:
-			return elapsed, false
-		default:
 			runtime.Gosched()
 		}
 	}

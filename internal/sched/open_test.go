@@ -176,40 +176,6 @@ func TestRunOpenDeadlineNotOvershotAtLowRate(t *testing.T) {
 	}
 }
 
-// TestRunOpenSamplesQueueLength: an armed elastic controller's sampler
-// reads the queue length and drives resizes. Its band sits above any
-// backlog 3000 jobs can make, so every sample counts toward a shrink, and a
-// run long enough for a window of samples must resize the 8-queue
-// MultiQueue at least once, within [MinQueues, 8].
-func TestRunOpenSamplesQueueLength(t *testing.T) {
-	const jobs = 3000
-	q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: pqadapt.ImplMultiQueue, Queues: 8, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := func(i int) sched.Item[int32] {
-		return sched.Item[int32]{Key: uint64(i), Value: int32(i)}
-	}
-	task := func(_ uint64, _ int32, _ func(uint64, int32)) bool { return true }
-	st := sched.RunOpen[int32](q, sched.OpenConfig{
-		Workers: 1, Producers: 1, Schedule: evenSchedule(jobs, 100000),
-		Elastic: sched.ElasticConfig{
-			Enable: true, MinQueues: 2, HighWater: 2 * jobs, LowWater: jobs,
-		},
-	}, gen, task)
-	// 3000 jobs at 100k/s is a ≥30ms run: many 1ms samples, and a shrink
-	// after every window of three.
-	if st.Resizes < 1 {
-		t.Fatalf("armed controller never resized: %+v", st)
-	}
-	if st.FinalQueues < 2 || st.FinalQueues > 8 || st.Epochs != uint64(st.Resizes) {
-		t.Fatalf("final queues %d, epoch %d after %d resizes", st.FinalQueues, st.Epochs, st.Resizes)
-	}
-	if st.Injected != jobs || st.Processed != jobs {
-		t.Fatalf("injected %d processed %d, want %d", st.Injected, st.Processed, jobs)
-	}
-}
-
 // TestRunOpenPacingRoughlyMatchesRate: over a run long enough to average
 // out, the achieved injection rate must be within a factor of two of the
 // schedule's rate (scheduling jitter allowed; systematic error not).

@@ -15,8 +15,8 @@
 // of entries pushed (or seeded) but not yet handled, reads 0 only when every
 // entry is handled, and over-counts by at most cap × workers: k−1 per worker
 // in RunConfig (0 when unbatched, where every push and finished entry
-// updates pending at once), and 0 in RunOpen, whose producers and elastic
-// controller read pending as the number of items in the system.
+// updates pending at once), and 0 in RunOpen, whose producers read pending
+// as the number of items in the system.
 //
 // This is the execution pattern the paper's Figure 3 argument rests on:
 // label-correcting workloads tolerate a relaxed pop order because stale
@@ -81,6 +81,19 @@ type WorkerLocal[V any] interface {
 // worker keeps popping until global termination.
 type Flusher interface {
 	Flush()
+}
+
+// Resizable is a declaration-only seam: nothing in this module calls it.
+// perfbench's pass-through view forwards these four methods and must keep
+// exactly the optional interfaces of the adapter it wraps, so the
+// MultiQueue adapter keeps them as stubs until perfbench drops the
+// forwarding. The queue set is fixed at construction: NumQueues reports
+// it, Resize always fails, and Epoch and Resizes read 0.
+type Resizable interface {
+	NumQueues() int
+	Resize(queues, shards int) error
+	Epoch() uint64
+	Resizes() int64
 }
 
 // Item is one (key, value) work unit.

@@ -49,27 +49,3 @@ func TestSleepUntilReturnsElapsed(t *testing.T) {
 		}
 	}
 }
-
-// TestSampleWait: the sampler's wait returns the elapsed time it last read,
-// past its instant, and gives up as soon as stop is closed, even in the
-// middle of a long sleep.
-func TestSampleWait(t *testing.T) {
-	start := time.Now()
-	const due = 150 * time.Microsecond
-	got, ok := sampleWait(start, due, make(chan struct{}))
-	if after := time.Since(start); !ok || got < due || got > after {
-		t.Errorf("sampleWait returned %v, %v; want true within [%v, %v]", got, ok, due, after)
-	}
-	stop := make(chan struct{})
-	go func() {
-		time.Sleep(time.Millisecond)
-		close(stop)
-	}()
-	start = time.Now()
-	if _, ok := sampleWait(start, time.Hour, stop); ok {
-		t.Error("sampleWait reached an instant an hour away")
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Errorf("sampleWait took %v to see stop closed", waited)
-	}
-}

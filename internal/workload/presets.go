@@ -46,8 +46,8 @@ var presets = []Spec{
 		},
 	},
 	// poisson: homogeneous Poisson arrivals and four equally weighted
-	// classes of uniform service — powerbench serve's, record's and plan's
-	// default workload.
+	// classes of uniform service — powerbench serve's and record's default
+	// workload.
 	{
 		Name:    "poisson",
 		Arrival: ArrivalSpec{Process: ArrivalPoisson},

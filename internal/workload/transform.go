@@ -6,8 +6,8 @@ import (
 	"powerchoice/internal/xrand"
 )
 
-// Trace transforms: re-ask a recorded trace's plan question at a different
-// load without regenerating it. ScaleRate compresses or stretches the
+// Trace transforms: replay a recorded trace at a different load without
+// regenerating it. ScaleRate compresses or stretches the
 // arrival schedule (same jobs, same order, different rate); Thin keeps each
 // job independently with probability p (a Bernoulli subsample — thinning a
 // Poisson process of rate λ yields a Poisson process of rate p·λ, and the
@@ -24,8 +24,8 @@ const thinSeedTag = "workload.thin"
 // ScaleRate returns a copy of the trace with every arrival instant divided
 // by f and the recorded rate multiplied by f: f > 1 compresses the schedule
 // (higher load), f < 1 stretches it. Classes and service times are
-// untouched, so the job population — and any plan question about it — is
-// identical; only the offered load moves.
+// untouched, so the job population is identical; only the offered load
+// moves.
 func (tr *Trace) ScaleRate(f float64) (*Trace, error) {
 	if f <= 0 {
 		return nil, fmt.Errorf("workload: rate scale factor %v, need > 0", f)

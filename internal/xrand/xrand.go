@@ -208,7 +208,7 @@ func (s *Source) TwoDistinct32(n int) (int, int) {
 // p >= 1 maps to MaxUint64, which is true except on the single all-ones draw
 // (probability 2⁻⁶⁴) — callers that need a certain coin should branch on
 // p >= 1 at plan-build time instead of drawing at all, as the core draw plan
-// does. The threshold is precomputed once (construction, snapshot build), so
+// does. The threshold is precomputed once, at construction, so
 // the per-draw cost is one generator advance and one integer compare — no
 // float conversion, unlike Bernoulli's Float64() < p.
 func CoinThreshold(p float64) uint64 {

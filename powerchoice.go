@@ -57,8 +57,7 @@ func (q *MultiQueue[V]) Insert(key uint64, value V) { q.inner.Insert(key, value)
 // DeleteMin removes an element of relaxed minimum priority. It returns
 // ok=false when a sweep of every internal queue finds them all empty.
 // Emptiness is relaxed: an insert that has not yet taken its queue lock can
-// be missed, and a DeleteMin racing a Resize can report empty once, for
-// example while a drain batch is between queues.
+// be missed.
 func (q *MultiQueue[V]) DeleteMin() (key uint64, value V, ok bool) {
 	return q.inner.DeleteMin()
 }
@@ -69,24 +68,8 @@ func (q *MultiQueue[V]) DeleteMin() (key uint64, value V, ok bool) {
 // exact when no operation is in flight.
 func (q *MultiQueue[V]) Len() int { return q.inner.Len() }
 
-// NumQueues returns the internal queue count n of the live topology (it
-// tracks Resize).
+// NumQueues returns the internal queue count n, fixed at construction.
 func (q *MultiQueue[V]) NumQueues() int { return q.inner.NumQueues() }
-
-// Resize reconfigures the internal topology online to the given queue
-// count: operations keep running while the queue set grows or shrinks,
-// retired queues drain their elements into survivors exactly once, and
-// handles adopt the new topology on their next operation. The queue count
-// must stay at or above Config().Choices, the two queues a choice-deletion
-// samples (one on a structure built with fewer than three queues).
-func (q *MultiQueue[V]) Resize(queues int) error { return q.inner.Resize(queues) }
-
-// Epoch returns the live topology version: 0 at construction, +1 per
-// completed Resize.
-func (q *MultiQueue[V]) Epoch() uint64 { return q.inner.Epoch() }
-
-// Resizes returns the number of completed Resize calls.
-func (q *MultiQueue[V]) Resizes() int64 { return q.inner.Resizes() }
 
 // Config reports the fully resolved configuration — including the queue
 // count actually derived on this machine — so callers can log what ran.
