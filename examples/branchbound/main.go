@@ -4,10 +4,10 @@
 //
 // Subproblems are explored best-first by upper bound from a (1+β)
 // MultiQueue, driven by the generic sched executor — the same worker loop
-// that runs parallel SSSP and A*. Because branch-and-bound tolerates
-// out-of-order exploration — worse nodes are pruned by the incumbent — the
-// relaxed queue yields the exact optimum while letting all workers expand
-// nodes concurrently.
+// that runs parallel SSSP and the job server. Because branch-and-bound
+// tolerates out-of-order exploration — worse nodes are pruned by the
+// incumbent — the relaxed queue yields the exact optimum while letting all
+// workers expand nodes concurrently.
 //
 // Run with: go run ./examples/branchbound
 package main

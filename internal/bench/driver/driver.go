@@ -1,9 +1,7 @@
 // Package driver implements the powerbench command line: one portable
-// benchmark driver with throughput, rank, sweep, sssp, astar, jobs, serve,
-// record, replay and calibrate subcommands, emitting aligned tables,
-// CSV, or machine-readable JSON reports (see bench.Report) from the same
-// measured results. (The legacy mqbench, rankbench and ssspbench wrappers
-// forwarded here until their removal; invoke powerbench directly.)
+// benchmark driver whose subcommands (usageText lists them) emit aligned
+// tables, CSV, or machine-readable JSON reports (see bench.Report) from the
+// same measured results.
 package driver
 
 import (
@@ -31,17 +29,17 @@ Subcommands:
   rank         rank quality of named implementations at a fixed topology
   sweep        rank quality of the (1+β) MultiQueue swept over β (Figure 2)
   sssp         parallel single-source shortest paths timing (Figure 3)
-  astar        parallel A* on an implicit obstacle grid (non-monotone keys)
   jobs         priority job-server drain of a workload trace (-workload,
                default poisson): inversions + per-class latency
-  serve        open-system job server: a workload trace at target utilization
-               rho, per-class sojourn p50/p99 + mean number in system
-               (-workload picks the spec, default the 4-class poisson
-               preset: bursty/onoff/diurnal arrivals, heavy-tailed service
-               laws)
+  serve        open-system job server: one workload trace at one arrival
+               rate (-rate, default 100000 jobs/s), per-class sojourn
+               p50/p99 + mean number in system (-workload picks the spec,
+               default the 4-class poisson preset: bursty/onoff/diurnal
+               arrivals, heavy-tailed service laws)
   record       compile a workload spec into a replayable trace file
   replay       re-run a recorded trace through any implementation line-up
-  calibrate    print the host's spin-unit cost (the rho <-> rate constant)
+  calibrate    print the host's spin-unit cost, which turns service units
+               into wall time and so into the rho serve and replay report
   help         print this message
 
 Every subcommand accepts -csv (CSV instead of an aligned table), -json
@@ -54,6 +52,19 @@ so results stay interpretable across machines.
 Run 'powerbench <subcommand> -h' for the subcommand's flags.
 `
 
+// subcommands maps each subcommand usageText lists to its runner.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"throughput": runThroughput,
+	"rank":       runRank,
+	"sweep":      runSweep,
+	"sssp":       runSSSP,
+	"jobs":       runJobs,
+	"serve":      runServe,
+	"record":     runRecord,
+	"replay":     runReplay,
+	"calibrate":  runCalibrate,
+}
+
 // Main dispatches a powerbench invocation. args excludes the binary name.
 func Main(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
@@ -61,27 +72,10 @@ func Main(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no subcommand")
 	}
 	sub, rest := args[0], args[1:]
+	if run, ok := subcommands[sub]; ok {
+		return run(rest, stdout, stderr)
+	}
 	switch sub {
-	case "throughput":
-		return runThroughput(rest, stdout, stderr)
-	case "rank":
-		return runRank(rest, stdout, stderr)
-	case "sweep":
-		return runSweep(rest, stdout, stderr)
-	case "sssp":
-		return runSSSP(rest, stdout, stderr)
-	case "astar":
-		return runAStar(rest, stdout, stderr)
-	case "jobs":
-		return runJobs(rest, stdout, stderr)
-	case "serve":
-		return runServe(rest, stdout, stderr)
-	case "record":
-		return runRecord(rest, stdout, stderr)
-	case "replay":
-		return runReplay(rest, stdout, stderr)
-	case "calibrate":
-		return runCalibrate(rest, stdout, stderr)
 	case "help", "-h", "--help":
 		fmt.Fprint(stdout, usageText)
 		return nil

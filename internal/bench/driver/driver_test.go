@@ -41,8 +41,11 @@ func TestMainDispatch(t *testing.T) {
 	if err := Main(nil, &out, &errBuf); err == nil {
 		t.Error("no subcommand accepted")
 	}
-	if err := Main([]string{"bogus"}, &out, &errBuf); err == nil {
-		t.Error("unknown subcommand accepted")
+	for _, sub := range []string{"bogus", "astar"} {
+		if err := Main([]string{sub}, &out, &errBuf); err == nil ||
+			!strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%s: want an unknown-subcommand error, got %v", sub, err)
+		}
 	}
 	out.Reset()
 	if err := Main([]string{"help"}, &out, &errBuf); err != nil {
@@ -54,7 +57,7 @@ func TestMainDispatch(t *testing.T) {
 }
 
 func TestRankJSONReportsResolvedTopology(t *testing.T) {
-	stdout, _ := runMain(t, append([]string{"rank"}, shortRankArgs("-impl", "multiqueue", "-json")...)...)
+	stdout, _ := runMain(t, append([]string{"rank"}, shortRankArgs("-impls", "multiqueue", "-json")...)...)
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
@@ -83,7 +86,7 @@ func TestRankJSONReportsResolvedTopology(t *testing.T) {
 }
 
 func TestRankJSONDeterministicUnderFixedSeed(t *testing.T) {
-	args := append([]string{"rank"}, shortRankArgs("-impl", "multiqueue", "-json")...)
+	args := append([]string{"rank"}, shortRankArgs("-impls", "multiqueue", "-json")...)
 	first, _ := runMain(t, args...)
 	second, _ := runMain(t, args...)
 	if first != second {
@@ -97,7 +100,7 @@ func TestRankJSONDeterministicUnderFixedSeed(t *testing.T) {
 func TestRankTableMatchesJSON(t *testing.T) {
 	outFile := filepath.Join(t.TempDir(), "rank.json")
 	stdout, _ := runMain(t, append([]string{"rank"},
-		shortRankArgs("-impl", "multiqueue", "-out", outFile)...)...)
+		shortRankArgs("-impls", "multiqueue", "-out", outFile)...)...)
 	b, err := os.ReadFile(outFile)
 	if err != nil {
 		t.Fatal(err)
@@ -152,18 +155,6 @@ func TestSweepJSONCarriesBetaZero(t *testing.T) {
 	}
 }
 
-func TestSweepLegacyBetasAlias(t *testing.T) {
-	stdout, _ := runMain(t, append([]string{"sweep"},
-		shortRankArgs("-betas", "1", "-json")...)...)
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 || rep.Rows[0].Beta == nil || *rep.Rows[0].Beta != 1 {
-		t.Errorf("legacy -betas alias broken: %+v", rep.Rows)
-	}
-}
-
 func TestThroughputJSON(t *testing.T) {
 	stdout, _ := runMain(t, "throughput",
 		"-impls", "multiqueue", "-threads", "1", "-duration", "10ms",
@@ -203,28 +194,6 @@ func TestSSSPJSONAndCSV(t *testing.T) {
 	csvOut, _ := runMain(t, append(args, "-csv")...)
 	if !strings.HasPrefix(csvOut, "impl,threads,ms,speedup_vs_seq,wasted_pops\n") {
 		t.Errorf("csv header:\n%s", csvOut)
-	}
-}
-
-func TestAStarJSONVerified(t *testing.T) {
-	stdout, _ := runMain(t, "astar", "-grid", "24", "-obstacles", "0.2",
-		"-threads", "1,2", "-impls", "onebeta75", "-reps", "1", "-seed", "5",
-		"-verify", "-json")
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if rep.Command != "astar" || len(rep.Rows) != 2 {
-		t.Fatalf("report: %+v", rep)
-	}
-	for _, row := range rep.Rows {
-		if row.Impl != "onebeta75" || row.Millis <= 0 || row.Expanded <= 0 ||
-			row.SeqExpanded <= 0 || row.PathCost == 0 {
-			t.Errorf("astar row incomplete: %+v", row)
-		}
-		if row.Queues < 4 || row.Beta == nil || *row.Beta != 0.75 {
-			t.Errorf("astar topology missing: %+v", row)
-		}
 	}
 }
 
@@ -331,7 +300,7 @@ func TestJobsRejectsBadFlags(t *testing.T) {
 // the generated trace offers: rate × mean realized service ×
 // SpinNsPerUnit / 1e9 / threads.
 func TestServeJSONPerClassRows(t *testing.T) {
-	stdout, _ := runMain(t, "serve", "-jobs", "4000", "-rho", "0.3", "-threads", "1",
+	stdout, _ := runMain(t, "serve", "-jobs", "4000", "-rate", "50000", "-threads", "1",
 		"-impls", "multiqueue,globallock", "-seed", "9", "-json")
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
@@ -344,7 +313,7 @@ func TestServeJSONPerClassRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.Generate(spec, 9, 4000, rep.Rows[0].Rate)
+	tr, err := workload.Generate(spec, 9, 4000, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,22 +351,79 @@ func TestServeJSONPerClassRows(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadFlags: a zero-load spec (rate and rho both 0), an
-// unknown implementation and the retired -classes flag all fail rather than
-// silently measuring something else.
+// TestServeRejectsBadFlags: a zero rate, an unknown implementation and the
+// retired -classes and -rho flags all fail rather than silently measuring
+// something else.
 func TestServeRejectsBadFlags(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if err := Main([]string{"serve", "-jobs", "100", "-rho", "0", "-threads", "1",
+	if err := Main([]string{"serve", "-jobs", "100", "-rate", "0", "-threads", "1",
 		"-impls", "globallock"}, &out, &errBuf); err == nil {
-		t.Error("rate=rho=0 accepted")
+		t.Error("rate 0 accepted")
 	}
 	if err := Main([]string{"serve", "-jobs", "100", "-threads", "1",
 		"-impls", "bogus"}, &out, &errBuf); err == nil {
 		t.Error("bogus impl accepted")
 	}
-	if err := Main([]string{"serve", "-jobs", "100", "-threads", "1",
-		"-classes", "4"}, &out, &errBuf); err == nil || !strings.Contains(err.Error(), "not defined") {
-		t.Errorf("-classes: want an unknown-flag error, got %v", err)
+	for _, name := range []string{"-classes", "-rho"} {
+		if err := Main([]string{"serve", "-jobs", "100", "-threads", "1",
+			name, "4"}, &out, &errBuf); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: want an unknown-flag error, got %v", name, err)
+		}
+	}
+}
+
+// TestRetiredFlagsNotDefined: record's load flags other than -rate, rank's
+// -impl and the rankbench-era -betas fail instead of being ignored or
+// folded into another flag.
+func TestRetiredFlagsNotDefined(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	for _, args := range [][]string{
+		{"record", "-rho", "0.5"},
+		{"record", "-threads", "2"},
+		{"rank", "-impl", "multiqueue"},
+		{"rank", "-betas", "1"},
+		{"sweep", "-betas", "1"},
+	} {
+		if err := Main(args, &out, &errBuf); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: want an unknown-flag error, got %v", args, err)
+		}
+	}
+}
+
+// TestSubcommandListsAgree: README's powerbench command block, usageText
+// and Main's dispatch name the same subcommands.
+func TestSubcommandListsAgree(t *testing.T) {
+	dispatched := map[string]bool{}
+	for name := range subcommands {
+		dispatched[name] = true
+	}
+	usage := map[string]bool{}
+	_, list, _ := strings.Cut(usageText, "Subcommands:\n\n")
+	list, _, _ = strings.Cut(list, "\n\n")
+	for _, line := range strings.Split(list, "\n") {
+		// A name starts at column 2; continuation lines are indented further.
+		if strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "   ") {
+			if name := strings.Fields(line)[0]; name != "help" {
+				usage[name] = true
+			}
+		}
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(readme), "## Benchmarks: `powerbench`")
+	_, block, _ = strings.Cut(block, "```sh\n")
+	block, _, _ = strings.Cut(block, "```")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(block, "\n") {
+		if rest, ok := strings.CutPrefix(line, "go run ./cmd/powerbench "); ok {
+			documented[strings.Fields(rest)[0]] = true
+		}
+	}
+	if !reflect.DeepEqual(dispatched, usage) || !reflect.DeepEqual(dispatched, documented) {
+		t.Errorf("subcommand lists disagree:\ndispatch %v\nusage    %v\nREADME   %v", dispatched, usage, documented)
 	}
 }
 

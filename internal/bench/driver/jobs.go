@@ -10,11 +10,14 @@ import (
 	"powerchoice/internal/workload"
 )
 
-// drainRate is the arrival rate, in jobs/second, of the trace a jobs run
-// drains. A drain ignores arrival instants, and a trace draws classes and
-// services from streams of their own, so the rate moves no drained job:
-// jobs and serve with equal -workload, -jobs and -seed serve the same jobs.
-const drainRate = 100_000
+// defaultRate is the arrival rate, in jobs/second, of the trace jobs drains
+// and the -rate default of serve and record, so all three generate one
+// trace from equal -workload, -jobs and -seed. A drain ignores arrival
+// instants, and a trace draws classes and services from streams of their
+// own, so the rate moves no drained job. The rate sits inside what one
+// worker at one P serves of the poisson preset (qlen_mean under 5 on a
+// 2-vCPU x86-64 host), so a bare serve measures a queue that keeps up.
+const defaultRate = 100_000
 
 // runJobs drains a workload trace over the line-up: jobs with priority
 // classes and service times (-workload: a preset or a JSON file; the
@@ -48,7 +51,7 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tr, err := workload.Generate(wspec, *seed, *nJobs, drainRate)
+	tr, err := workload.Generate(wspec, *seed, *nJobs, defaultRate)
 	if err != nil {
 		return err
 	}

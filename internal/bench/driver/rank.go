@@ -16,11 +16,7 @@ import (
 func runRank(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench rank", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	implFlag := fs.String("impl", "", "single implementation to measure")
-	implsFlag := fs.String("impls", "", "comma-separated implementations (default: full line-up)")
-	// Legacy rankbench accepted -betas alongside -impls and ignored it;
-	// keep that tolerance so old invocations forwarded by the wrapper run.
-	fs.String("betas", "", "ignored (legacy rankbench flag; β is fixed by the named impl)")
+	implsFlag := fs.String("impls", allImpls(), "comma-separated implementations")
 	queues := fs.Int("queues", 0, "MultiQueue queue count (0 = the paper's fixed 8)")
 	threads := fs.Int("threads", 8, "concurrent worker count (paper: 8)")
 	prefill := fs.Int("prefill", 1<<18, "initially inserted labels")
@@ -35,16 +31,9 @@ func runRank(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	normalizeBatch(batch)
-	impls := splitList(*implsFlag)
-	if *implFlag != "" {
-		impls = append([]string{*implFlag}, impls...)
-	}
-	if len(impls) == 0 {
-		impls = splitList(allImpls())
-	}
 	tb := bench.NewTable("impl", "mean_rank", "p50", "p99", "max", "removals")
 	rep := bench.NewReport("rank", *seed)
-	for _, impl := range impls {
+	for _, impl := range splitList(*implsFlag) {
 		res, err := medianRun(bench.RankSpec{
 			Impl:         pqadapt.Impl(impl),
 			Queues:       *queues,

@@ -16,7 +16,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	betaFlag := fs.String("beta", "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1", "comma-separated β values")
-	betasAlias := fs.String("betas", "", "alias for -beta (legacy rankbench flag)")
 	queues := fs.Int("queues", 8, "number of internal queues (paper: 8)")
 	threads := fs.Int("threads", 8, "concurrent worker count (paper: 8)")
 	prefill := fs.Int("prefill", 1<<18, "initially inserted labels")
@@ -31,9 +30,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	normalizeBatch(batch)
-	if *betasAlias != "" {
-		*betaFlag = *betasAlias
-	}
 	betas, err := parseFloats(*betaFlag)
 	if err != nil {
 		return err

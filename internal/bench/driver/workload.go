@@ -4,18 +4,16 @@ package driver
 // into a replayable trace artifact, replay re-runs a recorded trace through
 // any queue implementation (the record→replay pair is the determinism
 // contract CI pins), and calibrate prints the host's spin-unit cost — the
-// constant every ρ↔λ conversion and cross-host comparison hinges on.
+// constant that turns a trace's service units into wall time, and so into
+// the rho every serve and replay row reports.
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"powerchoice/internal/bench"
 	"powerchoice/internal/jobs"
-	"powerchoice/internal/pqadapt"
 	"powerchoice/internal/workload"
 )
 
@@ -28,9 +26,7 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	workloadFlag := fs.String("workload", "poisson", "workload spec: preset name or JSON file")
 	nJobs := fs.Int("jobs", 500_000, "arrivals in the trace")
-	rate := fs.Float64("rate", 0, "arrival rate λ in jobs/second (0 = derive from -rho and -threads)")
-	rho := fs.Float64("rho", 0.8, "target utilization the derived rate assumes (ignored when -rate is set); the rate comes from this process's spin calibration, so two -rho runs record different traces")
-	threadsFlag := fs.Int("threads", runtime.GOMAXPROCS(0), "worker count the -rho derivation assumes")
+	rate := fs.Float64("rate", defaultRate, "arrival rate λ in jobs/second")
 	traceOut := fs.String("trace", "", "trace file to write (required)")
 	seed := fs.Uint64("seed", 42, "root random seed")
 	var out output
@@ -45,11 +41,7 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	spec := bench.ServeSpec{
-		Workload: wspec, Jobs: *nJobs, Rate: *rate, Rho: *rho,
-		Threads: *threadsFlag, Seed: *seed,
-	}
-	tr, err := spec.ResolveTrace()
+	tr, err := workload.Generate(wspec, *seed, *nJobs, *rate)
 	if err != nil {
 		return err
 	}
@@ -123,42 +115,19 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "rate scaled by %.3g to %.0f jobs/s\n", *scaleRate, tr.Rate)
 	}
-	hash, err := tr.Hash()
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(stderr, "replaying %d arrivals of %q at %.0f jobs/s\n",
 		tr.Jobs(), tr.Spec.Name, tr.Rate)
-
-	tb := bench.NewTable("impl", "threads", "rho", "class", "jobs",
-		"sojourn_p50_ms", "sojourn_p99_ms", "qlen_mean")
-	rep := bench.NewReport("replay", *seed)
-	for _, impl := range splitList(*implsFlag) {
-		for _, th := range threads {
-			res, err := bench.Serve(bench.ServeSpec{
-				Impl:      pqadapt.Impl(impl),
-				Queues:    *queues,
-				Trace:     tr,
-				Producers: *producers,
-				Threads:   th,
-				Batch:     *batch,
-				Seed:      *seed,
-			})
-			if err != nil {
-				return err
-			}
-			addServeRows(tb, rep, impl, th, *batch, hash, res)
-			fmt.Fprintf(stderr, "done: %-12s threads=%-3d rho=%.2f %v (%d injected)\n",
-				impl, th, res.Rho, res.Elapsed.Round(time.Millisecond), res.Injected)
-		}
-	}
-	return out.emit(stdout, tb, rep)
+	return serveLineup("replay", bench.ServeSpec{
+		Queues: *queues, Trace: tr, Producers: *producers, Batch: *batch, Seed: *seed,
+	}, splitList(*implsFlag), threads, &out, stdout, stderr)
 }
 
 // runCalibrate measures and prints the host's spin-unit cost — the
-// SpinNsPerUnit constant that converts simulated service times to wall time
-// in every ρ↔λ derivation. Rates, rho targets and sojourn milliseconds are
-// only comparable across hosts after checking this number (EXPERIMENTS.md).
+// SpinNsPerUnit constant that converts a trace's service units to wall
+// time, and so the one behind every reported rho. One trace offers the
+// same arrivals on every host but a different amount of wall-clock work,
+// so sojourn milliseconds and rho compare across hosts only beside this
+// number (EXPERIMENTS.md).
 func runCalibrate(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("powerbench calibrate", flag.ContinueOnError)
 	fs.SetOutput(stderr)

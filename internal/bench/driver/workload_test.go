@@ -15,7 +15,7 @@ import (
 // summary, the per-class offered rate on class rows.
 func TestServeWorkloadJSON(t *testing.T) {
 	stdout, _ := runMain(t, "serve", "-workload", "heavytail", "-jobs", "3000",
-		"-rho", "0.4", "-threads", "1", "-impls", "multiqueue", "-seed", "9", "-json")
+		"-rate", "50000", "-threads", "1", "-impls", "multiqueue", "-seed", "9", "-json")
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
@@ -49,7 +49,9 @@ func TestServeWorkloadJSON(t *testing.T) {
 // TestRecordReplayDeterministic: record writes a trace whose hash the
 // replays of two different queue implementations both report back, with
 // per-class job counts identical across all three — the determinism
-// contract the CI smoke leg enforces.
+// contract the CI smoke leg enforces. With no load flag, record and a
+// serve over two thread counts at equal -workload, -jobs and -seed
+// generate that one trace too.
 func TestRecordReplayDeterministic(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "w.trace")
 	recOut, _ := runMain(t, "record", "-workload", "bursty", "-jobs", "4000",
@@ -116,6 +118,31 @@ func TestRecordReplayDeterministic(t *testing.T) {
 	}
 	if total != 4000 {
 		t.Errorf("per-class jobs sum %d, want 4000", total)
+	}
+
+	defOut, _ := runMain(t, "record", "-workload", "bursty", "-jobs", "4000",
+		"-trace", filepath.Join(t.TempDir(), "d.trace"), "-seed", "5", "-json")
+	if err := json.Unmarshal([]byte(defOut), &rec); err != nil {
+		t.Fatal(err)
+	}
+	defHash := rec.Rows[0].TraceHash
+	serveOut, _ := runMain(t, "serve", "-workload", "bursty", "-jobs", "4000",
+		"-seed", "5", "-threads", "1,2", "-impls", "globallock", "-json")
+	var served bench.Report
+	if err := json.Unmarshal([]byte(serveOut), &served); err != nil {
+		t.Fatalf("serve JSON: %v\n%s", err, serveOut)
+	}
+	var summaries int
+	for _, row := range served.Rows {
+		if row.Class == nil {
+			summaries++
+			if row.TraceHash != defHash {
+				t.Errorf("serve at %d threads replayed %s, record wrote %s", row.Threads, row.TraceHash, defHash)
+			}
+		}
+	}
+	if summaries != 2 {
+		t.Errorf("serve -threads 1,2 gave %d summary rows, want 2", summaries)
 	}
 }
 

@@ -71,17 +71,11 @@ type Row struct {
 	MaxRank  float64 `json:"max_rank,omitempty"`
 	Removals int     `json:"removals,omitempty"`
 
-	// SSSP and A* metrics (powerbench sssp / astar). WastedPops counts
-	// stale or pruned pops, the wasted work of relaxation.
+	// SSSP metrics (powerbench sssp). WastedPops counts stale pops, the
+	// wasted work of relaxation.
 	Millis     float64 `json:"ms,omitempty"`
 	Speedup    float64 `json:"speedup_vs_seq,omitempty"`
 	WastedPops int64   `json:"wasted_pops,omitempty"`
-
-	// A*-only metrics (powerbench astar): nodes expanded by the parallel
-	// search vs the sequential baseline, and the path cost found.
-	Expanded    int64  `json:"expanded,omitempty"`
-	SeqExpanded int64  `json:"seq_expanded,omitempty"`
-	PathCost    uint64 `json:"path_cost,omitempty"`
 
 	// Job-server metrics (powerbench jobs). Class is a pointer so that
 	// class 0 — the most urgent — survives serialisation; summary rows
@@ -94,8 +88,11 @@ type Row struct {
 	P50Ms      float64 `json:"p50_ms,omitempty"`
 	P99Ms      float64 `json:"p99_ms,omitempty"`
 
-	// Open-system job-server metrics (powerbench serve). Rho is the target
-	// utilization λ·E[S]/P, Rate the offered arrival rate in jobs/second.
+	// Open-system job-server metrics (powerbench serve). Rate is the
+	// offered arrival rate in jobs/second. Rho is the spin-only offered
+	// load λ·E[S]/P, with E[S] the trace's mean realized service through
+	// the host's spin calibration; it leaves out each job's queue and
+	// bookkeeping cost, so judge saturation by QLenMean, not by Rho < 1.
 	// Sojourn percentiles are milliseconds from a job's arrival to its
 	// completion (wait + service) — not comparable with the closed-system
 	// p50_ms/p99_ms drain latencies (see EXPERIMENTS.md). QLenMean is the
@@ -119,8 +116,7 @@ type Row struct {
 	ClassRate float64 `json:"class_rate,omitempty"`
 
 	// Calibration metrics (powerbench calibrate): the measured wall-time
-	// cost of one spin unit on this host, the constant behind every ρ↔λ
-	// conversion.
+	// cost of one spin unit on this host, the constant behind every Rho.
 	SpinNsPerUnit float64 `json:"spin_ns_per_unit,omitempty"`
 
 	// LockFails is the try-lock loss count summed over every worker handle

@@ -59,11 +59,10 @@ func pinnedReport() *Report {
 				Threads: 4, Batch: 8, MOps: 12.75, Ops: 6_400_000,
 				EmptyPops: 3, BufferedPops: 2_800_000,
 			},
-			// An astar row: expansion counts vs the sequential baseline.
+			// An sssp row: wall time, speedup and stale pops.
 			{
 				Impl: "onebeta75", Beta: floatPtr(0.75), Queues: 8, Choices: 2,
-				Threads: 4, Millis: 12.5, Expanded: 5000, SeqExpanded: 4200,
-				WastedPops: 310, PathCost: 676,
+				Threads: 4, Millis: 12.5, Speedup: 1.75, WastedPops: 310,
 			},
 			// A jobs summary row and a per-class row; Class is a pointer
 			// exactly so that class 0 is distinguishable from absent.

@@ -3,8 +3,8 @@
 // runner with globally sequenced operation logs and offline Fenwick
 // post-processing (Figure 2 — the paper's timestamp methodology with a
 // strictly stronger ordering), an SSSP timing runner (Figure 3), workload
-// runners beyond the paper (A*, closed-system job drain, and the
-// open-system serve runner measuring sojourn latency of a workload trace),
+// runners beyond the paper (closed-system job drain, and the open-system
+// serve runner measuring sojourn latency of a workload trace),
 // and ASCII table / CSV emitters for regenerating the figures as text.
 package bench
 

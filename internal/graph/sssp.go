@@ -50,7 +50,7 @@ func Dijkstra(g *Graph, src int) ([]uint64, error) {
 // Implementations are adapters over the MultiQueue, the skiplist, the
 // k-LSM, or a global-lock heap. Values carry the node ID. It is an alias of
 // the generic executor's queue interface, so every adapter usable here runs
-// any sched workload (A*, the job server) unchanged.
+// any sched workload (branch-and-bound, the job server) unchanged.
 type ConcurrentPQ = sched.Queue[int32]
 
 // WorkerLocal is implemented by queues whose hot paths want a per-goroutine

@@ -123,9 +123,9 @@ func TestRunOpenRateRhoConversion(t *testing.T) {
 }
 
 // TestRunOpenValidates: a nil queue and a nil or empty trace are rejected
-// up front. The load's own checks live where the load is built: rate or ρ
-// in bench.ServeSpec.ResolveTrace, the job count in workload.Generate and
-// the classes in workload.Spec.Validate.
+// up front. The load's own checks live where the load is built: the rate
+// and the job count in workload.Generate and the classes in
+// workload.Spec.Validate.
 func TestRunOpenValidates(t *testing.T) {
 	q, err := pqadapt.New(pqadapt.ImplGlobalLock, 1)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package sched is the generic relaxed-scheduling executor behind the
-// repository's scheduling workloads (parallel SSSP, A*, branch-and-bound,
-// the priority job-server). It factors out the worker-loop skeleton those
+// repository's scheduling workloads (parallel SSSP, branch-and-bound, the
+// priority job-server). It factors out the worker-loop skeleton those
 // workloads share — pending-counter termination detection, per-goroutine
 // queue-view resolution, idle backoff, and wasted-work accounting — so each
 // workload reduces to a Task: pop a (key, item), possibly discard it as
