@@ -76,7 +76,7 @@ func pinnedReport() *Report {
 				Threads: 4, Class: intPtr(0), Jobs: 12_500, P50Ms: 2.125,
 				P99Ms: 13.75,
 			},
-			// An open-system serve summary row (target utilization, offered
+			// An open-system serve summary row (spin-only offered load, offered
 			// rate, mean queue length) and one of its per-class rows, whose
 			// percentiles are *sojourn* times, not drain latencies.
 			{

@@ -17,12 +17,22 @@ func poissonTrace(t *testing.T, n int, rho float64, workers int, seed uint64) *w
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := rho * float64(workers) / (spec.MeanService() * SpinNsPerUnit() / 1e9)
+	rate := rho * float64(workers) / (meanService(spec) * SpinNsPerUnit() / 1e9)
 	tr, err := workload.Generate(spec, seed, n, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// meanService is a spec's analytic mean service time in spin units: the
+// class means averaged by class share.
+func meanService(spec *workload.Spec) float64 {
+	var mean float64
+	for i, share := range spec.ClassShares() {
+		mean += share * spec.Classes[i].Service.Mean
+	}
+	return mean
 }
 
 // traceRho is the utilization a trace offers `workers` workers: rate × mean
@@ -116,7 +126,7 @@ func TestRunOpenRateRhoConversion(t *testing.T) {
 	for _, s := range tr.Service {
 		services += float64(s)
 	}
-	want := 0.4 * services / float64(tr.Jobs()) / tr.Spec.MeanService()
+	want := 0.4 * services / float64(tr.Jobs()) / meanService(&tr.Spec)
 	if d := res.Rho/want - 1; d > 1e-9 || d < -1e-9 {
 		t.Errorf("rho %v, want %v: 0.4 scaled by the realized mean service", res.Rho, want)
 	}

@@ -5,7 +5,7 @@ package sched
 // (RunConfig) measures how fast a prefilled queue drains; RunOpen measures
 // how a relaxed scheduler behaves under *sustained load* — the
 // real-world-constraints framing of Scully & Harchol-Balter (PAPERS.md),
-// where the interesting metric is sojourn time at a target utilization, not
+// where the interesting metric is sojourn time at a fixed offered load, not
 // drain wall time. The schedule is the whole arrival model: whatever law
 // produced it (internal/workload compiles Poisson, bursty, on/off and
 // diurnal traces), RunOpen only paces its instants.

@@ -41,8 +41,8 @@ const minPhaseS = 1e-6
 
 // Spec declares a workload: how arrivals are paced and what each priority
 // class's jobs cost. The total offered rate is NOT part of the spec — it is
-// a run parameter (explicit λ or derived from a target utilization ρ), so
-// one spec describes the traffic *shape* at any load.
+// a run parameter, the only load input Generate takes, so one spec
+// describes the traffic *shape* at any load.
 type Spec struct {
 	// Version is the schema version; 0 means SchemaVersion.
 	Version int `json:"version,omitempty"`
@@ -197,14 +197,14 @@ func (sv ServiceSpec) validate() error {
 	// Each law must fit the trace's uint32 service field: a uniform draw past
 	// it would wrap, and a Pareto cutoff or lognormal mean past it cannot be
 	// realized by draws clamped to it, so the trace's mean service would fall
-	// short of Mean, the E[S] every ρ is computed from.
+	// short of Mean.
 	switch sv.Law {
 	case ServiceUniform:
 		if sv.Mean > maxUniformMean {
 			return fmt.Errorf("uniform mean %v exceeds %d: draws on [1, 2·mean) would not fit 32 bits", sv.Mean, maxUniformMean)
 		}
 		// The law draws integers on [1, 2·Mean); a fractional Mean has no
-		// such law whose mean is Mean, so the E[S] of every ρ would be off.
+		// such law whose mean is Mean.
 		if sv.Mean != math.Trunc(sv.Mean) {
 			return fmt.Errorf("uniform mean %v must be an integer", sv.Mean)
 		}
@@ -229,19 +229,6 @@ func (sv ServiceSpec) validate() error {
 		return fmt.Errorf("unknown service law %q", sv.Law)
 	}
 	return nil
-}
-
-// MeanService returns the spec's analytic overall mean service time E[S] in
-// spin units — the per-class means averaged by class share. Open-system
-// utilization targets (ρ = λ·E[S]/P) are converted to rates with it.
-// Averaging by share rather than by raw weight keeps every term finite
-// whatever the weights' scale.
-func (s *Spec) MeanService() float64 {
-	var mean float64
-	for i, share := range s.ClassShares() {
-		mean += share * s.Classes[i].Service.Mean
-	}
-	return mean
 }
 
 // ClassShares returns each class's fraction of total arrivals.

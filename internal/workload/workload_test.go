@@ -69,10 +69,9 @@ func TestSpecValidate(t *testing.T) {
 // TestParseSpecRejectsWhatGenerateCannotHonour pins four specs ParseSpec
 // used to accept. A uniform mean of 5e18 made Generate panic in Intn; one of
 // 3e9 wrapped its draws at 2^32, so a 2,000-job trace had a mean service of
-// 1.78e9 while MeanService, and so ρ, used 3e9; one of 1.4 drew every
-// service as 1 while MeanService used 1.4, so a ρ target offered about 71%
-// of the asked load; two classes of weight 1e308 made MeanService NaN and
-// put every job in class 1. The uniform bound is exact: a mean of 2^31
+// 1.78e9 against the declared 3e9; one of 1.4 drew every service as 1, about
+// 71% of the declared mean; two classes of weight 1e308 made the class
+// shares NaN and put every job in class 1. The uniform bound is exact: a mean of 2^31
 // draws up to 2^32 − 1 and is accepted, 2^31 + 1 is not.
 func TestParseSpecRejectsWhatGenerateCannotHonour(t *testing.T) {
 	uniform := func(mean string) string {
@@ -118,8 +117,8 @@ func TestGenerateValidatesJobsAndRate(t *testing.T) {
 
 // FuzzParseSpec feeds ParseSpec arbitrary bytes. Every input must either be
 // rejected with an error or give a spec that Generate honours: 256 jobs
-// generate, MeanService and every class share are finite, and every service
-// time is at least 1. The checked-in corpus holds the poisson preset and
+// generate, every class share is finite, and every service time is at
+// least 1. The checked-in corpus holds the poisson preset and
 // the four specs TestParseSpecRejectsWhatGenerateCannotHonour pins, and
 // runs as plain subtests in every go test.
 func FuzzParseSpec(f *testing.F) {
@@ -131,9 +130,6 @@ func FuzzParseSpec(f *testing.F) {
 		tr, err := Generate(s, 1, 256, 1e6)
 		if err != nil {
 			t.Fatalf("accepted spec does not generate: %v", err)
-		}
-		if m := s.MeanService(); math.IsNaN(m) || math.IsInf(m, 0) {
-			t.Fatalf("accepted spec has mean service %v", m)
 		}
 		for c, share := range s.ClassShares() {
 			if math.IsNaN(share) || math.IsInf(share, 0) {
