@@ -1,11 +1,12 @@
 // Command powerbench is the repository's unified, machine-portable
-// benchmark driver. Its subcommands regenerate the paper's figures
-// (throughput, sweep, sssp) and measure the line-up as a scheduler; run
-// 'powerbench help' for the list. Every subcommand emits an aligned table,
-// CSV (-csv), or a JSON report (-json, or -out FILE alongside the table)
-// that carries host metadata and the resolved topology of every
-// measurement. See EXPERIMENTS.md for how each subcommand maps to the
-// paper (§5).
+// benchmark driver. Its seven subcommands regenerate the paper's figures
+// (throughput, sweep, sssp), measure rank quality (rank) and the line-up
+// as a scheduler (jobs, serve), and record workload traces for serve
+// -trace (record); run 'powerbench help' for the list. Every subcommand
+// emits an aligned table or a JSON report (-json, or -out FILE alongside
+// the table) that carries host metadata and the resolved topology of
+// every measurement. See EXPERIMENTS.md for how each subcommand maps to
+// the paper (§5).
 package main
 
 import (

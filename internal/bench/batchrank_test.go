@@ -18,6 +18,7 @@ package bench
 import (
 	"testing"
 
+	"powerchoice/internal/jobs"
 	"powerchoice/internal/pqadapt"
 	"powerchoice/internal/workload"
 )
@@ -109,19 +110,16 @@ func TestJobsBatchingInversionBound(t *testing.T) {
 	inv := func(batch int) (int64, int64) {
 		var inversions, buffered int64
 		for s := uint64(0); s < 3; s++ {
-			res, err := Jobs(JobsSpec{
-				Impl:     pqadapt.ImplMultiQueue,
-				Queues:   8,
-				Workload: tr,
-				Threads:  1,
-				Batch:    batch,
-				Seed:     200 + s,
-			})
+			q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: pqadapt.ImplMultiQueue, Queues: 8, Seed: 200 + s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := jobs.Run(tr, q, 1, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
 			inversions += res.Inversions
-			buffered += res.BufferedPops
+			buffered += res.Stats.BufferedPops
 		}
 		return inversions / 3, buffered / 3
 	}

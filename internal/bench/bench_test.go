@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"powerchoice/internal/graph"
 	"powerchoice/internal/klsm"
 	"powerchoice/internal/pqadapt"
 	"powerchoice/internal/xrand"
@@ -259,41 +258,6 @@ func TestRankQualityMonotoneInBeta(t *testing.T) {
 	}
 }
 
-func TestSSSPRunsAndVerifies(t *testing.T) {
-	g, err := graph.RoadNetwork(30, 30, 0.15, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, impl := range []pqadapt.Impl{pqadapt.ImplOneBeta75, pqadapt.ImplSkipList, pqadapt.ImplKLSM, pqadapt.ImplGlobalLock} {
-		impl := impl
-		t.Run(string(impl), func(t *testing.T) {
-			res, err := SSSP(SSSPSpec{
-				Impl:    impl,
-				G:       g,
-				Source:  0,
-				Threads: 2,
-				Seed:    5,
-				Verify:  true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Elapsed <= 0 {
-				t.Error("no elapsed time")
-			}
-			if res.Stats.Relaxations == 0 {
-				t.Error("no relaxations")
-			}
-		})
-	}
-}
-
-func TestSSSPNilGraph(t *testing.T) {
-	if _, err := SSSP(SSSPSpec{Impl: pqadapt.ImplMultiQueue}); err == nil {
-		t.Error("nil graph accepted")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("impl", "threads", "mops")
 	tb.AddRow("multiqueue", 4, 1.2345)
@@ -305,18 +269,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(s), "\n")
 	if len(lines) != 4 { // header + separator + 2 rows
 		t.Errorf("table has %d lines:\n%s", len(lines), s)
-	}
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "impl,threads,mops\n") {
-		t.Errorf("bad CSV header:\n%s", csv)
-	}
-}
-
-func TestTableCSVEscaping(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRow(`say "hi"`, "x,y")
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"say ""hi"""`) || !strings.Contains(csv, `"x,y"`) {
-		t.Errorf("CSV escaping broken:\n%s", csv)
 	}
 }

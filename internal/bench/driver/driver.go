@@ -1,7 +1,9 @@
 // Package driver implements the powerbench command line: one portable
 // benchmark driver whose subcommands (usageText lists them) emit aligned
-// tables, CSV, or machine-readable JSON reports (see bench.Report) from the
-// same measured results.
+// tables or machine-readable JSON reports (see bench.Report) from the same
+// measured results. The serve, jobs and sssp subcommands call the runners
+// they measure (jobs.RunOpen, jobs.Run, graph.ParallelSSSPBatch) directly
+// and read their results into report rows.
 package driver
 
 import (
@@ -32,22 +34,21 @@ Subcommands:
   jobs         priority job-server drain of a workload trace (-workload,
                default poisson): inversions + per-class latency
   serve        open-system job server: one workload trace at one arrival
-               rate (-rate, default 100000 jobs/s), per-class sojourn
-               p50/p99 + mean number in system (-workload picks the spec,
-               default the 4-class poisson preset: bursty/onoff/diurnal
-               arrivals, heavy-tailed service laws)
-  record       compile a workload spec into a replayable trace file
-  replay       re-run a recorded trace through any implementation line-up
-  calibrate    print the host's spin-unit cost, which turns service units
-               into wall time and so into the rho serve and replay report
+               rate (-rate, default 100000 jobs/s), or a recorded trace
+               (-trace FILE); per-class sojourn p50/p99, mean number in
+               system, achieved rate and the host's spin-unit cost
+               (-workload picks the spec, default the 4-class poisson
+               preset: bursty/onoff/diurnal arrivals, heavy-tailed
+               service laws)
+  record       compile a workload spec into a trace file for serve -trace
   help         print this message
 
-Every subcommand accepts -csv (CSV instead of an aligned table), -json
-(a JSON report on stdout instead of the table) and -out FILE (write the
-JSON report to FILE while keeping the table on stdout). JSON reports
-carry host metadata — GOMAXPROCS, CPU count, Go version — and the
-resolved topology (queues, choices, β) of every MultiQueue measurement,
-so results stay interpretable across machines.
+Every subcommand accepts -json (a JSON report on stdout instead of the
+aligned table) and -out FILE (write the JSON report to FILE while
+keeping the table on stdout). JSON reports carry host metadata —
+GOMAXPROCS, CPU count, Go version — and the resolved topology (queues,
+choices, β) of every MultiQueue measurement, so results stay
+interpretable across machines.
 
 Run 'powerbench <subcommand> -h' for the subcommand's flags.
 `
@@ -61,8 +62,6 @@ var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error
 	"jobs":       runJobs,
 	"serve":      runServe,
 	"record":     runRecord,
-	"replay":     runReplay,
-	"calibrate":  runCalibrate,
 }
 
 // Main dispatches a powerbench invocation. args excludes the binary name.
@@ -85,22 +84,20 @@ func Main(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// output selects where results go: stdout gets the table, CSV, or the JSON
+// output selects where results go: stdout gets the table or the JSON
 // report; -out additionally persists the JSON report to a file so a table
 // run can append to the BENCH_*.json trajectory in the same invocation.
 type output struct {
-	csv     bool
 	json    bool
 	outFile string
 }
 
 func (o *output) addFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of an aligned table")
 	fs.BoolVar(&o.json, "json", false, "emit a JSON report instead of the table")
 	fs.StringVar(&o.outFile, "out", "", "also write the JSON report to this file")
 }
 
-// emit renders the same results as table/CSV/JSON per the output flags.
+// emit renders the same results as a table or JSON per the output flags.
 func (o *output) emit(stdout io.Writer, tb *bench.Table, rep *bench.Report) error {
 	if o.outFile != "" {
 		b, err := rep.JSON()
@@ -111,21 +108,16 @@ func (o *output) emit(stdout io.Writer, tb *bench.Table, rep *bench.Report) erro
 			return err
 		}
 	}
-	switch {
-	case o.json:
+	if o.json {
 		b, err := rep.JSON()
 		if err != nil {
 			return err
 		}
 		_, err = stdout.Write(b)
 		return err
-	case o.csv:
-		_, err := io.WriteString(stdout, tb.CSV())
-		return err
-	default:
-		_, err := io.WriteString(stdout, tb.String())
-		return err
 	}
+	_, err := io.WriteString(stdout, tb.String())
+	return err
 }
 
 // defaultThreads sweeps 1..GOMAXPROCS in powers of two.
@@ -145,6 +137,17 @@ func allImpls() string {
 		parts = append(parts, string(i))
 	}
 	return strings.Join(parts, ",")
+}
+
+// newQueue builds impl's queue at the given queue count (0 = derived from
+// the host) and seed, and reports the topology it resolved to for the
+// measurement's rows.
+func newQueue(impl string, queues int, seed uint64) (pqadapt.Queue, pqadapt.Topology, error) {
+	q, err := pqadapt.NewSpec(pqadapt.Spec{Impl: pqadapt.Impl(impl), Queues: queues, Seed: seed})
+	if err != nil {
+		return nil, pqadapt.Topology{}, err
+	}
+	return q, pqadapt.TopologyOf(pqadapt.Impl(impl), q), nil
 }
 
 // normalizeBatch canonicalises a -batch flag value: batch ≤ 1 IS the
@@ -169,12 +172,16 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
+// parseThreads parses a -threads list of worker counts, each at least 1.
+func parseThreads(s string) ([]int, error) {
 	var out []int
 	for _, p := range splitList(s) {
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad integer %q: %w", p, err)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("thread count %d < 1", v)
 		}
 		out = append(out, v)
 	}

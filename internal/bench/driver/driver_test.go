@@ -41,7 +41,7 @@ func TestMainDispatch(t *testing.T) {
 	if err := Main(nil, &out, &errBuf); err == nil {
 		t.Error("no subcommand accepted")
 	}
-	for _, sub := range []string{"bogus", "astar"} {
+	for _, sub := range []string{"bogus", "astar", "replay", "calibrate"} {
 		if err := Main([]string{sub}, &out, &errBuf); err == nil ||
 			!strings.Contains(err.Error(), "unknown subcommand") {
 			t.Errorf("%s: want an unknown-subcommand error, got %v", sub, err)
@@ -176,11 +176,14 @@ func TestThroughputJSON(t *testing.T) {
 	}
 }
 
+// TestSSSPJSONAndCSV: an sssp run with -verify checks its distances
+// against sequential Dijkstra and reports wall time, speedup and the
+// resolved topology. No subcommand prints CSV: TestRetiredFlagsNotDefined
+// checks that -csv fails everywhere.
 func TestSSSPJSONAndCSV(t *testing.T) {
-	args := []string{"sssp",
+	stdout, _ := runMain(t, "sssp",
 		"-impls", "onebeta75", "-threads", "1", "-grid", "20",
-		"-reps", "1", "-seed", "4", "-verify"}
-	stdout, _ := runMain(t, append(args, "-json")...)
+		"-reps", "1", "-seed", "4", "-verify", "-json")
 	var rep bench.Report
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
@@ -190,10 +193,6 @@ func TestSSSPJSONAndCSV(t *testing.T) {
 	}
 	if row := rep.Rows[0]; row.Millis <= 0 || row.Speedup <= 0 || row.Queues < 4 {
 		t.Errorf("sssp row: %+v", row)
-	}
-	csvOut, _ := runMain(t, append(args, "-csv")...)
-	if !strings.HasPrefix(csvOut, "impl,threads,ms,speedup_vs_seq,wasted_pops\n") {
-		t.Errorf("csv header:\n%s", csvOut)
 	}
 }
 
@@ -373,17 +372,25 @@ func TestServeRejectsBadFlags(t *testing.T) {
 }
 
 // TestRetiredFlagsNotDefined: record's load flags other than -rate, rank's
-// -impl and the rankbench-era -betas fail instead of being ignored or
-// folded into another flag.
+// -impl, the rankbench-era -betas, the -thin and -scale-rate trace
+// transforms (a recorded trace replays at the rate it was recorded at) and
+// every subcommand's -csv fail instead of being ignored or folded into
+// another flag.
 func TestRetiredFlagsNotDefined(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	for _, args := range [][]string{
+	retired := [][]string{
 		{"record", "-rho", "0.5"},
 		{"record", "-threads", "2"},
 		{"rank", "-impl", "multiqueue"},
 		{"rank", "-betas", "1"},
 		{"sweep", "-betas", "1"},
-	} {
+		{"serve", "-thin", "0.5"},
+		{"serve", "-scale-rate", "2"},
+	}
+	for sub := range subcommands {
+		retired = append(retired, []string{sub, "-csv"})
+	}
+	for _, args := range retired {
 		if err := Main(args, &out, &errBuf); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: want an unknown-flag error, got %v", args, err)

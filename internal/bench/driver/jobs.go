@@ -6,7 +6,7 @@ import (
 	"io"
 
 	"powerchoice/internal/bench"
-	"powerchoice/internal/pqadapt"
+	"powerchoice/internal/jobs"
 	"powerchoice/internal/workload"
 )
 
@@ -43,7 +43,7 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	normalizeBatch(batch)
-	threads, err := parseInts(*threadsFlag)
+	threads, err := parseThreads(*threadsFlag)
 	if err != nil {
 		return err
 	}
@@ -62,25 +62,23 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 	rep := bench.NewReport("jobs", *seed)
 	for _, impl := range splitList(*implsFlag) {
 		for _, th := range threads {
-			res, err := bench.Jobs(bench.JobsSpec{
-				Impl:     pqadapt.Impl(impl),
-				Queues:   *queues,
-				Workload: tr,
-				Threads:  th,
-				Batch:    *batch,
-				Seed:     *seed,
-			})
+			q, top, err := newQueue(impl, *queues, *seed)
+			if err != nil {
+				return err
+			}
+			res, err := jobs.Run(tr, q, th, *batch)
 			if err != nil {
 				return err
 			}
 			ms := float64(res.Elapsed.Microseconds()) / 1000
+			mjobs := float64(tr.Jobs()) / res.Elapsed.Seconds() / 1e6
 			tb.AddRow(impl, th, "all", *nJobs, "", "", res.Inversions)
 			sum := bench.Row{
-				Impl: impl, Threads: th, Batch: *batch, Millis: ms, MJobs: res.MJobs,
+				Impl: impl, Threads: th, Batch: *batch, Millis: ms, MJobs: mjobs,
 				Jobs: int64(*nJobs), Inversions: res.Inversions, InvWaiting: res.InvWaiting,
-				BufferedPops: res.BufferedPops, Workload: wspec.Name,
+				BufferedPops: res.Stats.BufferedPops, Workload: wspec.Name,
 			}
-			sum.SetTopology(res.Topology)
+			sum.SetTopology(top)
 			rep.Add(sum)
 			for _, cs := range res.PerClass {
 				cs := cs
@@ -89,7 +87,7 @@ func runJobs(args []string, stdout, stderr io.Writer) error {
 					Impl: impl, Threads: th, Class: &cs.Class,
 					Jobs: cs.Jobs, P50Ms: cs.P50Ms, P99Ms: cs.P99Ms,
 				}
-				row.SetTopology(res.Topology)
+				row.SetTopology(top)
 				rep.Add(row)
 			}
 			fmt.Fprintf(stderr, "done: %-12s threads=%-3d %v (%d inversions)\n",

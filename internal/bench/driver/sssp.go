@@ -38,16 +38,18 @@ func runSSSP(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stderr, "road network: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
-	threads, err := parseInts(*threadsFlag)
+	threads, err := parseThreads(*threadsFlag)
 	if err != nil {
 		return err
 	}
 	if *reps < 1 {
 		*reps = 1
 	}
-	// Sequential Dijkstra reference time.
+	// Sequential Dijkstra: the reference time, and the distances -verify
+	// checks every run against.
 	seqStart := time.Now()
-	if _, err := graph.Dijkstra(g, 0); err != nil {
+	want, err := graph.Dijkstra(g, 0)
+	if err != nil {
 		return err
 	}
 	seqTime := time.Since(seqStart)
@@ -57,35 +59,42 @@ func runSSSP(args []string, stdout, stderr io.Writer) error {
 	rep := bench.NewReport("sssp", *seed)
 	for _, impl := range splitList(*implsFlag) {
 		for _, th := range threads {
-			var best bench.SSSPResult
+			var best time.Duration
+			var bestStats graph.SSSPStats
+			var top pqadapt.Topology
 			for r := 0; r < *reps; r++ {
-				res, err := bench.SSSP(bench.SSSPSpec{
-					Impl:    pqadapt.Impl(impl),
-					Queues:  *queues,
-					G:       g,
-					Source:  0,
-					Threads: th,
-					Batch:   *batch,
-					Seed:    *seed + uint64(r),
-					Verify:  *verify,
-				})
+				q, t, err := newQueue(impl, *queues, *seed+uint64(r))
 				if err != nil {
 					return err
 				}
-				if best.Elapsed == 0 || res.Elapsed < best.Elapsed {
-					best = res
+				start := time.Now()
+				dist, st, err := graph.ParallelSSSPBatch(g, 0, q, th, *batch)
+				elapsed := time.Since(start)
+				if err != nil {
+					return err
+				}
+				if *verify {
+					for u := range want {
+						if dist[u] != want[u] {
+							return fmt.Errorf("sssp: %s at %d threads: distance to node %d is %d, Dijkstra's is %d",
+								impl, th, u, dist[u], want[u])
+						}
+					}
+				}
+				if best == 0 || elapsed < best {
+					best, bestStats, top = elapsed, st, t
 				}
 			}
-			ms := float64(best.Elapsed.Microseconds()) / 1000
-			speedup := seqTime.Seconds() / best.Elapsed.Seconds()
-			tb.AddRow(impl, th, ms, speedup, best.Stats.WastedPops)
+			ms := float64(best.Microseconds()) / 1000
+			speedup := seqTime.Seconds() / best.Seconds()
+			tb.AddRow(impl, th, ms, speedup, bestStats.WastedPops)
 			row := bench.Row{
 				Impl: impl, Threads: th, Batch: *batch,
-				Millis: ms, Speedup: speedup, WastedPops: best.Stats.WastedPops,
+				Millis: ms, Speedup: speedup, WastedPops: bestStats.WastedPops,
 			}
-			row.SetTopology(best.Topology)
+			row.SetTopology(top)
 			rep.Add(row)
-			fmt.Fprintf(stderr, "done: %-12s threads=%-3d %v\n", impl, th, best.Elapsed)
+			fmt.Fprintf(stderr, "done: %-12s threads=%-3d %v\n", impl, th, best)
 		}
 	}
 	return out.emit(stdout, tb, rep)

@@ -29,7 +29,7 @@ func runThroughput(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	normalizeBatch(batch)
-	threads, err := parseInts(*threadsFlag)
+	threads, err := parseThreads(*threadsFlag)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,9 @@ import (
 
 // TestServeWorkloadJSON: serve -workload must run a declarative spec and
 // stamp provenance on every row — the spec name and trace hash on the
-// summary, the per-class offered rate on class rows.
+// summary, the per-class offered rate on class rows. The summary row also
+// carries the host's spin-unit cost beside the report's host metadata, the
+// achieved rate and the sojourn percentiles pooled over every class.
 func TestServeWorkloadJSON(t *testing.T) {
 	stdout, _ := runMain(t, "serve", "-workload", "heavytail", "-jobs", "3000",
 		"-rate", "50000", "-threads", "1", "-impls", "multiqueue", "-seed", "9", "-json")
@@ -29,6 +31,15 @@ func TestServeWorkloadJSON(t *testing.T) {
 	}
 	if sum.Jobs != 3000 || sum.Rate <= 0 || sum.Rho <= 0 {
 		t.Errorf("summary metrics: %+v", sum)
+	}
+	if sum.SpinNsPerUnit <= 0 || sum.AchievedRate <= 0 {
+		t.Errorf("summary spin_ns_per_unit or achieved_rate missing: %+v", sum)
+	}
+	if sum.SojournP50Ms <= 0 || sum.SojournP99Ms < sum.SojournP50Ms {
+		t.Errorf("summary pooled sojourns: %+v", sum)
+	}
+	if rep.Command != "serve" || rep.Host.GoVersion == "" || rep.Host.NumCPU < 1 {
+		t.Errorf("report header or host metadata: %+v", rep)
 	}
 	var classRate float64
 	for i, row := range rep.Rows[1:] {
@@ -47,11 +58,11 @@ func TestServeWorkloadJSON(t *testing.T) {
 }
 
 // TestRecordReplayDeterministic: record writes a trace whose hash the
-// replays of two different queue implementations both report back, with
-// per-class job counts identical across all three — the determinism
-// contract the CI smoke leg enforces. With no load flag, record and a
-// serve over two thread counts at equal -workload, -jobs and -seed
-// generate that one trace too.
+// serve -trace replays of two different queue implementations both report
+// back, with per-class job counts identical across all three — the
+// determinism contract the CI smoke leg enforces. With no load flag,
+// record and a serve over two thread counts at equal -workload, -jobs and
+// -seed generate that one trace too.
 func TestRecordReplayDeterministic(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "w.trace")
 	recOut, _ := runMain(t, "record", "-workload", "bursty", "-jobs", "4000",
@@ -81,11 +92,11 @@ func TestRecordReplayDeterministic(t *testing.T) {
 
 	type classCounts map[int]int64
 	replayCounts := func(impl string) (string, classCounts) {
-		out, _ := runMain(t, "replay", "-trace", trace, "-impls", impl,
+		out, _ := runMain(t, "serve", "-trace", trace, "-impls", impl,
 			"-threads", "1", "-seed", "7", "-json")
 		var rep bench.Report
 		if err := json.Unmarshal([]byte(out), &rep); err != nil {
-			t.Fatalf("replay JSON: %v\n%s", err, out)
+			t.Fatalf("serve -trace JSON: %v\n%s", err, out)
 		}
 		counts := classCounts{}
 		hash := ""
@@ -95,7 +106,7 @@ func TestRecordReplayDeterministic(t *testing.T) {
 			} else {
 				hash = row.TraceHash
 				if row.Jobs != 4000 {
-					t.Errorf("%s replay injected %d of 4000", impl, row.Jobs)
+					t.Errorf("%s serve -trace injected %d of 4000", impl, row.Jobs)
 				}
 			}
 		}
@@ -146,36 +157,26 @@ func TestRecordReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsMissingTrace: replay without -trace, and with a
-// nonexistent file, must fail loudly.
+// TestReplayRejectsMissingTrace: serve -trace must fail loudly on a
+// nonexistent file, and on a real recording when -workload, -jobs or -rate
+// also asks for a generated trace; record without -trace fails too.
 func TestReplayRejectsMissingTrace(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if err := Main([]string{"replay"}, &out, &errBuf); err == nil {
-		t.Error("replay without -trace accepted")
+	if err := Main([]string{"serve", "-trace", "/nonexistent.trace",
+		"-threads", "1", "-impls", "globallock"}, &out, &errBuf); err == nil {
+		t.Error("serve of a nonexistent trace accepted")
 	}
-	if err := Main([]string{"replay", "-trace", "/nonexistent.trace"}, &out, &errBuf); err == nil {
-		t.Error("replay of nonexistent trace accepted")
+	trace := filepath.Join(t.TempDir(), "w.trace")
+	runMain(t, "record", "-workload", "bursty", "-jobs", "200", "-trace", trace)
+	replay := []string{"serve", "-trace", trace, "-threads", "1", "-impls", "globallock"}
+	runMain(t, replay...)
+	for _, extra := range [][]string{{"-rate", "100000"}, {"-workload", "bursty"}, {"-jobs", "200"}} {
+		err := Main(append(append([]string(nil), replay...), extra...), &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), extra[0]) {
+			t.Errorf("serve -trace with %s: want an error naming it, got %v", extra[0], err)
+		}
 	}
 	if err := Main([]string{"record", "-workload", "bursty"}, &out, &errBuf); err == nil {
 		t.Error("record without -trace accepted")
-	}
-}
-
-// TestCalibrateJSON: calibrate reports a positive spin-unit cost with host
-// metadata in the standard report envelope.
-func TestCalibrateJSON(t *testing.T) {
-	stdout, _ := runMain(t, "calibrate", "-json")
-	var rep bench.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if rep.Command != "calibrate" || len(rep.Rows) != 1 {
-		t.Fatalf("calibrate report: %+v", rep)
-	}
-	if rep.Rows[0].SpinNsPerUnit <= 0 {
-		t.Errorf("spin_ns_per_unit missing: %+v", rep.Rows[0])
-	}
-	if rep.Host.GoVersion == "" || rep.Host.NumCPU < 1 {
-		t.Errorf("host metadata missing: %+v", rep.Host)
 	}
 }

@@ -89,35 +89,41 @@ type Row struct {
 	P99Ms      float64 `json:"p99_ms,omitempty"`
 
 	// Open-system job-server metrics (powerbench serve). Rate is the
-	// offered arrival rate in jobs/second. Rho is the spin-only offered
-	// load λ·E[S]/P, with E[S] the trace's mean realized service through
-	// the host's spin calibration; it leaves out each job's queue and
-	// bookkeeping cost, so judge saturation by QLenMean, not by Rho < 1.
-	// Sojourn percentiles are milliseconds from a job's arrival to its
-	// completion (wait + service) — not comparable with the closed-system
-	// p50_ms/p99_ms drain latencies (see EXPERIMENTS.md). QLenMean is the
-	// exact time-average number of jobs in the system, Σ sojourn / elapsed
-	// by Little's law.
-	Rho          float64 `json:"rho,omitempty"`
-	Rate         float64 `json:"rate,omitempty"`
-	SojournP50Ms float64 `json:"sojourn_p50_ms,omitempty"`
-	SojournP99Ms float64 `json:"sojourn_p99_ms,omitempty"`
-	QLenMean     float64 `json:"qlen_mean,omitempty"`
+	// offered arrival rate in jobs/second and AchievedRate the injected
+	// jobs over the run's elapsed time, which sags below Rate when the
+	// workers cannot keep up (the drain-to-zero epilogue serves a standing
+	// queue) or the host cannot pace that fast. Rho is the spin-only
+	// offered load λ·E[S]/P, with E[S] the trace's mean realized service
+	// through the host's spin calibration; it leaves out each job's queue
+	// and bookkeeping cost, so judge saturation by QLenMean, not by
+	// Rho < 1. Sojourn percentiles are milliseconds from a job's arrival
+	// to its completion (wait + service) — not comparable with the
+	// closed-system p50_ms/p99_ms drain latencies (see EXPERIMENTS.md); a
+	// summary row's are pooled over every class. QLenMean is the exact
+	// time-average number of jobs in the system, Σ sojourn / elapsed by
+	// Little's law. SpinNsPerUnit, on summary rows, is the measured
+	// wall-time cost of one spin unit on this host: the constant behind
+	// Rho, and the one that turns a trace's service units into wall time,
+	// so quote it beside any cross-host sojourn comparison.
+	Rho           float64 `json:"rho,omitempty"`
+	Rate          float64 `json:"rate,omitempty"`
+	AchievedRate  float64 `json:"achieved_rate,omitempty"`
+	SojournP50Ms  float64 `json:"sojourn_p50_ms,omitempty"`
+	SojournP99Ms  float64 `json:"sojourn_p99_ms,omitempty"`
+	QLenMean      float64 `json:"qlen_mean,omitempty"`
+	SpinNsPerUnit float64 `json:"spin_ns_per_unit,omitempty"`
 
-	// Workload provenance (powerbench jobs / serve / record / replay). Workload names the spec ("bursty", a file's spec name, …),
-	// TraceHash the sha256 content identity of the generated or replayed
-	// trace — record→replay determinism compares it. ClassRate is a
-	// per-class row's offered arrival rate in jobs/second (total rate × the
-	// class's weight share). Every serve row carries them and every jobs
-	// summary row carries Workload; older serve and jobs rows without them
-	// come from job models neither command has any more (EXPERIMENTS.md).
+	// Workload provenance (powerbench jobs / serve / record). Workload
+	// names the spec ("bursty", a file's spec name, …), TraceHash the
+	// sha256 content identity of the generated or recorded trace —
+	// record→replay determinism compares it. ClassRate is a per-class
+	// row's offered arrival rate in jobs/second (total rate × the class's
+	// weight share). Every serve row carries them and every jobs summary
+	// row carries Workload; older serve and jobs rows without them come
+	// from job models neither command has any more (EXPERIMENTS.md).
 	Workload  string  `json:"workload,omitempty"`
 	TraceHash string  `json:"trace_hash,omitempty"`
 	ClassRate float64 `json:"class_rate,omitempty"`
-
-	// Calibration metrics (powerbench calibrate): the measured wall-time
-	// cost of one spin unit on this host, the constant behind every Rho.
-	SpinNsPerUnit float64 `json:"spin_ns_per_unit,omitempty"`
 
 	// LockFails is the try-lock loss count summed over every worker handle
 	// of a throughput row (see core.HandleStats); absent when zero.

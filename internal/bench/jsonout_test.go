@@ -91,11 +91,16 @@ func pinnedReport() *Report {
 			},
 			// A workload-driven serve summary row and one of its per-class
 			// rows: the spec name and trace hash identify exactly what was
-			// offered, class_rate the class's share of the offered λ.
+			// offered, class_rate the class's share of the offered λ. The
+			// summary also carries the achieved rate, the sojourn
+			// percentiles pooled over every class and the host's measured
+			// spin-unit cost.
 			{
 				Impl: "multiqueue", Beta: floatPtr(1), Queues: 8, Choices: 2,
 				Threads: 4, Millis: 250.5, Jobs: 50_000, Rho: 0.75,
-				Rate: 200_000, QLenMean: 18.5, Workload: "heavytail",
+				Rate: 200_000, AchievedRate: 199_600.25, SojournP50Ms: 0.25,
+				SojournP99Ms: 7.5, QLenMean: 18.5, SpinNsPerUnit: 1.375,
+				Workload:  "heavytail",
 				TraceHash: "sha256:0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
 			},
 			{
@@ -103,10 +108,6 @@ func pinnedReport() *Report {
 				Threads: 4, Class: intPtr(0), Jobs: 37_500, Rho: 0.75,
 				SojournP50Ms: 0.5, SojournP99Ms: 9.125, Workload: "heavytail",
 				ClassRate: 150_000,
-			},
-			// A calibration row: the host's measured spin-unit cost.
-			{
-				SpinNsPerUnit: 1.375,
 			},
 		},
 	}

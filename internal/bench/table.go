@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Table accumulates rows and renders them as aligned ASCII or CSV, the
-// output format of the figure-regeneration binaries.
+// Table accumulates rows and renders them as aligned ASCII, the text
+// output of every powerbench subcommand.
 type Table struct {
 	headers []string
 	rows    [][]string
@@ -62,32 +62,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.headers))
-	for i, h := range t.headers {
-		cells[i] = esc(h)
-	}
-	sb.WriteString(strings.Join(cells, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.rows {
-		out := make([]string, len(row))
-		for i, c := range row {
-			out[i] = esc(c)
-		}
-		sb.WriteString(strings.Join(out, ","))
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

@@ -2,10 +2,11 @@
 // (§5): a duration-bounded throughput runner (Figure 1), a rank-quality
 // runner with globally sequenced operation logs and offline Fenwick
 // post-processing (Figure 2 — the paper's timestamp methodology with a
-// strictly stronger ordering), an SSSP timing runner (Figure 3), workload
-// runners beyond the paper (closed-system job drain, and the open-system
-// serve runner measuring sojourn latency of a workload trace),
-// and ASCII table / CSV emitters for regenerating the figures as text.
+// strictly stronger ordering), the JSON report every powerbench
+// subcommand emits, and the aligned ASCII table it prints. The SSSP
+// timing (Figure 3) and the job servers are measured by their own runners,
+// graph.ParallelSSSPBatch, jobs.Run and jobs.RunOpen, which powerbench
+// calls directly.
 package bench
 
 import (

@@ -288,3 +288,37 @@ func TestConcurrentSmokeAllImpls(t *testing.T) {
 		})
 	}
 }
+
+// TestSSSPRunsAndVerifies: the parallel label-correcting SSSP over a
+// relaxed, an exact and a k-relaxed line-up queue finds exactly the
+// distances sequential Dijkstra finds on a road network, two workers each.
+func TestSSSPRunsAndVerifies(t *testing.T) {
+	g, err := graph.RoadNetwork(30, 30, 0.15, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := graph.Dijkstra(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, impl := range []Impl{ImplOneBeta75, ImplSkipList, ImplKLSM, ImplGlobalLock} {
+		t.Run(string(impl), func(t *testing.T) {
+			q, err := New(impl, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, st, err := graph.ParallelSSSPBatch(g, 0, q, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := range want {
+				if dist[u] != want[u] {
+					t.Fatalf("node %d: distance %d, Dijkstra's %d", u, dist[u], want[u])
+				}
+			}
+			if st.Relaxations == 0 {
+				t.Error("no relaxations")
+			}
+		})
+	}
+}

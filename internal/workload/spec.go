@@ -9,7 +9,7 @@
 // Traces serialize to a versioned JSONL artifact (see WriteTrace/ReadTrace)
 // whose header carries the spec, seed, schema version, and a content hash,
 // so a recorded serve run is a shareable, identity-checked artifact that
-// powerbench replay can re-run through any queue implementation or
+// powerbench serve -trace re-runs through any queue implementation or
 // topology. This is the shape ROADMAP item 2 calls for (modelled on
 // inference-sim's servegen/tracev2/replay): the regime where the paper's
 // rank-error bounds become production claims is exactly non-ideal traffic —

@@ -14,8 +14,8 @@ import (
 // Trace is a compiled workload realization: the merged virtual arrival
 // schedule plus each job's class and service time, with the provenance
 // (spec, seed, rate) that produced it. A trace is the replayable artifact —
-// powerbench record writes one, powerbench replay re-runs it through any
-// queue implementation or topology, and Hash gives it an identity.
+// powerbench record writes one, powerbench serve -trace re-runs it through
+// any queue implementation or topology, and Hash gives it an identity.
 type Trace struct {
 	// Spec, Seed and Rate are the generation inputs (Rate in jobs/second).
 	// A trace loaded from disk carries them verbatim from its header.

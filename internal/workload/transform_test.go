@@ -80,75 +80,3 @@ func TestScaleRate(t *testing.T) {
 		t.Fatal("ScaleRate(-1) accepted")
 	}
 }
-
-// TestThin: deterministic subsample — kept share near p, job identities
-// preserved, schedule order preserved, rate scaled by p, same (trace, p)
-// keeps the same subset, and subsamples nest (Thin(0.2) ⊂ Thin(0.5)).
-func TestThin(t *testing.T) {
-	tr := transformFixture(t)
-	thin, err := tr.Thin(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, kept := tr.Jobs(), thin.Jobs()
-	// Binomial(2000, 0.5): ±5σ ≈ ±112.
-	if kept < n/2-150 || kept > n/2+150 {
-		t.Fatalf("thinning by 0.5 kept %d of %d jobs", kept, n)
-	}
-	if thin.Rate != tr.Rate*0.5 {
-		t.Fatalf("rate %v after thinning by 0.5, want %v", thin.Rate, tr.Rate*0.5)
-	}
-	// Every kept job must appear in the original, in order.
-	src := 0
-	for i := 0; i < kept; i++ {
-		for src < n && !(tr.ArrivalNs[src] == thin.ArrivalNs[i] &&
-			tr.Class[src] == thin.Class[i] && tr.Service[src] == thin.Service[i]) {
-			src++
-		}
-		if src == n {
-			t.Fatalf("thinned job %d is not an ordered subsequence of the original", i)
-		}
-		src++
-	}
-	// Determinism: the same (trace, p) keeps the identical subset.
-	again, err := tr.Thin(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, _ := thin.Hash()
-	h2, _ := again.Hash()
-	if h1 != h2 {
-		t.Fatal("thinning is not deterministic")
-	}
-	// Nesting: one coin per job means Thin(0.2)'s subset ⊆ Thin(0.5)'s.
-	thinner, err := tr.Thin(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inHalf := make(map[int64]bool, kept)
-	for _, v := range thin.ArrivalNs {
-		inHalf[v] = true
-	}
-	for i, v := range thinner.ArrivalNs {
-		if !inHalf[v] {
-			t.Fatalf("Thin(0.2) kept job %d (t=%dns) that Thin(0.5) dropped — subsamples must nest", i, v)
-		}
-	}
-	if h, _ := thin.Hash(); h == func() string { s, _ := tr.Hash(); return s }() {
-		t.Fatal("thinned trace hashes identically to the original")
-	}
-	if _, err := tr.Thin(0); err == nil {
-		t.Fatal("Thin(0) accepted")
-	}
-	if _, err := tr.Thin(1.5); err == nil {
-		t.Fatal("Thin(1.5) accepted")
-	}
-	// p = 1 keeps everything and is a legal identity-with-new-provenance.
-	all, err := tr.Thin(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.Jobs() != n {
-		t.Fatalf("Thin(1) kept %d of %d jobs", all.Jobs(), n)
-	}
-}
