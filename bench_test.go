@@ -125,11 +125,7 @@ func BenchmarkFigure3SSSP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	impls := []pqadapt.Impl{
-		pqadapt.ImplOneBeta50, pqadapt.ImplOneBeta75, pqadapt.ImplMultiQueue,
-		pqadapt.ImplSkipList, pqadapt.ImplKLSM,
-	}
-	for _, impl := range impls {
+	for _, impl := range pqadapt.Impls() {
 		for _, th := range threadCounts() {
 			b.Run(fmt.Sprintf("%s/threads=%d", impl, th), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -116,8 +116,9 @@ func TestRankQualityValidates(t *testing.T) {
 }
 
 // TestRankQualityExactImplIsOne: an exact queue driven through the same
-// harness must report (near-)minimum ranks; the skiplist's occasional 2s
-// come from sequencing noise, never from the structure.
+// harness must report (near-)minimum ranks; an occasional 2 comes from
+// sequencing noise (a pop and its sequence number are not one atomic step),
+// never from the structure.
 func TestRankQualityExactImplIsOne(t *testing.T) {
 	res, err := RankQuality(RankSpec{
 		Impl:         pqadapt.ImplGlobalLock,
@@ -261,7 +262,7 @@ func TestRankQualityMonotoneInBeta(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("impl", "threads", "mops")
 	tb.AddRow("multiqueue", 4, 1.2345)
-	tb.AddRow("skiplist", 16, 0.5)
+	tb.AddRow("globallock", 16, 0.5)
 	s := tb.String()
 	if !strings.Contains(s, "multiqueue") || !strings.Contains(s, "1.234") {
 		t.Errorf("table missing cells:\n%s", s)

@@ -42,7 +42,7 @@ func pinnedReport() *Report {
 				Removals: 4096,
 			},
 			{
-				Impl: "skiplist", Threads: 8, MeanRank: 1, P50: 1, P99: 1,
+				Impl: "globallock", Threads: 8, MeanRank: 1, P50: 1, P99: 1,
 				MaxRank: 2, Removals: 4096,
 			},
 			// A throughput row with the post-accounting-fix shape: Ops
@@ -187,9 +187,9 @@ func TestRowSetTopology(t *testing.T) {
 	}
 	// Implementations without internal queues contribute no topology fields.
 	var s Row
-	s.Impl = "skiplist"
-	s.SetTopology(pqadapt.Topology{Impl: pqadapt.ImplSkipList})
-	if s.Impl != "skiplist" || s.Queues != 0 || s.Beta != nil {
-		t.Errorf("SetTopology on skiplist: %+v", s)
+	s.Impl = "globallock"
+	s.SetTopology(pqadapt.Topology{Impl: pqadapt.ImplGlobalLock})
+	if s.Impl != "globallock" || s.Queues != 0 || s.Beta != nil {
+		t.Errorf("SetTopology on globallock: %+v", s)
 	}
 }

@@ -85,11 +85,11 @@ func RankQuality(spec RankSpec) (RankResult, error) {
 	var err error
 	if spec.Impl != "" {
 		queues := spec.Queues
-		if queues == 0 && pqadapt.IsMultiQueue(spec.Impl) {
+		if queues == 0 {
 			// Rank experiments run the paper's fixed topology by default:
 			// a host-derived queue count would make rank numbers (and on
 			// 2-core machines, the very existence of relaxation) depend on
-			// GOMAXPROCS.
+			// GOMAXPROCS. Implementations without queues ignore the count.
 			queues = pqadapt.PaperQueues
 		}
 		q, err = pqadapt.NewSpec(pqadapt.Spec{Impl: spec.Impl, Queues: queues, Seed: spec.Seed})
@@ -97,7 +97,7 @@ func RankQuality(spec RankSpec) (RankResult, error) {
 		if spec.Queues < 1 {
 			return RankResult{}, fmt.Errorf("bench: invalid rank spec %+v", spec)
 		}
-		q, err = pqadapt.NewMultiQueueSpec(spec.Beta, pqadapt.Spec{Queues: spec.Queues, Seed: spec.Seed})
+		q, err = pqadapt.NewMultiQueueBeta(spec.Beta, spec.Queues, spec.Seed)
 	}
 	if err != nil {
 		return RankResult{}, err

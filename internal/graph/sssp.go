@@ -12,7 +12,7 @@ import (
 // Inf is the distance of unreachable nodes.
 const Inf = math.MaxUint64
 
-// Dijkstra computes single-source shortest paths sequentially with a binary
+// Dijkstra computes single-source shortest paths sequentially with a 4-ary
 // heap; it is the correctness reference and the single-thread baseline.
 func Dijkstra(g *Graph, src int) ([]uint64, error) {
 	n := g.NumNodes()
@@ -24,7 +24,7 @@ func Dijkstra(g *Graph, src int) ([]uint64, error) {
 		dist[i] = Inf
 	}
 	dist[src] = 0
-	pq := pqueue.NewBinaryHeap[int32]()
+	pq := pqueue.NewDAryHeap[int32]()
 	pq.Push(0, int32(src))
 	for {
 		it, ok := pq.PopMin()
@@ -47,8 +47,8 @@ func Dijkstra(g *Graph, src int) ([]uint64, error) {
 }
 
 // ConcurrentPQ is the queue interface the parallel SSSP driver requires.
-// Implementations are adapters over the MultiQueue, the skiplist, the
-// k-LSM, or a global-lock heap. Values carry the node ID. It is an alias of
+// Implementations are adapters over the MultiQueue, the k-LSM, or a
+// global-lock heap. Values carry the node ID. It is an alias of
 // the generic executor's queue interface, so every adapter usable here runs
 // any sched workload (branch-and-bound, the job server) unchanged.
 type ConcurrentPQ = sched.Queue[int32]

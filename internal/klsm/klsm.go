@@ -71,16 +71,16 @@ func (q *Queue[V]) Len() int { return int(q.size.Load()) }
 // relaxation.
 type Handle[V any] struct {
 	q     *Queue[V]
-	buf   *pqueue.BinaryHeap[V] // local insertion buffer
-	stash *pqueue.BinaryHeap[V] // local spied elements
+	buf   *pqueue.DAryHeap[V] // local insertion buffer
+	stash *pqueue.DAryHeap[V] // local spied elements
 }
 
 // Handle returns a new handle for the calling goroutine.
 func (q *Queue[V]) Handle() *Handle[V] {
 	return &Handle[V]{
 		q:     q,
-		buf:   pqueue.NewBinaryHeap[V](),
-		stash: pqueue.NewBinaryHeap[V](),
+		buf:   pqueue.NewDAryHeap[V](),
+		stash: pqueue.NewDAryHeap[V](),
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"powerchoice/internal/klsm"
 	"powerchoice/internal/pqueue"
 	"powerchoice/internal/sched"
-	"powerchoice/internal/skiplist"
 )
 
 // Impl names a concurrent priority queue implementation.
@@ -27,11 +26,9 @@ const (
 	ImplOneBeta75 Impl = "onebeta75"
 	// ImplOneBeta50 is the paper's (1+β) MultiQueue with β = 0.5.
 	ImplOneBeta50 Impl = "onebeta50"
-	// ImplSkipList is the Lindén–Jonsson-style skiplist (exact PQ).
-	ImplSkipList Impl = "skiplist"
 	// ImplKLSM is the k-LSM-style relaxed queue with k = 256.
 	ImplKLSM Impl = "klsm256"
-	// ImplGlobalLock is a mutex-protected binary heap, the naive baseline.
+	// ImplGlobalLock is a 4-ary heap behind one mutex, the exact baseline.
 	ImplGlobalLock Impl = "globallock"
 )
 
@@ -39,7 +36,7 @@ const (
 func Impls() []Impl {
 	return []Impl{
 		ImplOneBeta50, ImplOneBeta75, ImplMultiQueue,
-		ImplSkipList, ImplKLSM, ImplGlobalLock,
+		ImplKLSM, ImplGlobalLock,
 	}
 }
 
@@ -48,13 +45,6 @@ func Impls() []Impl {
 // the MultiQueue legs to this topology so the measured relaxation is a
 // property of the configuration, not of the host's core count.
 const PaperQueues = 8
-
-// IsMultiQueue reports whether impl is backed by a core.MultiQueue, i.e.
-// whether an explicit queue count applies to it.
-func IsMultiQueue(impl Impl) bool {
-	_, ok := mqBeta(impl)
-	return ok
-}
 
 // mqBeta maps a MultiQueue line-up implementation to its β.
 func mqBeta(impl Impl) (float64, bool) {
@@ -130,11 +120,9 @@ func New(impl Impl, seed uint64) (Queue, error) {
 // deriving it from GOMAXPROCS.
 func NewSpec(spec Spec) (Queue, error) {
 	if beta, ok := mqBeta(spec.Impl); ok {
-		return NewMultiQueueSpec(beta, spec)
+		return NewMultiQueueBeta(beta, spec.Queues, spec.Seed)
 	}
 	switch spec.Impl {
-	case ImplSkipList:
-		return &skipAdapter{s: skiplist.New[int32](spec.Seed)}, nil
 	case ImplKLSM:
 		q, err := klsm.New[int32](256, 8)
 		if err != nil {
@@ -142,25 +130,19 @@ func NewSpec(spec Spec) (Queue, error) {
 		}
 		return &klsmAdapter{q: q}, nil
 	case ImplGlobalLock:
-		return &lockedHeap{h: pqueue.NewBinaryHeap[int32]()}, nil
+		return &lockedHeap{h: pqueue.NewDAryHeap[int32]()}, nil
 	default:
 		return nil, fmt.Errorf("pqadapt: unknown implementation %q", spec.Impl)
 	}
 }
 
 // NewMultiQueueBeta constructs a (1+β) MultiQueue adapter with an arbitrary
-// β, for the β-sweep experiments (Figure 2, ablation A2). queues = 0 derives
-// the count from the host.
+// β: the line-up's MultiQueue entries and the β-sweep experiments (Figure 2,
+// ablation A2). queues = 0 derives the count from the host.
 func NewMultiQueueBeta(beta float64, queues int, seed uint64) (Queue, error) {
-	return NewMultiQueueSpec(beta, Spec{Queues: queues, Seed: seed})
-}
-
-// NewMultiQueueSpec constructs a (1+β) MultiQueue adapter with an arbitrary
-// β and the spec's queue count and seed (spec.Impl is not consulted).
-func NewMultiQueueSpec(beta float64, spec Spec) (Queue, error) {
-	opts := []core.Option{core.WithBeta(beta), core.WithSeed(spec.Seed)}
-	if spec.Queues > 0 {
-		opts = append(opts, core.WithQueues(spec.Queues))
+	opts := []core.Option{core.WithBeta(beta), core.WithSeed(seed)}
+	if queues > 0 {
+		opts = append(opts, core.WithQueues(queues))
 	}
 	mq, err := core.New[int32](opts...)
 	if err != nil {
@@ -225,15 +207,6 @@ func (l *mqLocal) DeleteMinBatch(keys []uint64, vals []int32, k int) int {
 // Handle exposes the underlying core handle (its HandleStats counters) to
 // harnesses that need more than the sched interfaces.
 func (l *mqLocal) Handle() *core.Handle[int32] { return l.h }
-
-// skipAdapter adapts skiplist.SkipList (already goroutine-agnostic).
-type skipAdapter struct {
-	s *skiplist.SkipList[int32]
-}
-
-func (a *skipAdapter) Insert(key uint64, node int32)    { a.s.Insert(key, node) }
-func (a *skipAdapter) DeleteMin() (uint64, int32, bool) { return a.s.DeleteMin() }
-func (a *skipAdapter) Len() int                         { return a.s.Len() }
 
 // klsmAdapter adapts klsm.Queue. The shared adapter keeps one fallback
 // handle under a mutex for callers that do not request a local view; worker
@@ -300,10 +273,11 @@ func (l *klsmLocal) DeleteMin() (uint64, int32, bool) { return l.h.DeleteMin() }
 // e.g. open-system producers.
 func (l *klsmLocal) Flush() { l.h.Flush() }
 
-// lockedHeap is the global-lock baseline: a binary heap behind one mutex.
+// lockedHeap is the global-lock baseline: the MultiQueue's sequential heap
+// behind one mutex, so every pop returns the global minimum.
 type lockedHeap struct {
 	mu sync.Mutex
-	h  *pqueue.BinaryHeap[int32]
+	h  *pqueue.DAryHeap[int32]
 }
 
 func (l *lockedHeap) Insert(key uint64, node int32) {

@@ -84,30 +84,27 @@ func TestAllImplsRoundTrip(t *testing.T) {
 }
 
 func TestExactImplsAreSorted(t *testing.T) {
-	// The skiplist and global-lock heap are exact priority queues; their
+	// The global-lock heap is the line-up's exact priority queue; its
 	// single-threaded pop sequence must be globally sorted.
-	for _, impl := range []Impl{ImplSkipList, ImplGlobalLock} {
-		impl := impl
-		t.Run(string(impl), func(t *testing.T) {
-			q, err := New(impl, 3)
-			if err != nil {
-				t.Fatal(err)
+	t.Run(string(ImplGlobalLock), func(t *testing.T) {
+		q, err := New(ImplGlobalLock, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.NewSource(4)
+		keys := make([]uint64, 1000)
+		for i := range keys {
+			keys[i] = rng.Uint64() % 10000
+			q.Insert(keys[i], 0)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		for i, want := range keys {
+			k, _, ok := q.DeleteMin()
+			if !ok || k != want {
+				t.Fatalf("pop %d = (%d,%v), want %d", i, k, ok, want)
 			}
-			rng := xrand.NewSource(4)
-			keys := make([]uint64, 1000)
-			for i := range keys {
-				keys[i] = rng.Uint64() % 10000
-				q.Insert(keys[i], 0)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for i, want := range keys {
-				k, _, ok := q.DeleteMin()
-				if !ok || k != want {
-					t.Fatalf("pop %d = (%d,%v), want %d", i, k, ok, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestWorkerLocalImpls(t *testing.T) {
@@ -177,24 +174,12 @@ func TestNewSpecPinsTopology(t *testing.T) {
 		t.Errorf("derived topology degenerate: %+v", top)
 	}
 	// Non-MultiQueue impls ignore Queues and report no topology.
-	sq, err := NewSpec(Spec{Impl: ImplSkipList, Queues: PaperQueues, Seed: 1})
+	gq, err := NewSpec(Spec{Impl: ImplGlobalLock, Queues: PaperQueues, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top := TopologyOf(ImplSkipList, sq); top.Queues != 0 || top.Choices != 0 || top.Beta != 0 {
-		t.Errorf("skiplist reports queue topology: %+v", top)
-	}
-}
-
-func TestIsMultiQueue(t *testing.T) {
-	want := map[Impl]bool{
-		ImplMultiQueue: true, ImplOneBeta50: true, ImplOneBeta75: true,
-		ImplSkipList: false, ImplKLSM: false, ImplGlobalLock: false,
-	}
-	for impl, mq := range want {
-		if IsMultiQueue(impl) != mq {
-			t.Errorf("IsMultiQueue(%s) = %v, want %v", impl, !mq, mq)
-		}
+	if top := TopologyOf(ImplGlobalLock, gq); top.Queues != 0 || top.Choices != 0 || top.Beta != 0 {
+		t.Errorf("globallock reports queue topology: %+v", top)
 	}
 }
 
@@ -301,7 +286,7 @@ func TestSSSPRunsAndVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, impl := range []Impl{ImplOneBeta75, ImplSkipList, ImplKLSM, ImplGlobalLock} {
+	for _, impl := range []Impl{ImplOneBeta75, ImplKLSM, ImplGlobalLock} {
 		t.Run(string(impl), func(t *testing.T) {
 			q, err := New(impl, 5)
 			if err != nil {

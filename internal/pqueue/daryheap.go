@@ -5,9 +5,8 @@ package pqueue
 // trade-off as the boost d-ary heaps used by the paper's implementation.
 const daryDegree = 4
 
-// DAryHeap is a flat 4-ary min-heap. It backs every queue of the
-// MultiQueue because pops touch fewer levels than a binary heap at the cost
-// of a slightly wider comparison per level.
+// DAryHeap is a flat 4-ary min-heap. Its pops touch fewer levels than a
+// binary heap's at the cost of a slightly wider comparison per level.
 //
 // Keys and values live in parallel slices rather than one []Item: the sift
 // loops compare only keys, and the split layout packs a full child group

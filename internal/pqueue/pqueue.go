@@ -1,10 +1,10 @@
-// Package pqueue provides the sequential priority queues that back every
-// concurrent structure in this repository. The paper's MultiQueue composes n
-// of these behind try-locks (§5 uses boost d-ary heaps; ours is the
-// equivalent flat 4-ary DAryHeap).
+// Package pqueue provides DAryHeap, the sequential priority queue that backs
+// every concurrent structure in this repository. The paper's MultiQueue
+// composes n of these behind try-locks (§5 uses boost d-ary heaps; ours is
+// the equivalent flat 4-ary heap).
 //
-// All queues are min-queues on uint64 keys: smaller key = higher priority.
-// None are safe for concurrent use; callers provide their own locking.
+// The heap is a min-queue on uint64 keys: smaller key = higher priority. It
+// is not safe for concurrent use; callers provide their own locking.
 package pqueue
 
 // Item is a keyed element stored in a queue.

@@ -25,24 +25,15 @@ func (h *refHeap) Pop() interface{} {
 	return x
 }
 
-// seqHeap is the surface the table tests drive on both slice heaps.
-type seqHeap[V any] interface {
-	Push(key uint64, value V)
-	PopMin() (Item[V], bool)
-	PeekMin() (Item[V], bool)
-	Len() int
-}
-
-// forEachHeap runs f once per slice heap, in a subtest named after the heap,
-// with that heap's constructor.
-func forEachHeap[V any](t *testing.T, f func(t *testing.T, newQ func() seqHeap[V])) {
+// forEachHeap runs f in a subtest named after the heap, with the heap's
+// constructor.
+func forEachHeap[V any](t *testing.T, f func(t *testing.T, newQ func() *DAryHeap[V])) {
 	t.Helper()
-	t.Run("binary", func(t *testing.T) { f(t, func() seqHeap[V] { return NewBinaryHeap[V]() }) })
-	t.Run("dary", func(t *testing.T) { f(t, func() seqHeap[V] { return NewDAryHeap[V]() }) })
+	t.Run("dary", func(t *testing.T) { f(t, NewDAryHeap[V]) })
 }
 
 func TestEmptyQueue(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[string]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[string]) {
 		q := newQ()
 		if q.Len() != 0 {
 			t.Errorf("empty Len = %d", q.Len())
@@ -57,7 +48,7 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestSingleElement(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[string]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[string]) {
 		q := newQ()
 		q.Push(42, "answer")
 		if q.Len() != 1 {
@@ -81,7 +72,7 @@ func TestSingleElement(t *testing.T) {
 }
 
 func TestPopsAreSorted(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[int]) {
 		q := newQ()
 		rng := xrand.NewSource(7)
 		const n = 2000
@@ -106,7 +97,7 @@ func TestPopsAreSorted(t *testing.T) {
 }
 
 func TestDuplicateKeysPreserved(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[int]) {
 		q := newQ()
 		for i := 0; i < 10; i++ {
 			q.Push(5, i)
@@ -126,7 +117,7 @@ func TestDuplicateKeysPreserved(t *testing.T) {
 }
 
 func TestInterleavedAgainstReference(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[struct{}]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[struct{}]) {
 		q := newQ()
 		ref := &refHeap{}
 		rng := xrand.NewSource(99)
@@ -156,7 +147,7 @@ func TestInterleavedAgainstReference(t *testing.T) {
 }
 
 func TestAscendingAndDescendingInserts(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[int]) {
 		for dir, asc := range map[string]bool{"ascending": true, "descending": false} {
 			q := newQ()
 			const n = 500
@@ -180,7 +171,7 @@ func TestAscendingAndDescendingInserts(t *testing.T) {
 }
 
 func TestExtremeKeys(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[string]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[string]) {
 		q := newQ()
 		q.Push(^uint64(0), "max")
 		q.Push(0, "zero")
@@ -201,7 +192,7 @@ func TestExtremeKeys(t *testing.T) {
 }
 
 func TestQuickMultisetPreservation(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[struct{}]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[struct{}]) {
 		check := func(keys []uint16) bool {
 			q := newQ()
 			want := make([]uint64, len(keys))
@@ -235,7 +226,7 @@ func TestQuickMultisetPreservation(t *testing.T) {
 }
 
 func TestRefillAfterDrain(t *testing.T) {
-	forEachHeap(t, func(t *testing.T, newQ func() seqHeap[int]) {
+	forEachHeap(t, func(t *testing.T, newQ func() *DAryHeap[int]) {
 		q := newQ()
 		for round := 0; round < 3; round++ {
 			for i := 100; i > 0; i-- {
@@ -251,7 +242,7 @@ func TestRefillAfterDrain(t *testing.T) {
 	})
 }
 
-func benchPushPop(b *testing.B, q seqHeap[int32], depth int) {
+func benchPushPop(b *testing.B, q *DAryHeap[int32], depth int) {
 	rng := xrand.NewSource(1)
 	// Steady state: prefill, then alternate push/pop.
 	for i := 0; i < depth; i++ {
@@ -264,12 +255,10 @@ func benchPushPop(b *testing.B, q seqHeap[int32], depth int) {
 	}
 }
 
-func BenchmarkBinaryHeap(b *testing.B) { benchPushPop(b, NewBinaryHeap[int32](), 1024) }
-
-// BenchmarkDAryHeap runs beside BenchmarkBinaryHeap at depth 1,024, and at
-// the per-queue depths of perfbench's pairs-shallow and pairs-deep: 2^12 and
-// 2^21 elements over eight queues. The depth decides how many levels a sift
-// descends below the branch-free top five.
+// BenchmarkDAryHeap runs at depth 1,024, and at the per-queue depths of
+// perfbench's pairs-shallow and pairs-deep: 2^12 and 2^21 elements over
+// eight queues. The depth decides how many levels a sift descends below the
+// branch-free top five.
 func BenchmarkDAryHeap(b *testing.B) {
 	for _, depth := range []int{512, 1024, 1 << 18} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {

@@ -16,7 +16,7 @@ import (
 // import pqadapt (pqadapt imports sched), so the test brings its own.
 type lockedHeap struct {
 	mu sync.Mutex
-	h  *pqueue.BinaryHeap[int32]
+	h  *pqueue.DAryHeap[int32]
 }
 
 func (q *lockedHeap) Insert(key uint64, v int32) {
@@ -79,7 +79,7 @@ func TestWorkerLoopPendingInvariant(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("k=%d/workers=%d", k, workers), func(t *testing.T) {
 				maxOver := int64(k - 1) // the contract, not read from creditCap
-				q := &lockedHeap{h: pqueue.NewBinaryHeap[int32]()}
+				q := &lockedHeap{h: pqueue.NewDAryHeap[int32]()}
 				q.Insert(key(0), 0)
 				const seeds = 1
 				var pending, pushes, entries atomic.Int64

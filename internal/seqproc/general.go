@@ -18,7 +18,7 @@ import (
 // theorems, where the experiments show the O(n) behaviour persists under
 // stationary priority churn.
 type GeneralProcess struct {
-	queues   []*pqueue.BinaryHeap[struct{}]
+	queues   []*pqueue.DAryHeap[struct{}]
 	present  *fenwick.Tree // multiplicity per priority
 	beta     float64
 	rng      *xrand.Source
@@ -39,14 +39,14 @@ func NewGeneral(n int, universe int, beta float64, seed uint64) (*GeneralProcess
 		return nil, fmt.Errorf("seqproc: beta %v outside [0,1]", beta)
 	}
 	g := &GeneralProcess{
-		queues:   make([]*pqueue.BinaryHeap[struct{}], n),
+		queues:   make([]*pqueue.DAryHeap[struct{}], n),
 		present:  fenwick.New(universe),
 		beta:     beta,
 		rng:      xrand.NewSource(seed),
 		universe: universe,
 	}
 	for i := range g.queues {
-		g.queues[i] = pqueue.NewBinaryHeap[struct{}]()
+		g.queues[i] = pqueue.NewDAryHeap[struct{}]()
 	}
 	return g, nil
 }
